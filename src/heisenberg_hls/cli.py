@@ -99,47 +99,36 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _iter_actions(parser: argparse.ArgumentParser):
-    for action in parser._actions:
-        yield action
-        for sub in getattr(action, "choices", {}).values() if isinstance(
-            action, argparse._SubParsersAction
-        ) else ():
-            yield from sub._actions
-
-
-def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """File values fill in only options the command line left at default.
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; a --config file supplies the command's defaults.
 
     Config keys are the long option names without the leading dashes
-    (e.g. `lambda = 2.0`, `grid-rho = 64`); flags always win.
+    (e.g. `lambda = 2.0`, `grid-rho = 64`).  The file values become the
+    subcommand's defaults and argv is parsed again, so flags in any form
+    win and argparse converts the values with each option's type.
     """
-    if getattr(args, "config", None) is None:
-        return
-    file_vals = _load_config_file(args.config)
-    key_to_dest = {}
-    specified = set()
-    for action in _iter_actions(parser):
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = commands.choices[args.command]
+    by_key = {}
+    for action in sub._actions:
         for opt in action.option_strings:
-            key_to_dest[opt.lstrip("-").replace("-", "_")] = action.dest
-            if opt in sys.argv:
-                specified.add(action.dest)
-    for key, raw in file_vals.items():
-        dest = key_to_dest.get(key, key)
-        if not hasattr(args, dest) or dest in specified or dest == "config":
+            by_key[opt.lstrip("-").replace("-", "_")] = action
+        by_key.setdefault(action.dest, action)
+    defaults = {}
+    for key, raw in _load_config_file(args.config).items():
+        action = by_key.get(key)
+        if action is None or action.dest in ("config", "help"):
             continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, dest, int(raw))
-        elif isinstance(current, float) or current is None:
-            try:
-                setattr(args, dest, float(raw))
-            except ValueError:
-                setattr(args, dest, raw)
-        else:
-            setattr(args, dest, raw)
+        if isinstance(action.default, bool):
+            raw = raw.lower() in ("1", "true", "yes")
+        elif action.nargs in ("*", "+"):
+            raw = raw.split()
+        defaults[action.dest] = raw
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _grid_spec(args) -> GridSpec:
@@ -315,11 +304,16 @@ def _load_grid_file(path: str, spec_n: int):
     for key in ("rho_nodes", "t_nodes", "values"):
         if key not in data:
             _fail(EXIT_IO, f"grid file {path} missing array {key!r}")
-    from .grids import CylGridFunction, GridSpec as GS, build_weights
+    from .grids import CylGridFunction, build_weights
 
     rho = data["rho_nodes"]
     t = data["t_nodes"]
-    spec = GS(
+    if rho.ndim != 1 or t.ndim != 1 or min(rho.size, t.size) < 4:
+        _fail(
+            EXIT_VALIDATION,
+            f"grid file {path}: rho_nodes and t_nodes must be 1-D with 4 or more nodes",
+        )
+    spec = GridSpec(
         n=spec_n,
         n_rho=rho.size,
         rho_min=float(rho[0]),
@@ -327,8 +321,17 @@ def _load_grid_file(path: str, spec_n: int):
         n_t=t.size,
         t_max=float(t[-1]),
     )
-    g = CylGridFunction(spec_n, rho, t, data["values"], build_weights(spec), spec)
-    return g
+    # weights and kernel table come from the spec, so its nodes must be the file's
+    for key, nodes in (("rho_nodes", spec.rho_nodes()), ("t_nodes", spec.t_nodes())):
+        dev = float(np.max(np.abs(data[key] - nodes))) / float(np.max(np.abs(nodes)))
+        if not dev <= 1e-12:
+            _fail(
+                EXIT_VALIDATION,
+                f"grid file {path}: {key} differ from the grid nodes by {dev:.3g} "
+                "(relative); rho_nodes must be geomspace(rho_min, rho_max, n_rho) "
+                "and t_nodes linspace(-t_max, t_max, n_t)",
+            )
+    return CylGridFunction(spec_n, rho, t, data["values"], build_weights(spec), spec)
 
 
 def cmd_evaluate(args) -> int:
@@ -607,8 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config_defaults(args, parser)
+    args = _parse_args(parser, argv)
     try:
         return args.func(args)
     except SystemExit:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .grids import CylGridFunction
 from .group import GroupPoint, distance_coords, multiply_coords, norm_coords
+from .montecarlo import Geometry
 
 
 @dataclass
@@ -283,21 +284,6 @@ def strict_subadditivity_gap(k: float, p: float, q: float) -> float:
 # synthetic generator families with analytically known verdicts
 
 
-def _ball_cloud(rng: np.random.Generator, n: int, m: int, radius: float) -> np.ndarray:
-    """m points uniform in the Koranyi ball of the given radius."""
-    pts = np.empty((m, 2 * n + 1))
-    have = 0
-    while have < m:
-        cand = rng.uniform(-1.0, 1.0, size=(2 * (m - have) + 64, 2 * n + 1))
-        keep = cand[norm_coords(cand, n) < 1.0]
-        take = min(keep.shape[0], m - have)
-        pts[have : have + take] = keep[:take]
-        have += take
-    pts[:, : 2 * n] *= radius
-    pts[:, 2 * n] *= radius * radius
-    return pts
-
-
 def spread_family(
     length: int, seed: int, n: int = 1, n_atoms: int = 256, scale: float = 3.0
 ) -> list[DiscreteMeasure]:
@@ -306,8 +292,7 @@ def spread_family(
     Q(R) decays like (R / (scale j))^Q down to the single-atom floor
     1/n_atoms, so by the tail of a length-10 sequence the mass in any
     probe-sized ball is negligible."""
-    rng = np.random.default_rng(seed)
-    base = _ball_cloud(rng, n, n_atoms, 1.0)
+    base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
     out = []
     for j in range(1, length + 1):
@@ -323,8 +308,7 @@ def translate_family(
     length: int, seed: int, n: int = 1, n_atoms: int = 256, step: float = 4.0
 ) -> list[DiscreteMeasure]:
     """A fixed cloud left-translated by wandering centers; compactness."""
-    rng = np.random.default_rng(seed)
-    base = _ball_cloud(rng, n, n_atoms, 1.0)
+    base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
     mu0 = DiscreteMeasure(n, base, masses)
     out = []
@@ -355,8 +339,9 @@ def split_family(
     rng = np.random.default_rng(seed)
     m1 = n_atoms // 2
     m2 = n_atoms - m1
-    tight = _ball_cloud(rng, n, m1, 0.4)
-    wide = _ball_cloud(rng, n, m2, 2.5)
+    geom = Geometry("heisenberg", n)
+    tight = geom.dilate(np.full(m1, 0.4), geom.uniform_ball(rng, m1))
+    wide = geom.dilate(np.full(m2, 2.5), geom.uniform_ball(rng, m2))
     out = []
     for j in range(1, length + 1):
         moved = wide.copy()

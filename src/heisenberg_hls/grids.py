@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .group import ball_volume, homogeneous_dimension
+from .group import homogeneous_dimension
 from .constants import log_gamma
 
 
@@ -212,9 +212,3 @@ def ball_indicator(spec: GridSpec, radius: float = 1.0, antialias: bool = True) 
         with np.errstate(invalid="ignore", divide="ignore"):
             g.values[i, :] = np.where(g.weights[i, :] > 0, cell_mass / g.weights[i, :], 0.0)
     return g
-
-
-def total_measure_check(spec: GridSpec) -> float:
-    """Discrete mass of the antialiased unit ball minus the closed form."""
-    f = ball_indicator(spec)
-    return lp_norm(f, 1.0) - ball_volume(spec.n)

@@ -154,18 +154,7 @@ def multiply_coords(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def inverse_coords(pts: np.ndarray) -> np.ndarray:
-    return -np.atleast_2d(pts)
-
-
 def distance_coords(u: np.ndarray, pts: np.ndarray, n: int) -> np.ndarray:
     """Distances |u^-1 v| from a single point u to each row of pts."""
     u = np.asarray(u, dtype=float).reshape(1, -1)
     return norm_coords(multiply_coords(-u, pts, n), n)
-
-
-def dilate_coords(d: float, pts: np.ndarray, n: int) -> np.ndarray:
-    pts = np.atleast_2d(pts).copy()
-    pts[:, : 2 * n] *= d
-    pts[:, 2 * n] *= d * d
-    return pts

@@ -29,10 +29,16 @@ off-diagonal ridge cells by a Gauss rule in rho' with a sinh-graded tau
 rule centered on the ridge, and the cell containing the evaluation point
 itself by a local polar rule whose radial substitution r = R s^(1/(Q-lam))
 integrates the leading singular behaviour r^(Q-1-lam) exactly.
+
+One row assembler turns a nodal kernel row into these weights for both
+callers: the kernel table (one row per rho node, the evaluation point at
+tau = 0 on the tau lattice) and point evaluation (`weights_row`, any
+(rho0, t0)).  At a lattice node the two therefore give the same weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,7 +125,7 @@ def _kbar_graded(rho, rho2, tau, lam, n_xi=KBAR_NXI):
         n_xi = 4 * KBAR_NXI
 
     half = max(8, n_xi // 2)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(half)
+    gl_x, gl_w = _leggauss(half)
     # two panels [-Xi, 0] and [0, Xi] so the peak kink sits at endpoints
     nodes = np.concatenate([-0.5 * (gl_x + 1.0)[::-1], 0.5 * (gl_x + 1.0)])
     wts = np.concatenate([0.5 * gl_w[::-1], 0.5 * gl_w])
@@ -216,9 +222,21 @@ def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float, m: i
 # cell integration helpers
 
 
-def _leggauss01(k):
+@functools.cache
+def _leggauss(k):
+    """k-point Gauss-Legendre rule on [-1, 1], built once per k (read-only)."""
     x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
+def _leggauss01(k):
+    """The k-point rule mapped to [0, 1], built once per k (read-only)."""
+    x, w = _leggauss(k)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _center_cell_integral(lam, rho0, ra, rb, ta, tb, t_eval):
@@ -382,22 +400,33 @@ class KernelTable:
     """Product-integration tensor for (I_lam f) on a fixed grid, n = 1.
 
     A[i, i', k] is the quadrature weight of node (i', j') in the evaluation
-    of I_lam f at node (i, j), with k = j' - j + (n_t - 1).
+    of I_lam f at node (i, j), with k = j' - j + (n_t - 1).  spec is None for
+    a table built from the nodes of a grid function without one.
     """
 
-    spec: GridSpec
+    spec: GridSpec | None
     lam: float
     A: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        n_t = self.spec.n_t
-        out = np.empty((self.spec.n_rho, n_t))
-        for i in range(self.spec.n_rho):
+        n_rho, n_t = values.shape
+        out = np.empty((n_rho, n_t))
+        for i in range(n_rho):
             win = np.lib.stride_tricks.sliding_window_view(self.A[i], n_t, axis=-1)
             # win[i', s, j'] = A[i, i', s + j'];  out[i, j] = tmp[n_t-1-j]
             tmp = np.einsum("bsk,bk->s", win, values)
             out[i] = tmp[::-1]
         return out
+
+
+def _nodal_kbar(rho, rho2, tau, lam):
+    """kbar_many at grid nodes; the exactly singular entry (rho = rho',
+    tau = 0) is set to 0, its cell being integrated by the center-cell rule."""
+    exact = (rho == rho2) & (tau == 0.0)
+    out = np.zeros(rho.size)
+    idx = np.flatnonzero(~exact)
+    out[idx] = kbar_many(rho[idx], rho2[idx], tau[idx], lam)
+    return out
 
 
 def _build_kbar_lattice(rho, tau, lam):
@@ -409,16 +438,12 @@ def _build_kbar_lattice(rho, tau, lam):
     tau_half = tau[mid:]
     K = np.empty((nr, nr, L))
     iu, ju = np.triu_indices(nr)
-    # exact singular entries are replaced by the center-cell rule later
-    flat_rho = np.repeat(rho[iu], tau_half.size)
-    flat_rho2 = np.repeat(rho[ju], tau_half.size)
-    flat_tau = np.tile(tau_half, iu.size)
-    exact = (flat_rho == flat_rho2) & (flat_tau == 0.0)
-    vals = np.empty(flat_rho.size)
-    vals[exact] = 0.0
-    idx = np.flatnonzero(~exact)
-    vals[idx] = kbar_many(flat_rho[idx], flat_rho2[idx], flat_tau[idx], lam)
-    vals = vals.reshape(iu.size, tau_half.size)
+    vals = _nodal_kbar(
+        np.repeat(rho[iu], tau_half.size),
+        np.repeat(rho[ju], tau_half.size),
+        np.tile(tau_half, iu.size),
+        lam,
+    ).reshape(iu.size, tau_half.size)
     K[iu, ju, mid:] = vals
     K[ju, iu, mid:] = vals
     K[:, :, :mid] = K[:, :, mid + 1 :][:, :, ::-1]
@@ -437,20 +462,18 @@ def _exact_zone_mask(rho0, rho, drho, tau, dt):
     zone is a simply connected neighbourhood of the ridge: outside it the
     composite nodal rule keeps its Euler-Maclaurin telescoping, which
     scattered per-cell corrections would destroy.
+
+    The tau window carries a slack of 1e-9 dt: a cell exactly 3 dt from the
+    evaluation point has tau = (k - j) dt on the table's lattice but t' - t
+    for a point row, and the two round differently; without the slack the
+    same cell could fall inside the zone for one and outside for the other.
     """
     delta = np.abs(rho - rho0)
     rho_bar = np.sqrt(rho0 * rho)
     width = 2.0 * rho_bar * delta
     in_delta = (width <= 3.0 * dt) | (delta <= 3.0 * drho)
-    tau_win = 3.0 * np.maximum(dt, width)
+    tau_win = 3.0 * np.maximum(dt, width) + 1e-9 * dt
     return in_delta[:, None] & (np.abs(tau)[None, :] <= tau_win[:, None])
-
-
-def _ridge_band_mask(rho0, rho, drho):
-    """Within the exact zone: cells handled by adaptive subdivision (the
-    diagonal band, where the kernel is singular in rho' across the cell)
-    versus the ridge integrator (smooth in rho', peaked in tau)."""
-    return np.abs(rho - rho0) > 3.0 * drho
 
 
 _RIDGE_NRHO = 6
@@ -469,7 +492,7 @@ def _ridge_cell_values(lam, rho0, rects, t_eval):
     if rects.size == 0:
         return np.zeros(0)
     gx, gw = _leggauss01(_RIDGE_NRHO)
-    hx, hw = np.polynomial.legendre.leggauss(_RIDGE_NTAU)
+    hx, hw = _leggauss(_RIDGE_NTAU)
     ra, rb, ta, tb = rects.T
     rp = ra[:, None] + (rb - ra)[:, None] * gx[None, :]  # (c, ir)
     w = np.maximum(2.0 * np.sqrt(rho0 * rp) * np.abs(rp - rho0), 1e-10)
@@ -488,50 +511,64 @@ def _ridge_cell_values(lam, rho0, rects, t_eval):
     return np.einsum("ci,i,ci->c", inner, gw, _TWO_PI * rp) * (rb - ra)
 
 
-def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
-    if spec.n != 1:
-        raise ValueError("deterministic quadrature path supports n = 1 only")
-    Q = homogeneous_dimension(spec.n)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
-    rho = spec.rho_nodes()
+def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
+    """Product-rule weights R[i', k] of the point (rho0, t_eval) against the
+    cells centered on the nodes (rho[i'], t[k]), given the nodal kernel row
+    K[i', k] = Kbar(rho0, rho[i'], t[k] - t_eval).
+
+    Nodal value times cell measure outside the exact zone; inside it the
+    polar rule for the cell(s) containing the point, adaptive subdivision
+    on the diagonal band and the sinh rule on the ridge.
+    """
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
-    dt = spec.dt
-    n_t = spec.n_t
-    L = 2 * n_t - 1
-    mid = n_t - 1
-    tau = (np.arange(L) - mid) * dt
+    tau = t - t_eval
     tau_edges = np.concatenate([tau - 0.5 * dt, [tau[-1] + 0.5 * dt]])
+    t_lo, t_hi = t - 0.5 * dt, t + 0.5 * dt
+    R = K * (_TWO_PI * rho * drho)[:, None] * dt
 
-    K = _build_kbar_lattice(rho, tau, lam)
-    A = K * (_TWO_PI * rho * drho)[None, :, None] * dt
-
-    for i in range(rho.size):
-        zone = _exact_zone_mask(rho[i], rho, drho, tau, dt)
-        zone[i, mid] = False  # center cell gets the polar rule
-        ridge = _ridge_band_mask(rho[i], rho, drho)
-        sel_band = np.argwhere(zone & ~ridge[:, None])
-        sel_ridge = np.argwhere(zone & ridge[:, None])
-        if sel_band.size:
-            rects = [
-                (edges[a], edges[a + 1], tau_edges[k], tau_edges[k + 1])
-                for a, k in sel_band
-            ]
-            A[i, sel_band[:, 0], sel_band[:, 1]] = _refine_cells(
-                lam, rho[i], rects, t_eval=0.0
-            )
-        if sel_ridge.size:
-            rects = [
-                (edges[a], edges[a + 1], tau_edges[k], tau_edges[k + 1])
-                for a, k in sel_ridge
-            ]
-            A[i, sel_ridge[:, 0], sel_ridge[:, 1]] = _ridge_cell_values(
-                lam, rho[i], rects, t_eval=0.0
-            )
-        A[i, i, mid] = _center_cell_integral(
-            lam, rho[i], edges[i], edges[i + 1], tau_edges[mid], tau_edges[mid + 1], 0.0
+    zone = _exact_zone_mask(rho0, rho, drho, tau, dt)
+    contains_r = (edges[:-1] <= rho0) & (rho0 <= edges[1:])
+    contains_t = (tau_edges[:-1] <= 0.0) & (0.0 <= tau_edges[1:])
+    for a, k in np.argwhere(contains_r[:, None] & contains_t[None, :]):
+        zone[a, k] = False
+        R[a, k] = _center_cell_integral(
+            lam, rho0, edges[a], edges[a + 1], t_lo[k], t_hi[k], t_eval
         )
+    # the diagonal band, singular in rho' across a cell, is subdivided; off
+    # it the kernel is smooth in rho' and peaked in tau: the ridge rule
+    ridge = (np.abs(rho - rho0) > 3.0 * drho)[:, None]
+    for integrate, sel in ((_refine_cells, zone & ~ridge), (_ridge_cell_values, zone & ridge)):
+        a, k = np.nonzero(sel)
+        if a.size:
+            rects = np.column_stack([edges[a], edges[a + 1], t_lo[k], t_hi[k]])
+            R[a, k] = integrate(lam, rho0, rects, t_eval)
+    return R
+
+
+def _table_weights(rho, dt, n_t, lam):
+    """A[i, i', k] for the rho nodes and n_t uniform t nodes of spacing dt:
+    row i is the product rule of the point (rho[i], 0) on the tau lattice
+    (k - (n_t - 1)) dt, which by translation invariance in t serves every
+    evaluation height."""
+    tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+    A = _build_kbar_lattice(rho, tau, lam)
+    for i in range(rho.size):
+        A[i] = _row_weights(lam, rho[i], 0.0, rho, tau, dt, A[i])
+    return A
+
+
+def _check_deterministic(n: int, lam: float):
+    Q = homogeneous_dimension(n)
+    if not (0.0 < lam < Q):
+        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
+    if n != 1:
+        raise ValueError("deterministic path requires n = 1; use the Monte Carlo path")
+
+
+def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
+    _check_deterministic(spec.n, lam)
+    A = _table_weights(spec.rho_nodes(), spec.dt, spec.n_t, lam)
     return KernelTable(spec=spec, lam=lam, A=A)
 
 
@@ -551,25 +588,19 @@ def clear_table_cache():
     _TABLE_CACHE.clear()
 
 
-def _check_uniform_t(t: np.ndarray):
+def _uniform_dt(t: np.ndarray) -> float:
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-10, atol=0.0):
         raise ValueError("the deterministic operator requires a uniform t grid")
+    return float(dt)
 
 
 def _table_for(f: CylGridFunction, lam: float) -> KernelTable:
     if f.spec is not None:
         return kernel_table(f.spec, lam)
-    _check_uniform_t(f.t_nodes)
-    spec = GridSpec(
-        n=f.n,
-        n_rho=f.rho_nodes.size,
-        rho_min=float(f.rho_nodes[0]),
-        rho_max=float(f.rho_nodes[-1]),
-        n_t=f.t_nodes.size,
-        t_max=float(f.t_nodes[-1]),
-    )
-    return build_kernel_table(spec, lam)
+    _check_deterministic(f.n, lam)
+    A = _table_weights(f.rho_nodes, _uniform_dt(f.t_nodes), f.t_nodes.size, lam)
+    return KernelTable(spec=None, lam=lam, A=A)
 
 
 # ---------------------------------------------------------------------------
@@ -578,66 +609,19 @@ def _table_for(f: CylGridFunction, lam: float) -> KernelTable:
 
 def fractional_integral_grid(f: CylGridFunction, lam: float) -> CylGridFunction:
     """I_lam f sampled on f's own grid (deterministic path, n = 1)."""
-    if f.n != 1:
-        raise ValueError("deterministic path requires n = 1; use the Monte Carlo path")
     table = _table_for(f, lam)
     return f.with_values(table.apply(f.values))
 
 
 def weights_row(f: CylGridFunction, lam: float, rho0: float, t0: float) -> np.ndarray:
     """Quadrature weights R[i', j'] so that I_lam f(rho0, t0) = sum R * values."""
-    Q = homogeneous_dimension(f.n)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
-    if f.n != 1:
-        raise ValueError("deterministic path requires n = 1; use the Monte Carlo path")
+    _check_deterministic(f.n, lam)
     rho = f.rho_nodes
     t = f.t_nodes
-    _check_uniform_t(t)
-    edges = rho_cell_edges(rho)
-    drho = np.diff(edges)
-    dt = float(t[1] - t[0])
-    tau = t - t0
-    tau_edges = np.concatenate([tau - 0.5 * dt, [tau[-1] + 0.5 * dt]])
-
-    flat_rho2 = np.repeat(rho, t.size)
-    flat_tau = np.tile(tau, rho.size)
-    exact = (flat_rho2 == rho0) & (flat_tau == 0.0)
-    K = np.empty(flat_rho2.size)
-    K[exact] = 0.0
-    idx = np.flatnonzero(~exact)
-    K[idx] = kbar_many(np.full(idx.size, rho0), flat_rho2[idx], flat_tau[idx], lam)
-    K = K.reshape(rho.size, t.size)
-    R = K * (_TWO_PI * rho * drho)[:, None] * dt
-
-    zone = _exact_zone_mask(rho0, rho, drho, tau, dt)
-    # cells containing the singular point get the polar rule
-    contains_r = (edges[:-1] <= rho0) & (rho0 <= edges[1:])
-    contains_t = (tau_edges[:-1] <= 0.0) & (0.0 <= tau_edges[1:])
-    center_cells = np.argwhere(contains_r[:, None] & contains_t[None, :])
-    for a, k in center_cells:
-        zone[a, k] = False
-        R[a, k] = _center_cell_integral(
-            lam, rho0, edges[a], edges[a + 1], t[k] - 0.5 * dt, t[k] + 0.5 * dt, t0
-        )
-    ridge = _ridge_band_mask(rho0, rho, drho)
-    sel_band = np.argwhere(zone & ~ridge[:, None])
-    sel_ridge = np.argwhere(zone & ridge[:, None])
-    if sel_band.size:
-        rects = [
-            (edges[a], edges[a + 1], t[k] - 0.5 * dt, t[k] + 0.5 * dt)
-            for a, k in sel_band
-        ]
-        R[sel_band[:, 0], sel_band[:, 1]] = _refine_cells(lam, rho0, rects, t_eval=t0)
-    if sel_ridge.size:
-        rects = [
-            (edges[a], edges[a + 1], t[k] - 0.5 * dt, t[k] + 0.5 * dt)
-            for a, k in sel_ridge
-        ]
-        R[sel_ridge[:, 0], sel_ridge[:, 1]] = _ridge_cell_values(
-            lam, rho0, rects, t_eval=t0
-        )
-    return R
+    dt = _uniform_dt(t)
+    n = rho.size * t.size
+    K = _nodal_kbar(np.full(n, rho0), np.repeat(rho, t.size), np.tile(t - t0, rho.size), lam)
+    return _row_weights(lam, rho0, t0, rho, t, dt, K.reshape(rho.size, t.size))
 
 
 def fractional_integral(f: CylGridFunction, lam: float, u: GroupPoint) -> float:

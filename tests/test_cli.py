@@ -84,6 +84,27 @@ class TestEvaluateCommand:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "rho, t, message",
+        [
+            (np.linspace(5e-3, 25.0, 24), np.linspace(-25.0, 25.0, 48), "rho_nodes differ"),
+            (np.geomspace(5e-3, 25.0, 24), np.linspace(0.0, 5.0, 48), "t_nodes differ"),
+            (np.zeros(0), np.linspace(-25.0, 25.0, 48), "4 or more nodes"),
+        ],
+        ids=["linear-rho", "t-0-to-5", "empty-rho"],
+    )
+    def test_input_nodes_off_the_grid_rejected(self, tmp_path, rho, t, message):
+        # weights and kernel table are built from the grid the endpoints
+        # define, so other nodes would be silently reinterpreted
+        path = tmp_path / "f.npz"
+        values = np.exp(-(rho[:, None] ** 2) - t[None, :] ** 2)
+        np.savez(path, rho_nodes=rho, t_nodes=t, values=values)
+        proc = run_cli(
+            "evaluate", "--n", "1", "--lambda", "2", "--input", str(path), check=False
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
     def test_unreadable_input_exit_3(self):
         proc = run_cli(
             "evaluate", "--n", "1", "--lambda", "2", "--input", "/nonexistent/f.npz",
@@ -228,6 +249,11 @@ class TestClassifyCommand:
         proc = run_cli("classify", "--inputs", *paths)
         doc = json.loads(proc.stdout)
         assert doc["verdict"]["kind"] == "compactness"
+        # the same list from a config file, whitespace separated
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inputs = " + " ".join(paths) + "\n")
+        proc = run_cli("classify", "--config", str(cfg))
+        assert json.loads(proc.stdout) == doc
 
     def test_malformed_measure_file_exit_3(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -248,10 +274,21 @@ class TestConfigFile:
         proc = run_cli("constants", "--config", str(cfg), check=False)
         assert proc.returncode == 2
         # flag overrides the file value
-        proc = run_cli("constants", "--config", str(cfg), "--lambda", "2")
-        doc = json.loads(proc.stdout)
-        values = {rec["name"]: rec["value"] for rec in doc["records"]}
+        for flag in (["--lambda", "2"], ["--lambda=2"]):
+            proc = run_cli("constants", "--config", str(cfg), *flag)
+            doc = json.loads(proc.stdout)
+            values = {rec["name"]: rec["value"] for rec in doc["records"]}
+            assert values["frank_lieb_constant"] == pytest.approx(4.0, rel=1e-12)
+        # in-process calls: the flag wins whatever sys.argv holds
+        from heisenberg_hls.cli import main
+
+        out = tmp_path / "c.json"
+        assert main(["constants", "--config", str(cfg), "--lambda=2", "--out", str(out)]) == 0
+        values = {rec["name"]: rec["value"] for rec in json.loads(out.read_text())["records"]}
         assert values["frank_lieb_constant"] == pytest.approx(4.0, rel=1e-12)
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
 
     def test_missing_config_exit_3(self):
         proc = run_cli("constants", "--config", "/nope.cfg", check=False)

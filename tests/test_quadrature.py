@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heisenberg_hls.constants import diagonal_params
-from heisenberg_hls.grids import GridSpec, ball_indicator, lp_norm, sample
+from heisenberg_hls.grids import CylGridFunction, GridSpec, ball_indicator, lp_norm, sample
 from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
     angular_average_kernel,
@@ -130,6 +130,18 @@ class TestFractionalIntegral:
         val = fractional_integral(f, 2.0, u)
         assert val == pytest.approx(If.values[i, j], rel=1e-6)
 
+    def test_function_without_spec_uses_its_own_nodes(self):
+        # no GridSpec: the table is built on the function's (here linear)
+        # rho nodes, so grid and point evaluation agree at those nodes
+        rho = np.linspace(0.1, 3.0, 8)
+        t = np.linspace(-3.0, 3.0, 9)
+        values = ((1 + rho[:, None] ** 2) ** 2 + t[None, :] ** 2) ** -1.5
+        f = CylGridFunction(1, rho, t, values, np.ones_like(values))
+        If = fractional_integral_grid(f, 2.0)
+        for i, j in ((0, 4), (3, 0), (7, 6)):
+            val = float(np.sum(weights_row(f, 2.0, rho[i], t[j]) * values))
+            assert val == pytest.approx(If.values[i, j], rel=1e-12)
+
     def test_exact_identity_at_extremal(self):
         # I_2 H = 2 pi H^(1/3) for n = 1, lambda = 2
         spec = SMALL
@@ -215,20 +227,21 @@ class TestHlsQuotient:
 
 
 class TestWeightsRow:
-    def test_row_total_is_integral_of_kernel(self):
-        # sum of weights approximates int over the grid of |u^-1 v|^-lam dv
-        spec = SMALL
-        f = H_profile(spec)
-        row = weights_row(f, 2.0, 1.0, 0.0)
-        ones = np.ones_like(f.values)
-        # against the dense table row at a matching node
-        tab = kernel_table(spec, 2.0)
-        i = int(np.argmin(np.abs(f.rho_nodes - 1.0)))
-        u = from_polar(1, float(f.rho_nodes[i]), float(f.t_nodes[28]))
-        row2 = weights_row(f, 2.0, float(f.rho_nodes[i]), float(f.t_nodes[28]))
-        I_tab = tab.apply(ones)[i, 28]
-        assert float((row2 * ones).sum()) == pytest.approx(I_tab, rel=1e-6)
-        assert np.all(row >= 0.0)
+    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    def test_row_matches_table_at_nodes(self, lam):
+        # at a lattice node the point row and the table row are one product
+        # rule; cells exactly 3 dt away sit on the exact-zone edge, where the
+        # table's tau (k - j) dt and the row's t' - t0 round differently
+        spec = GridSpec(n=1, n_rho=16, rho_min=0.02, rho_max=20.0, n_t=32, t_max=20.0)
+        f = H_profile(spec, lam)
+        A = kernel_table(spec, lam).A
+        n_t = spec.n_t
+        for i, rho0 in enumerate(f.rho_nodes):
+            for j in (0, n_t // 2, n_t - 4):
+                row = weights_row(f, lam, float(rho0), float(f.t_nodes[j]))
+                window = A[i, :, n_t - 1 - j : 2 * n_t - 1 - j]
+                np.testing.assert_allclose(row, window, rtol=1e-12, atol=0.0)
+        assert np.all(weights_row(f, lam, 1.0, 0.0) >= 0.0)
 
     def test_tail_control_energy(self):
         # truncating H beyond |u| = T on a fixed grid changes E[H,H] by less
