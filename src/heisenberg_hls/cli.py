@@ -450,8 +450,6 @@ def cmd_maximize(args) -> int:
 
     h_ref = extremal_H(args.n, args.lam, spec)
     d_fit, a_fit, rel_err = align(f_star, h_ref, params.p)
-    iterations = len(trace.iterations) - 1
-    converged = iterations < args.max_iter
     summary = {
         "command": "maximize",
         "params": {
@@ -465,8 +463,9 @@ def cmd_maximize(args) -> int:
         },
         "quotient": quotient,
         "sharp_constant_diagonal": sc.frank_lieb_constant(args.n, args.lam),
-        "iterations": iterations,
-        "converged": converged,
+        "iterations": len(trace.iterations) - 1,
+        "stop_reason": trace.stop_reason,
+        "converged": trace.stop_reason != "max_iter",
         "alignment": {"dilation": d_fit, "t_shift": a_fit, "rel_error": rel_err},
     }
     if args.trace:

@@ -127,12 +127,6 @@ def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.nd
     return Q, arg
 
 
-def _best_center(mu: DiscreteMeasure, R: float) -> tuple[int, float]:
-    """Index of the atom-probe capturing the most mass in B_R, and the mass."""
-    Q, arg = _profile(mu, np.array([R]))
-    return int(arg[0]), float(Q[0])
-
-
 def dichotomy_split(
     mu: DiscreteMeasure, center: GroupPoint, R: float
 ) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -208,9 +202,11 @@ def classify_trichotomy(
         # smallest radius that already captures 1 - eps
         r_idx = int(np.argmax(Q_hat > 1.0 - eps))
         R0 = float(R_grid[r_idx])
+        # the tail's profiles already hold the argmax at R0
+        head_idx = [_profile(mu, np.array([R0]))[1][0] for mu in seq[:tail_start]]
+        tail_idx = [arg[r_idx] for _, arg in prof_arg]
         centers = []
-        for mu in seq:
-            i, _ = _best_center(mu, R0)
+        for mu, i in zip(seq, head_idx + tail_idx):
             pt = mu.points[i]
             centers.append(GroupPoint(mu.n, pt[: 2 * mu.n], float(pt[2 * mu.n])))
         return TrichotomyVerdict(

@@ -32,7 +32,7 @@ import numpy as np
 from .constants import HlsParams
 from .grids import CylGridFunction, GridSpec, lp_norm, sample
 from .group import homogeneous_dimension
-from .quadrature import fractional_integral_grid
+from .quadrature import fractional_integral_grid, hls_quotient
 
 
 def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
@@ -68,6 +68,7 @@ class ConvergenceTrace:
     dilations: list = field(default_factory=list)
     t_shifts: list = field(default_factory=list)
     accepted: list = field(default_factory=list)
+    stop_reason: str = ""  # "no_ascent", "stall" or "max_iter"
 
     def record(self, it, quotient, q1, d, a, ok):
         self.iterations.append(int(it))
@@ -93,10 +94,11 @@ class ConvergenceTrace:
 class IterationControls:
     max_iter: int = 500
     rtol: float = 1e-7
-    stall_window: int = 10
-    theta_min: float = 1e-4
-    q1_tol: float = 1e-3
-    renormalize: bool = True
+
+
+STALL_WINDOW = 10  # iterations over which the quotient must gain rtol
+THETA_MIN = 1e-4  # smallest damping weight tried before giving up on a step
+Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
 
 
 def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunction:
@@ -130,23 +132,23 @@ def _axis_ball_masses(density: np.ndarray, g: CylGridFunction, R: float) -> np.n
     Balls centered on the t axis are cylindrically symmetric, so the mass is
     a windowed sum over t per rho row.  Boundary t-cells enter with their
     fractional overlap, which keeps the map d -> Q(1) continuous on coarse
-    grids instead of jumping a whole cell at a time.
+    grids instead of jumping a whole cell at a time.  On the uniform t grid
+    the overlap of cell j with the window around t_a depends only on j - a,
+    so one banded table per row serves every center.
     """
     rho = g.rho_nodes
     t = g.t_nodes
-    inside_rows = np.flatnonzero(rho ** 4 < R ** 4)
-    out = np.zeros(t.size)
+    inside = rho ** 4 < R ** 4
+    h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
     dt = t[1] - t[0]
-    cell_lo = t - 0.5 * dt
-    cell_hi = t + 0.5 * dt
-    for i in inside_rows:
-        h = math.sqrt(R ** 4 - rho[i] ** 4)
-        # coverage[a, j] = |[t_j - dt/2, t_j + dt/2] cap [t_a - h, t_a + h]| / dt
-        lo = np.maximum(cell_lo[None, :], (t - h)[:, None])
-        hi = np.minimum(cell_hi[None, :], (t + h)[:, None])
-        coverage = np.clip(hi - lo, 0.0, None) / dt
-        out += coverage @ density[i]
-    return out
+    # band[i, m] = |cell at offset k = m - (n_t - 1) cap [-h_i, h_i]| / dt
+    offset = np.arange(1 - t.size, t.size) * dt
+    lo = np.maximum(offset - 0.5 * dt, -h)
+    hi = np.minimum(offset + 0.5 * dt, h)
+    band = np.clip(hi - lo, 0.0, None) / dt
+    # windows[i, s, j] = band[i, s + j]: offset j - a for s = n_t - 1 - a
+    windows = np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+    return np.einsum("isj,ij->s", windows, density[inside])[::-1]
 
 
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
@@ -194,7 +196,7 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float, t_shift: float 
 
 
 def renormalize_concentration(
-    f: CylGridFunction, params: HlsParams, q1_tol: float = 1e-3
+    f: CylGridFunction, params: HlsParams
 ) -> tuple[CylGridFunction, float, float]:
     """Gauge-fix f: recenter in t, then dilate until Q(1) = 1/2.
 
@@ -277,7 +279,7 @@ def renormalize_concentration(
             break
         d_mid = math.sqrt(d_lo * d_hi)
         q_mid = q1_of(d_mid)
-        if abs(q_mid - target) <= q1_tol:
+        if abs(q_mid - target) <= Q1_TOL:
             d_lo = d_hi = d_mid
             break
         if q_mid > target:
@@ -299,53 +301,48 @@ def maximize(
 
     Accepts a step only if the quotient does not decrease; otherwise damps
     toward the previous iterate with theta halved until acceptance or
-    theta < theta_min.  Terminates when the quotient improves by less than
-    rtol over stall_window iterations, or at max_iter.
+    theta < THETA_MIN.  Stops at the first iteration that accepts no trial
+    (the next one would repeat it exactly), when the quotient improves by
+    less than rtol over STALL_WINDOW iterations, or at max_iter;
+    trace.stop_reason says which ("no_ascent", "stall", "max_iter").
     """
     params.validate()
     if not np.any(init.values != 0.0):
         raise ValueError("initialization must be nonzero")
     if np.any(init.values < 0.0):
         raise ValueError("initialization must be nonnegative")
-    from .quadrature import hls_quotient
 
     p = params.p
     f = init.with_values(init.values / lp_norm(init, p))
-    if opts.renormalize:
-        f, _, _ = renormalize_concentration(f, params, opts.q1_tol)
+    f, _, _ = renormalize_concentration(f, params)
     quotient = hls_quotient(f, params)
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace(stop_reason="max_iter")
     trace.record(0, quotient, levy_concentration_grid(f, p), 1.0, 0.0, True)
 
-    history = [quotient]
     for it in range(1, opts.max_iter + 1):
         proposal = euler_lagrange_step(f, params)
         theta = 1.0
         accepted = False
-        cand, cand_q, d_used, a_used = f, quotient, 1.0, 0.0
-        while theta >= opts.theta_min:
-            mix_vals = (1.0 - theta) * f.values + theta * proposal.values
-            mix = f.with_values(mix_vals)
+        while theta >= THETA_MIN:
+            mix = f.with_values((1.0 - theta) * f.values + theta * proposal.values)
             mix.values /= lp_norm(mix, p)
-            d_used, a_used = 1.0, 0.0
-            if opts.renormalize:
-                mix, d_used, a_used = renormalize_concentration(mix, params, opts.q1_tol)
+            mix, d_used, a_used = renormalize_concentration(mix, params)
             mix_q = hls_quotient(mix, params)
             if mix_q >= quotient:
-                cand, cand_q, accepted = mix, mix_q, True
+                f, quotient, accepted = mix, mix_q, True
                 break
             theta *= 0.5
-        if accepted:
-            f, quotient = cand, cand_q
         trace.record(
             it, quotient, levy_concentration_grid(f, p), d_used, a_used, accepted
         )
-        history.append(quotient)
-        if len(history) > opts.stall_window:
-            if history[-1] - history[-1 - opts.stall_window] < opts.rtol * max(
-                history[-1], 1.0
-            ):
-                break
+        if not accepted:
+            trace.stop_reason = "no_ascent"
+            break
+        qs = trace.quotients
+        gain = qs[-1] - qs[-1 - STALL_WINDOW] if len(qs) > STALL_WINDOW else math.inf
+        if gain < opts.rtol * max(quotient, 1.0):
+            trace.stop_reason = "stall"
+            break
     return f, quotient, trace
 
 

@@ -191,6 +191,7 @@ class TestMaximizeCommand:
         doc = json.loads(out.read_text())
         assert doc["quotient"] == pytest.approx(4.0, rel=0.05)
         assert doc["converged"] is True
+        assert doc["stop_reason"] == "no_ascent"
         # the 24x48 grid is deliberately coarse; the tight 5% alignment
         # criterion is exercised at the default grid in the acceptance suite
         assert doc["alignment"]["rel_error"] < 0.2

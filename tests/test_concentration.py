@@ -100,6 +100,14 @@ class TestClassifier:
             true_u = GroupPoint(1, z, 0.5 * j)
             assert distance(true_u, c) <= 1.0 + 1e-9
 
+    def test_translate_centers_capture_levy_concentration(self):
+        fam = translate_family(10, 0)
+        v = classify_trichotomy(fam)
+        R0 = v.diagnostics["R0"]
+        for mu, c in zip(fam, v.centers):
+            best = levy_concentration(mu, R0)
+            assert levy_concentration(mu, R0, centers=c.coords()) == pytest.approx(best, rel=1e-12)
+
     def test_split_is_dichotomy_with_k(self):
         v = classify_trichotomy(split_family(10, 0, k=0.3))
         assert v.kind == "dichotomy"

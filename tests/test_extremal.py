@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from heisenberg_hls.constants import HlsParams, diagonal_params
+from heisenberg_hls.constants import (
+    HlsParams,
+    derive_conjugates,
+    diagonal_params,
+    theorem2_upper_bound,
+)
 from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
+    _axis_ball_masses,
     align,
     dilate_grid_function,
     euler_lagrange_step,
@@ -18,6 +24,7 @@ from heisenberg_hls.extremal import (
     renormalize_concentration,
 )
 from heisenberg_hls.grids import GridSpec, lp_norm, normalized, sample
+from heisenberg_hls.quadrature import hls_quotient
 
 SMALL = GridSpec(n=1, n_rho=28, rho_min=5e-3, rho_max=25.0, n_t=56, t_max=25.0)
 PARAMS = diagonal_params(1, 2.0)
@@ -97,6 +104,39 @@ class TestEulerLagrangeStep:
         assert np.allclose(out.values, ref_vals, rtol=1e-10, atol=1e-14)
 
 
+def loop_ball_masses(density, g, R):
+    """Per-row overlap loop: one (n_t x n_t) coverage matrix per rho row."""
+    rho = g.rho_nodes
+    t = g.t_nodes
+    out = np.zeros(t.size)
+    dt = t[1] - t[0]
+    cell_lo = t - 0.5 * dt
+    cell_hi = t + 0.5 * dt
+    for i in np.flatnonzero(rho ** 4 < R ** 4):
+        h = math.sqrt(R ** 4 - rho[i] ** 4)
+        # coverage[a, j] = |[t_j - dt/2, t_j + dt/2] cap [t_a - h, t_a + h]| / dt
+        lo = np.maximum(cell_lo[None, :], (t - h)[:, None])
+        hi = np.minimum(cell_hi[None, :], (t + h)[:, None])
+        coverage = np.clip(hi - lo, 0.0, None) / dt
+        out += coverage @ density[i]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SMALL, GridSpec(), GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0)],
+    ids=["28x56", "default", "9x7"],
+)
+@pytest.mark.parametrize("R", [0.05, 1.0, 7.0, 40.0])
+def test_axis_ball_masses_match_overlap_loop(spec, R):
+    # R = 7 and 40 give window half-widths beyond the t range
+    g = sample(lambda R_, T: 0.0 * R_, spec)
+    density = np.random.default_rng(spec.n_rho * spec.n_t).random(g.values.shape)
+    ref = loop_ball_masses(density, g, R)
+    assert np.any(ref > 0.0)
+    np.testing.assert_allclose(_axis_ball_masses(density, g, R), ref, rtol=1e-12, atol=0.0)
+
+
 class TestRenormalizeConcentration:
     def test_target_concentration_reached(self):
         f = unit_H()
@@ -166,8 +206,6 @@ class TestMaximize:
     def test_from_H_converges_immediately(self):
         f0 = extremal_H(1, 2.0, SMALL)
         f, q, trace = maximize(PARAMS, f0, IterationControls(max_iter=40))
-        from heisenberg_hls.quadrature import hls_quotient
-
         assert q == pytest.approx(hls_quotient(f, PARAMS), rel=1e-12)
         assert q == pytest.approx(4.0, rel=0.05)
 
@@ -184,6 +222,25 @@ class TestMaximize:
         qs = trace.quotients
         assert all(b >= a for a, b in zip(qs, qs[1:]))
         assert all(np.isfinite(qs))
+
+    def test_stop_no_ascent(self):
+        # the 6th iteration accepts no damped trial; a 7th would repeat it
+        _, _, trace = maximize(PARAMS, gaussian_profile(SMALL))
+        assert trace.stop_reason == "no_ascent"
+        assert trace.iterations[-1] == 6
+        assert all(trace.accepted[:-1]) and not trace.accepted[-1]
+
+    def test_stop_max_iter(self):
+        _, _, trace = maximize(PARAMS, gaussian_profile(SMALL), IterationControls(max_iter=2))
+        assert trace.stop_reason == "max_iter"
+        assert trace.iterations == [0, 1, 2]
+
+    def test_stop_stall(self):
+        spec = GridSpec(n=1, n_rho=24, rho_min=5e-3, rho_max=25.0, n_t=48, t_max=25.0)
+        _, _, trace = maximize(PARAMS, gaussian_profile(spec), IterationControls(rtol=1.0))
+        assert trace.stop_reason == "stall"
+        assert trace.iterations[-1] == 10
+        assert all(trace.accepted)
 
     def test_rejects_zero_init(self):
         f0 = SMALL and sample(lambda R, T: 0.0 * R, SMALL)
@@ -210,6 +267,19 @@ class TestMaximize:
         assert all(b >= a for a, b in zip(profile, profile[1:]))
         assert profile[-1] > 0.9
         assert all(abs(q1 - 0.5) < 0.05 for q1 in trace.q1_concentration[1:])
+
+
+@pytest.mark.parametrize("p", [1.15, 1.6, 1.85])
+def test_off_diagonal_search(p):
+    # existence holds for every admissible (r, s), not only r = s
+    params = derive_conjugates(1, 2.0, p)
+    start = gaussian_profile(SMALL)
+    _, q, trace = maximize(params, start)
+    assert all(b >= a for a, b in zip(trace.quotients, trace.quotients[1:]))
+    assert hls_quotient(normalized(start, p), params) <= q
+    assert q <= theorem2_upper_bound(1, 2.0, params.r, params.s)
+    _, q_dilated, _ = maximize(params, dilate_grid_function(start, 1.6, p))
+    assert q_dilated == pytest.approx(q, rel=1e-3)
 
 
 class TestAlign:
