@@ -6,8 +6,8 @@ evaluates the fractional integral of the unit-ball indicator at the origin
 against the polar-coordinate identity, and cross-checks the deterministic
 energy with the importance-sampled Monte Carlo estimator.
 
-Runtime is a couple of minutes; the default 64x128 grid used by the
-acceptance suite takes a few minutes longer and lands within 0.3%.
+Runtime is a couple of seconds; the default 64x128 grid used by the
+acceptance suite builds its table in about a second and lands within 0.3%.
 """
 
 import math

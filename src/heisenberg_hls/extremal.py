@@ -99,6 +99,10 @@ class IterationControls:
 STALL_WINDOW = 10  # iterations over which the quotient must gain rtol
 THETA_MIN = 1e-4  # smallest damping weight tried before giving up on a step
 Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
+# relative gap below which two t-centers' ball masses count as tied: a
+# t-symmetric profile on an even n_t has two centers at +-dt/2 whose masses
+# are equal but for rounding, which must not decide the recentering
+TIE_RTOL = 1e-12
 
 
 def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunction:
@@ -216,7 +220,7 @@ def renormalize_concentration(
     # grid-aligned t-recentering: roll is exact, no interpolation
     density = work.weights * np.abs(work.values) ** p
     masses = _axis_ball_masses(density, work, 1.0)
-    best = np.flatnonzero(masses == masses.max())
+    best = np.flatnonzero(masses >= masses.max() * (1.0 - TIE_RTOL))
     t = work.t_nodes
     center_idx = best[np.argmin(np.abs(t[best]))]
     mid_idx = int(np.argmin(np.abs(t)))

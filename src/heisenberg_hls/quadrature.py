@@ -10,10 +10,15 @@ reduces to a 2D integral in (rho', t') against the angular average
         [ (rho^2 + rho'^2 - 2 rho rho' cos phi)^2
           + (tau - 2 rho rho' sin phi)^2 ]^(-lam/4) dphi,
 
-tau = t' - t.  Kbar is evaluated with the periodic trapezoid rule, nested
-node doubling until a relative tolerance is met; the rule is spectrally
-accurate away from the near-singular locus rho ~ rho', tau ~ 0 and the
-doubling resolves the angular peak near it.
+tau = t' - t.  Kbar has a closed form: with alpha = lam/4 and
+D = ((rho - rho')(rho + rho'))^2 + tau^2,
+
+    Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -4 rho^2 rho'^2 / D),
+
+evaluated with scipy's hyp2f1, except at lam = 2, where hyp2f1 loses
+accuracy for large arguments and the same function is (2/pi) K(z), the
+complete elliptic integral (ellipk).  The form has no cancellation near
+the singular locus rho = rho', tau = 0, where D = 0 and Kbar = +inf.
 
 Discretization is product integration: the operator is a tensor
 A[i, i', k] (k indexes tau = t'-t on its lattice) so that
@@ -43,19 +48,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipk, hyp2f1
 
 from .constants import HlsParams
 from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
 from .group import GroupPoint, distance, homogeneous_dimension
 
 _TWO_PI = 2.0 * math.pi
-
-# angular quadrature controls
-KBAR_M0 = 64
-KBAR_RTOL = 1e-9
-KBAR_MCAP = 512  # beyond this the graded peak rule takes over
-KBAR_NXI = 192
-_CHUNK = 1 << 22  # max elements per (entries x phi-nodes) work array
 
 # cell refinement controls
 RATIO_TOL = 2.0
@@ -75,147 +74,47 @@ def riesz_kernel(u: GroupPoint, v: GroupPoint, lam: float) -> float:
     return d ** (-lam)
 
 
-def _kbar_mean(rho, rho2, tau, lam, phis):
-    """Mean over the given phi nodes of the reduced kernel integrand.
-
-    P is evaluated as (rho-rho')^2 + 4 rho rho' sin^2(phi/2), which is exact
-    for small phi where the textbook form cancels catastrophically.
-    """
-    sh = np.sin(0.5 * phis)
-    s = np.sin(phis)
-    rr = (rho * rho2)[:, None]
-    P = ((rho - rho2) ** 2)[:, None] + 4.0 * rr * (sh * sh)[None, :]
-    V = tau[:, None] - 2.0 * rr * s[None, :]
-    F = (P * P + V * V) ** (-0.25 * lam)
-    return F.mean(axis=1)
-
-
-def _kbar_graded(rho, rho2, tau, lam, n_xi=KBAR_NXI):
-    """Angular average by a peak-resolving substitution.
-
-    The integrand peaks at phi* with sin(phi*) = tau/(2 rho rho'), where the
-    vertical term vanishes; the peak width scales like P0/(2 rho rho').
-    Writing phi = phi* + w sinh(xi) and integrating xi over one full period
-    with Gauss-Legendre clusters nodes geometrically into the peak, so a
-    fixed node count resolves arbitrarily narrow near-singular peaks.
-    """
-    rho = np.asarray(rho, dtype=float).ravel()
-    rho2 = np.asarray(rho2, dtype=float).ravel()
-    tau = np.asarray(tau, dtype=float).ravel()
-    rr = rho * rho2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_arg = np.where(rr > 0.0, tau / (2.0 * rr), 0.0)
-    s_arg = np.clip(s_arg, -1.0, 1.0)
-    phi_star = np.arcsin(s_arg)
-    P0 = rho * rho + rho2 * rho2 - 2.0 * rr * np.cos(phi_star)
-    denom = 2.0 * rr * np.abs(np.cos(phi_star)) + np.abs(tau) + P0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(denom > 0.0, P0 / denom, 1.0)
-    w = np.clip(w, 1e-280, 1.0)
-    Xi = np.arcsinh(math.pi / w)
-
-    # very deep peaks span many log-decades; give them more nodes
-    deep = Xi > 20.0
-    if deep.any() and not deep.all():
-        out = np.empty(rho.size)
-        out[~deep] = _kbar_graded(rho[~deep], rho2[~deep], tau[~deep], lam, n_xi)
-        out[deep] = _kbar_graded(rho[deep], rho2[deep], tau[deep], lam, 4 * n_xi)
-        return out
-    if deep.all() and n_xi < 4 * KBAR_NXI:
-        n_xi = 4 * KBAR_NXI
-
-    half = max(8, n_xi // 2)
-    gl_x, gl_w = _leggauss(half)
-    # two panels [-Xi, 0] and [0, Xi] so the peak kink sits at endpoints
-    nodes = np.concatenate([-0.5 * (gl_x + 1.0)[::-1], 0.5 * (gl_x + 1.0)])
-    wts = np.concatenate([0.5 * gl_w[::-1], 0.5 * gl_w])
-    out = np.empty(rho.size)
-    step = max(1, _CHUNK // (2 * half))
-    # delta form around the peak: with phi = phi* + d,
-    #   V = V0 + 4 rr sin(phi*) sin^2(d/2) - 2 rr cos(phi*) sin(d)
-    #   P = (rho-rho')^2 + 4 rr sin^2(phi/2)
-    # which keeps full precision when d is many orders below phi*.
-    V0 = tau - 2.0 * rr * np.sin(phi_star)
-    for a in range(0, rho.size, step):
-        b = min(rho.size, a + step)
-        xi = Xi[a:b, None] * nodes[None, :]
-        d = w[a:b, None] * np.sinh(xi)
-        dphi_w = w[a:b, None] * np.cosh(xi) * (Xi[a:b, None] * wts[None, :])
-        rrl = rr[a:b, None]
-        ps = phi_star[a:b, None]
-        sh = np.sin(0.5 * (ps + d))
-        P = ((rho[a:b] - rho2[a:b]) ** 2)[:, None] + 4.0 * rrl * sh * sh
-        shd = np.sin(0.5 * d)
-        V = (
-            V0[a:b, None]
-            + 4.0 * rrl * np.sin(ps) * shd * shd
-            - 2.0 * rrl * np.cos(ps) * np.sin(d)
-        )
-        F = (P * P + V * V) ** (-0.25 * lam)
-        out[a:b] = np.einsum("ij,ij->i", F, dphi_w) / _TWO_PI
-    return out
-
-
-def kbar_many(rho, rho2, tau, lam, m0=KBAR_M0, rtol=KBAR_RTOL, m_cap=KBAR_MCAP):
+def kbar_many(rho, rho2, tau, lam):
     """Angular-averaged kernel for flat arrays of (rho, rho', tau).
 
-    Nested doubling of the periodic trapezoid rule per entry until the
-    relative change drops below rtol; entries still unconverged at m_cap
-    nodes (near-singular peaks) are finished with the graded peak rule.
-    Exactly singular entries (rho == rho' and tau == 0) come out as +inf.
+    With alpha = lam/4, b = 2 rho rho' and D = ((rho - rho')(rho + rho'))^2
+    + tau^2, the integrand is |rho^2 + rho'^2 + i tau - b e^(i phi)|^(-2 alpha),
+    whose circle mean a Pfaff transformation brings to
+
+        Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -b^2 / D),
+
+    free of cancellation near the singular locus.  Exactly singular entries
+    (D = 0: rho = rho' and tau = 0) come out as +inf.
     """
     rho = np.asarray(rho, dtype=float).ravel()
     rho2 = np.asarray(rho2, dtype=float).ravel()
     tau = np.asarray(tau, dtype=float).ravel()
-    rho, rho2, tau = np.broadcast_arrays(rho, rho2, tau)
-    rho, rho2, tau = rho.copy(), rho2.copy(), tau.copy()
-    M = rho.size
-    m = max(4, int(m0))
-    phis = _TWO_PI * np.arange(m) / m
-    est = _chunked_mean(rho, rho2, tau, lam, phis)
-    active = np.isfinite(est)
-    while m < m_cap and active.any():
-        mid = _TWO_PI * (np.arange(m) + 0.5) / m
-        sub = np.flatnonzero(active)
-        mid_mean = _chunked_mean(rho[sub], rho2[sub], tau[sub], lam, mid)
-        new = 0.5 * (est[sub] + mid_mean)
-        done = np.abs(new - est[sub]) <= rtol * np.abs(new)
-        est[sub] = new
-        active[sub[done]] = False
-        m *= 2
-    hard = np.flatnonzero(active)
-    if hard.size:
-        est[hard] = _kbar_graded(rho[hard], rho2[hard], tau[hard], lam)
-    return est
+    alpha = 0.25 * lam
+    D = ((rho - rho2) * (rho + rho2)) ** 2 + tau * tau
+    b = 2.0 * rho * rho2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -(b * b) / D
+        if alpha == 0.5:
+            # a - b = 0 is an integer: hyp2f1 loses accuracy as |z| grows
+            # (1e-9 at |z| = 1e9, non-finite from about 1e14); 2F1(1/2, 1/2;
+            # 1; z) is (2/pi) K(z), which ellipk evaluates to full precision
+            F = (2.0 / math.pi) * ellipk(z)
+        else:
+            F = hyp2f1(alpha, 1.0 - alpha, 1.0, z)
+        out = D ** (-alpha) * F
+    return np.where(D == 0.0, math.inf, out)
 
 
-def _chunked_mean(rho, rho2, tau, lam, phis):
-    m = phis.size
-    n = rho.size
-    out = np.empty(n)
-    step = max(1, _CHUNK // max(m, 1))
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        out[a:b] = _kbar_mean(rho[a:b], rho2[a:b], tau[a:b], lam, phis)
-    return out
-
-
-def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float, m: int = KBAR_M0) -> float:
+def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> float:
     """Angular average of the kernel over the phi circle (n = 1 reduction).
 
-    m is the starting node count of the periodic trapezoid rule; refinement
-    proceeds by node doubling.  The exact singular point rho = rho', tau = 0
-    returns +inf.
+    The exact singular point rho = rho', tau = 0 returns +inf.
     """
     if not (0.0 < lam < 4.0):
         raise ValueError(f"lambda must lie in (0, 4) for n = 1, got {lam}")
     if rho < 0.0 or rho2 < 0.0:
         raise ValueError("radii must be nonnegative")
-    if (rho - rho2) ** 2 + tau * tau == 0.0 and rho * rho2 > 0.0:
-        return math.inf
-    if rho == 0.0 and rho2 == 0.0 and tau == 0.0:
-        return math.inf
-    return float(kbar_many([rho], [rho2], [tau], lam, m0=max(4, int(m)))[0])
+    return float(kbar_many(rho, rho2, tau, lam)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +213,7 @@ def _polar_core_integral(lam, rho0, ra, rb, ta, tb, t_eval):
     rho_p = np.concatenate(rho_list)
     tau = np.concatenate(tau_list)
     wgt = np.concatenate(wgt_list)
-    kb = kbar_many(np.full(rho_p.size, rho0), rho_p, tau, lam, rtol=1e-7)
+    kb = kbar_many(np.full(rho_p.size, rho0), rho_p, tau, lam)
     return float(np.dot(wgt, kb))
 
 
@@ -331,7 +230,7 @@ def _gl_cell_values(lam, rho0, rects, t_eval):
     R = np.repeat(rp[:, :, None], _GLC_N, axis=2)
     T = np.repeat(tp[:, None, :], _GLC_N, axis=1)
     kb = kbar_many(
-        np.repeat(rho0, R.size), R.ravel(), T.ravel() - t_eval, lam, rtol=1e-7
+        np.repeat(rho0, R.size), R.ravel(), T.ravel() - t_eval, lam
     ).reshape(R.shape)
     w2 = gw[:, None] * gw[None, :]
     area = (rb - ra) * (tb - ta)
@@ -361,7 +260,7 @@ def _refine_cells(lam, rho0, rects, t_eval, depth_max=DEPTH_MAX, ratio_tol=RATIO
         rr = np.stack([ra, ra, rb, rb, rm], axis=1)
         tt = np.stack([ta, tb, ta, tb, tm], axis=1)
         kb = kbar_many(
-            np.repeat(rho0, rr.size), rr.ravel(), tt.ravel() - t_eval, lam, rtol=1e-7
+            np.repeat(rho0, rr.size), rr.ravel(), tt.ravel() - t_eval, lam
         ).reshape(rr.shape)
         kmax = kb.max(axis=1)
         kmin = kb.min(axis=1)
@@ -505,7 +404,7 @@ def _ridge_cell_values(lam, rho0, rects, t_eval):
     dtau = w[:, :, None] * np.cosh(xi) * (half[:, :, None] * hw[None, None, :])
     R3 = np.broadcast_to(rp[:, :, None], tau.shape)
     kb = kbar_many(
-        np.full(tau.size, rho0), R3.ravel(), (tau - t_eval).ravel(), lam, rtol=1e-8
+        np.full(tau.size, rho0), R3.ravel(), (tau - t_eval).ravel(), lam
     ).reshape(tau.shape)
     inner = np.einsum("cit,cit->ci", kb, dtau)
     return np.einsum("ci,i,ci->c", inner, gw, _TWO_PI * rp) * (rb - ra)

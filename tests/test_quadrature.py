@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heisenberg_hls.constants import diagonal_params
 from heisenberg_hls.grids import CylGridFunction, GridSpec, ball_indicator, lp_norm, sample
@@ -96,6 +97,60 @@ class TestAngularAverage:
         a = kbar_many([0.8], [1.7], [0.4], 1.5)[0]
         b = kbar_many([1.7], [0.8], [0.4], 1.5)[0]
         assert a == pytest.approx(b, rel=1e-11)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7, 2.0, 3.0, 3.9])
+    def test_matches_direct_quadrature(self, lam):
+        # the closed form against the defining phi integral, split at the
+        # peak phi* = arg(rho^2 + rho'^2 + i tau) of the integrand
+        for rho, rho2, tau in ((1.0, 1.3, 0.4), (0.5, 2.0, -1.0), (1.0, 1.05, 0.1), (2.0, 0.7, 3.0)):
+            rr = rho * rho2
+
+            def integrand(phi):
+                P = (rho - rho2) ** 2 + 4.0 * rr * math.sin(0.5 * phi) ** 2
+                V = tau - 2.0 * rr * math.sin(phi)
+                return (P * P + V * V) ** (-0.25 * lam)
+
+            peak = math.atan2(tau, rho * rho + rho2 * rho2)
+            val, _ = quad(
+                integrand, peak - math.pi, peak + math.pi, points=[peak],
+                epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            ref = val / (2.0 * math.pi)
+            assert kbar_many(rho, rho2, tau, lam)[0] == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "lam, rel", [(0.3, 1e-12), (0.7, 1e-12), (2.0, 1e-12), (3.0, 1e-12), (3.9, 1e-12),
+                     (2.0 - 1e-7, 1e-9), (2.0 + 1e-7, 1e-9)]
+    )
+    def test_near_singular_matches_mpmath(self, lam, rel):
+        # z = -4 rho^2 rho'^2 / D from -1e3 to -1e30: the closed form has no
+        # cancellation there; near lam = 2 the hypergeometric series' a - b
+        # is close to an integer, which costs hyp2f1 a few digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for rho in (0.3, 1.0, 7.0):
+            for e in range(3, 31, 3):
+                D = (2.0 * rho * rho) ** 2 / 10.0 ** e
+                tau = 0.6 * math.sqrt(D)
+                rho2 = math.sqrt(rho * rho + 0.8 * math.sqrt(D))
+                a = mpmath.mpf(lam) / 4
+                r, r2, t = mpmath.mpf(rho), mpmath.mpf(rho2), mpmath.mpf(tau)
+                Dm = ((r - r2) * (r + r2)) ** 2 + t * t
+                ref = Dm ** (-a) * mpmath.hyp2f1(a, 1 - a, 1, -((2 * r * r2) ** 2) / Dm)
+                assert kbar_many(rho, rho2, tau, lam)[0] == pytest.approx(float(ref), rel=rel)
+
+    @pytest.mark.parametrize("lam", [0.3, 2.0, 3.0, 3.9])
+    def test_finite_off_the_singular_locus(self, lam):
+        rng = np.random.default_rng(5)
+        vals = np.array([0.0, 1e-6, 1e-3, 0.3, 1.0, 1.0 + 1e-12, 7.0, 1e3])
+        rho, rho2, tau = (a.ravel() for a in np.meshgrid(vals, vals, np.concatenate([vals, -vals])))
+        rho = np.concatenate([rho, rng.uniform(0.0, 30.0, 2000)])
+        rho2 = np.concatenate([rho2, rng.uniform(0.0, 30.0, 2000)])
+        tau = np.concatenate([tau, rng.uniform(-30.0, 30.0, 2000)])
+        out = kbar_many(rho, rho2, tau, lam)
+        singular = (rho == rho2) & (tau == 0.0)
+        assert np.all(out[singular] == math.inf)
+        assert np.all(np.isfinite(out[~singular]) & (out[~singular] > 0.0))
 
 
 class TestFractionalIntegral:
@@ -227,7 +282,7 @@ class TestHlsQuotient:
 
 
 class TestWeightsRow:
-    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0])
     def test_row_matches_table_at_nodes(self, lam):
         # at a lattice node the point row and the table row are one product
         # rule; cells exactly 3 dt away sit on the exact-zone edge, where the
