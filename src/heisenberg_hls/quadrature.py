@@ -11,14 +11,15 @@ reduces to a 2D integral in (rho', t') against the angular average
           + (tau - 2 rho rho' sin phi)^2 ]^(-lam/4) dphi,
 
 tau = t' - t.  Kbar has a closed form: with alpha = lam/4 and
-D = ((rho - rho')(rho + rho'))^2 + tau^2,
+D = (rho'^2 - rho^2)^2 + tau^2,
 
     Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -4 rho^2 rho'^2 / D),
 
 evaluated with scipy's hyp2f1, except at lam = 2, where hyp2f1 loses
 accuracy for large arguments and the same function is (2/pi) K(z), the
 complete elliptic integral (ellipk).  The form has no cancellation near
-the singular locus rho = rho', tau = 0, where D = 0 and Kbar = +inf.
+the singular locus rho = rho', tau = 0, where D = 0 and Kbar = +inf, as
+long as D is formed from the offset rho' - rho (kbar_many takes it).
 
 Discretization is product integration: the operator is a tensor
 A[i, i', k] (k indexes tau = t'-t on its lattice) so that
@@ -28,12 +29,11 @@ A[i, i', k] (k indexes tau = t'-t on its lattice) so that
 Far from the singular locus the entries are nodal kernel values times
 cell measure, a composite rule whose midpoint-style errors telescope.
 Inside a connected zone around the locus (where the kernel's tau ridge is
-narrower than the grid spacing) every cell is integrated exactly: the
-diagonal band by adaptive 2x2 subdivision with Gauss-Legendre cells, the
-off-diagonal ridge cells by a Gauss rule in rho' with a sinh-graded tau
-rule centered on the ridge, and the cell containing the evaluation point
-itself by a local polar rule whose radial substitution r = R s^(1/(Q-lam))
-integrates the leading singular behaviour r^(Q-1-lam) exactly.
+narrower than the grid spacing) every cell, the one(s) holding the
+evaluation point included, is integrated by one graded tensor Gauss rule:
+split at rho' = rho0 and tau = 0, with nodes clustered toward both on the
+kernel's own scales, and the offset raised to the power Q - lam where the
+tau integral leaves a |rho' - rho0|^(3 - lam) singularity.
 
 One row assembler turns a nodal kernel row into these weights for both
 callers: the kernel table (one row per rho node, the evaluation point at
@@ -56,12 +56,6 @@ from .group import GroupPoint, distance, homogeneous_dimension
 
 _TWO_PI = 2.0 * math.pi
 
-# cell refinement controls
-RATIO_TOL = 2.0
-DEPTH_MAX = 6
-N_THETA = 14
-N_S = 20
-
 
 def riesz_kernel(u: GroupPoint, v: GroupPoint, lam: float) -> float:
     """Kernel |u^-1 v|^(-lam); returns +inf at u = v (signaled, not raised)."""
@@ -74,24 +68,27 @@ def riesz_kernel(u: GroupPoint, v: GroupPoint, lam: float) -> float:
     return d ** (-lam)
 
 
-def kbar_many(rho, rho2, tau, lam):
-    """Angular-averaged kernel for flat arrays of (rho, rho', tau).
+def kbar_many(rho, delta, tau, lam):
+    """Angular-averaged kernel Kbar(rho, rho + delta, tau) for flat arrays of
+    (rho, delta, tau), delta = rho' - rho.
 
-    With alpha = lam/4, b = 2 rho rho' and D = ((rho - rho')(rho + rho'))^2
+    With alpha = lam/4, b = 2 rho rho' and D = (delta (2 rho + delta))^2
     + tau^2, the integrand is |rho^2 + rho'^2 + i tau - b e^(i phi)|^(-2 alpha),
     whose circle mean a Pfaff transformation brings to
 
         Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -b^2 / D),
 
-    free of cancellation near the singular locus.  Exactly singular entries
-    (D = 0: rho = rho' and tau = 0) come out as +inf.
+    free of cancellation near the singular locus: D is formed from the
+    offset, which rho' would lose to rounding once it falls below one ulp of
+    rho.  Exactly singular entries (D = 0: delta = 0 and tau = 0) come out
+    as +inf.
     """
     rho = np.asarray(rho, dtype=float).ravel()
-    rho2 = np.asarray(rho2, dtype=float).ravel()
+    delta = np.asarray(delta, dtype=float).ravel()
     tau = np.asarray(tau, dtype=float).ravel()
     alpha = 0.25 * lam
-    D = ((rho - rho2) * (rho + rho2)) ** 2 + tau * tau
-    b = 2.0 * rho * rho2
+    D = (delta * (2.0 * rho + delta)) ** 2 + tau * tau
+    b = 2.0 * rho * (rho + delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -(b * b) / D
         if alpha == 0.5:
@@ -114,11 +111,18 @@ def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> f
         raise ValueError(f"lambda must lie in (0, 4) for n = 1, got {lam}")
     if rho < 0.0 or rho2 < 0.0:
         raise ValueError("radii must be nonnegative")
-    return float(kbar_many(rho, rho2, tau, lam)[0])
+    return float(kbar_many(rho, rho2 - rho, tau, lam)[0])
 
 
 # ---------------------------------------------------------------------------
-# cell integration helpers
+# exact-zone cell rule
+
+# nodes per sub-cell, in the offset delta = rho' - rho0 and, at each delta
+# node, in tau: with 9 x 14 every exact-zone cell of the default grid at
+# lam = 0.7, 2, 3 and 3.9 is within 3.2e-4 of its converged value, at about
+# the cost of 8 x 16, which reaches 1e-3
+CELL_N_DELTA = 9
+CELL_N_TAU = 14
 
 
 @functools.cache
@@ -129,165 +133,67 @@ def _leggauss(k):
     return x, w
 
 
-@functools.cache
-def _leggauss01(k):
-    """The k-point rule mapped to [0, 1], built once per k (read-only)."""
-    x, w = _leggauss(k)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _sinh_rule(lo, hi, scale, k):
+    """k-point Gauss rule for int_lo^hi dx (0 <= lo < hi) with nodes graded
+    toward x = 0 through x = scale sinh(xi); returns (x, dx), each of shape
+    lo.shape + (k,)."""
+    g, gw = _leggauss(k)
+    xi_lo, xi_hi = np.arcsinh(lo / scale), np.arcsinh(hi / scale)
+    half = 0.5 * (xi_hi - xi_lo)[..., None]
+    xi = xi_lo[..., None] + half * (1.0 + g)
+    sc = scale[..., None]
+    return sc * np.sinh(xi), sc * np.cosh(xi) * half * gw
 
 
-def _center_cell_integral(lam, rho0, ra, rb, ta, tb, t_eval):
-    """Integral of 2 pi rho' Kbar(rho0, rho', t'-t_eval) over the cell
-    [ra, rb] x [ta, tb] that contains the singular point (rho0, t_eval).
+def _cell_integrals(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
+    """Integral of 2 pi rho' Kbar(rho0, rho', tau) over each cell
+    delta = rho' - rho0 in [d_lo, d_hi], tau in [tau_lo, tau_hi].
 
-    The kernel is approximately radial in the scaled local coordinates
-    x = rho' - rho0, y = (t' - t_eval)/(2 rho0) only within a distance
-    of order rho0 from the singularity, so the polar rule is applied on a
-    small core rectangle around the point and the remainder of the cell is
-    handed to the adaptive subdivision integrator.
+    The tau ridge of the kernel runs along |rho'^2 - rho0^2| = |tau|, at the
+    offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0.  Each cell is split at
+    delta = 0 and at tau = 0 where they lie inside it, so a sub-cell has one
+    sign of delta and of tau (the kernel is even in tau), and a sub-cell
+    touching tau = 0 also at +-ridge(e), where the ridge leaves it through
+    its far tau edge e.  On a sub-cell with |delta| in [a, b] and |tau| in
+    [c, e] a tensor Gauss rule is graded toward delta = 0 and, at each delta
+    node, toward tau = 0:
+
+    * in x = |delta|^nu by x = s^nu sinh(xi).  On a sub-cell touching
+      tau = 0 the tau integral leaves a |delta|^(3 - lam) singularity, which
+      nu = min(1, Q - lam) makes bounded, and s = 1e-9 (b - a) resolves it;
+      elsewhere nu = 1 and s = ridge(c), where the ridge enters the sub-cell;
+    * in tau by tau = w sinh(eta), w = |delta (2 rho0 + delta)|, the tau
+      scale of D.
+
+    The kernel takes the offset itself (kbar_many), so no node loses it to
+    rounding in rho0 + delta.
     """
-    # core half-widths, capped at the validity scale of the local expansion
-    hx_lo = min(rho0 - ra, 0.3 * rho0)
-    hx_hi = min(rb - rho0, 0.3 * rho0)
-    hy_lo = min(t_eval - ta, 0.6 * rho0 * rho0)
-    hy_hi = min(tb - t_eval, 0.6 * rho0 * rho0)
-    core = (rho0 - hx_lo, rho0 + hx_hi, t_eval - hy_lo, t_eval + hy_hi)
-    rest = []
-    if core[0] > ra:
-        rest.append((ra, core[0], ta, tb))
-    if core[1] < rb:
-        rest.append((core[1], rb, ta, tb))
-    if core[2] > ta:
-        rest.append((core[0], core[1], ta, core[2]))
-    if core[3] < tb:
-        rest.append((core[0], core[1], core[3], tb))
-    total = float(_refine_cells(lam, rho0, rest, t_eval, depth_max=DEPTH_MAX + 2).sum())
-    return total + _polar_core_integral(lam, rho0, *core, t_eval)
 
+    def ridge(tau):
+        return np.sqrt(rho0 * rho0 + tau) - rho0
 
-def _polar_core_integral(lam, rho0, ra, rb, ta, tb, t_eval):
-    """Polar rule with exponent-matched radial substitution on a core
-    rectangle containing (rho0, t_eval): corner decomposition in the scaled
-    coordinates, r = R(theta) s^(1/(Q-lam))."""
-    nu = 4.0 - lam
-    sy = 2.0 * rho0
-    xa, xb = ra - rho0, rb - rho0
-    ya, yb = (ta - t_eval) / sy, (tb - t_eval) / sy
-    sgl_s, sgl_w = _leggauss01(N_S)
-    th_s, th_w = _leggauss01(N_THETA)
+    pieces = []
+    for t_lo, t_hi in ((np.maximum(-tau_hi, 0.0), -tau_lo), (np.maximum(tau_lo, 0.0), tau_hi)):
+        r = np.where(t_lo > 0.0, 0.0, ridge(np.abs(t_hi)))
+        cuts = np.sort(np.clip([d_lo, -r, np.zeros_like(r), r, d_hi], d_lo, d_hi), axis=0)
+        for d0, d1 in zip(cuts[:-1], cuts[1:]):
+            idx = np.flatnonzero((d1 > d0) & (t_hi > t_lo))
+            pieces.append([idx, d0[idx], d1[idx], t_lo[idx], t_hi[idx]])
+    owner, lo, hi, c, e = np.concatenate(pieces, axis=1)
+    sign = np.sign(lo + hi)
+    a, b = np.minimum(np.abs(lo), np.abs(hi)), np.maximum(np.abs(lo), np.abs(hi))
 
-    rho_list, tau_list, wgt_list = [], [], []
-    for sx_sign, X in ((1.0, xb), (-1.0, -xa)):
-        for sy_sign, Y in ((1.0, yb), (-1.0, -ya)):
-            if X <= 0.0 or Y <= 0.0:
-                continue
-            theta_d = math.atan2(Y, X)
-            for t_lo, t_hi, r_of_theta in (
-                (0.0, theta_d, lambda th: X / np.cos(th)),
-                (theta_d, 0.5 * math.pi, lambda th: Y / np.sin(th)),
-            ):
-                width = t_hi - t_lo
-                if width <= 0.0:
-                    continue
-                thetas = t_lo + width * th_s
-                R = r_of_theta(thetas)
-                # nodes: (theta, s) grid
-                r = R[:, None] * sgl_s[None, :] ** (1.0 / nu)
-                x = sx_sign * r * np.cos(thetas)[:, None]
-                y = sy_sign * r * np.sin(thetas)[:, None]
-                rho_p = rho0 + x
-                s_jac = (R ** 2 / nu)[:, None] * sgl_s[None, :] ** (2.0 / nu - 1.0)
-                full_w = (
-                    (th_w * width)[:, None]
-                    * sgl_w[None, :]
-                    * s_jac
-                    * (_TWO_PI * rho_p * sy)
-                )
-                rho_list.append(rho_p.ravel())
-                tau_list.append((sy * y).ravel())
-                wgt_list.append(full_w.ravel())
-    if not rho_list:
-        return 0.0
-    rho_p = np.concatenate(rho_list)
-    tau = np.concatenate(tau_list)
-    wgt = np.concatenate(wgt_list)
-    kb = kbar_many(np.full(rho_p.size, rho0), rho_p, tau, lam)
-    return float(np.dot(wgt, kb))
-
-
-_GLC_N = 4
-
-
-def _gl_cell_values(lam, rho0, rects, t_eval):
-    """Tensor Gauss-Legendre integral of 2 pi rho' Kbar over each rectangle."""
-    gx, gw = _leggauss01(_GLC_N)
-    ra, rb, ta, tb = rects.T
-    rp = ra[:, None] + (rb - ra)[:, None] * gx[None, :]
-    tp = ta[:, None] + (tb - ta)[:, None] * gx[None, :]
-    # node mesh (cell, ir, it)
-    R = np.repeat(rp[:, :, None], _GLC_N, axis=2)
-    T = np.repeat(tp[:, None, :], _GLC_N, axis=1)
-    kb = kbar_many(
-        np.repeat(rho0, R.size), R.ravel(), T.ravel() - t_eval, lam
-    ).reshape(R.shape)
-    w2 = gw[:, None] * gw[None, :]
-    area = (rb - ra) * (tb - ta)
-    return area * np.einsum("cij,ij,cij->c", kb, w2, _TWO_PI * R)
-
-
-def _refine_cells(lam, rho0, rects, t_eval, depth_max=DEPTH_MAX, ratio_tol=RATIO_TOL):
-    """Adaptive 2x2 subdivision of cells [ra, rb] x [ta, tb] (absolute t').
-
-    Returns the integral of 2 pi rho' Kbar(rho0, rho', t'-t_eval) per input
-    cell.  A rectangle is accepted when its corner/center kernel ratio is
-    below ratio_tol, then integrated with a tensor Gauss-Legendre rule;
-    otherwise it is split into four.
-    """
-    n_in = len(rects)
-    totals = np.zeros(n_in)
-    if n_in == 0:
-        return totals
-    rects = np.asarray(rects, dtype=float)
-    owner = np.arange(n_in)
-    depth = 0
-    while rects.size:
-        ra, rb, ta, tb = rects.T
-        rm = 0.5 * (ra + rb)
-        tm = 0.5 * (ta + tb)
-        # corner + center kernel values per rectangle
-        rr = np.stack([ra, ra, rb, rb, rm], axis=1)
-        tt = np.stack([ta, tb, ta, tb, tm], axis=1)
-        kb = kbar_many(
-            np.repeat(rho0, rr.size), rr.ravel(), tt.ravel() - t_eval, lam
-        ).reshape(rr.shape)
-        kmax = kb.max(axis=1)
-        kmin = kb.min(axis=1)
-        with np.errstate(invalid="ignore"):
-            flat = (kmax <= ratio_tol * kmin) | (depth >= depth_max)
-        flat |= ~np.isfinite(kmax) & (depth >= depth_max)
-        done = np.flatnonzero(flat)
-        if done.size:
-            np.add.at(totals, owner[done], _gl_cell_values(lam, rho0, rects[done], t_eval))
-        todo = np.flatnonzero(~flat)
-        if todo.size == 0:
-            break
-        ra, rb, ta, tb = rects[todo].T
-        rm = 0.5 * (ra + rb)
-        tm = 0.5 * (ta + tb)
-        children = np.concatenate(
-            [
-                np.stack([ra, rm, ta, tm], axis=1),
-                np.stack([rm, rb, ta, tm], axis=1),
-                np.stack([ra, rm, tm, tb], axis=1),
-                np.stack([rm, rb, tm, tb], axis=1),
-            ]
-        )
-        rects = children
-        owner = np.concatenate([owner[todo]] * 4)
-        depth += 1
-    return totals
+    nu = np.where(c > 0.0, 1.0, min(1.0, 4.0 - lam))
+    s = np.where(c > 0.0, ridge(c), 1e-9 * (b - a))
+    x, dx = _sinh_rule(a ** nu, b ** nu, s ** nu, CELL_N_DELTA)
+    ad = x ** (1.0 / nu[:, None])
+    delta = sign[:, None] * ad
+    wd = dx * ad / (nu[:, None] * x) * (_TWO_PI * (rho0 + delta))
+    w = ad * (2.0 * rho0 + delta)
+    tau, dtau = _sinh_rule(c[:, None], e[:, None], w, CELL_N_TAU)
+    kb = kbar_many(rho0, np.broadcast_to(delta[..., None], tau.shape), tau, lam)
+    sub = np.einsum("mdt,mdt,md->m", kb.reshape(tau.shape), dtau, wd)
+    return np.bincount(owner.astype(int), sub, minlength=np.size(d_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +224,13 @@ class KernelTable:
         return out
 
 
-def _nodal_kbar(rho, rho2, tau, lam):
-    """kbar_many at grid nodes; the exactly singular entry (rho = rho',
-    tau = 0) is set to 0, its cell being integrated by the center-cell rule."""
-    exact = (rho == rho2) & (tau == 0.0)
-    out = np.zeros(rho.size)
+def _nodal_kbar(rho, delta, tau, lam):
+    """kbar_many at grid nodes; the exactly singular entry (delta = 0,
+    tau = 0) is set to 0, its cell being integrated by the cell rule."""
+    exact = (delta == 0.0) & (tau == 0.0)
+    out = np.zeros(delta.size)
     idx = np.flatnonzero(~exact)
-    out[idx] = kbar_many(rho[idx], rho2[idx], tau[idx], lam)
+    out[idx] = kbar_many(rho[idx], delta[idx], tau[idx], lam)
     return out
 
 
@@ -339,7 +245,7 @@ def _build_kbar_lattice(rho, tau, lam):
     iu, ju = np.triu_indices(nr)
     vals = _nodal_kbar(
         np.repeat(rho[iu], tau_half.size),
-        np.repeat(rho[ju], tau_half.size),
+        np.repeat(rho[ju] - rho[iu], tau_half.size),
         np.tile(tau_half, iu.size),
         lam,
     ).reshape(iu.size, tau_half.size)
@@ -375,73 +281,22 @@ def _exact_zone_mask(rho0, rho, drho, tau, dt):
     return in_delta[:, None] & (np.abs(tau)[None, :] <= tau_win[:, None])
 
 
-_RIDGE_NRHO = 6
-_RIDGE_NTAU = 32
-
-
-def _ridge_cell_values(lam, rho0, rects, t_eval):
-    """Integral of 2 pi rho' Kbar over cells crossed by the tau ridge.
-
-    Gauss-Legendre in rho'; in tau the substitution tau = w sinh(xi)
-    centered on the ridge clusters nodes into the peak, whose width w is
-    known from the anisotropic scaling.  Valid when the kernel is smooth
-    in rho' across the cell (off the diagonal band).
-    """
-    rects = np.asarray(rects, dtype=float)
-    if rects.size == 0:
-        return np.zeros(0)
-    gx, gw = _leggauss01(_RIDGE_NRHO)
-    hx, hw = _leggauss(_RIDGE_NTAU)
-    ra, rb, ta, tb = rects.T
-    rp = ra[:, None] + (rb - ra)[:, None] * gx[None, :]  # (c, ir)
-    w = np.maximum(2.0 * np.sqrt(rho0 * rp) * np.abs(rp - rho0), 1e-10)
-    xi_a = np.arcsinh((ta[:, None] - t_eval) / w)
-    xi_b = np.arcsinh((tb[:, None] - t_eval) / w)
-    half = 0.5 * (xi_b - xi_a)
-    mid = 0.5 * (xi_b + xi_a)
-    xi = mid[:, :, None] + half[:, :, None] * hx[None, None, :]  # (c, ir, it)
-    tau = t_eval + w[:, :, None] * np.sinh(xi)
-    dtau = w[:, :, None] * np.cosh(xi) * (half[:, :, None] * hw[None, None, :])
-    R3 = np.broadcast_to(rp[:, :, None], tau.shape)
-    kb = kbar_many(
-        np.full(tau.size, rho0), R3.ravel(), (tau - t_eval).ravel(), lam
-    ).reshape(tau.shape)
-    inner = np.einsum("cit,cit->ci", kb, dtau)
-    return np.einsum("ci,i,ci->c", inner, gw, _TWO_PI * rp) * (rb - ra)
-
-
 def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
     """Product-rule weights R[i', k] of the point (rho0, t_eval) against the
     cells centered on the nodes (rho[i'], t[k]), given the nodal kernel row
     K[i', k] = Kbar(rho0, rho[i'], t[k] - t_eval).
 
-    Nodal value times cell measure outside the exact zone; inside it the
-    polar rule for the cell(s) containing the point, adaptive subdivision
-    on the diagonal band and the sinh rule on the ridge.
+    Nodal value times cell measure outside the exact zone; inside it, the
+    cell(s) holding the point included, the graded cell rule.
     """
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
     tau = t - t_eval
-    tau_edges = np.concatenate([tau - 0.5 * dt, [tau[-1] + 0.5 * dt]])
-    t_lo, t_hi = t - 0.5 * dt, t + 0.5 * dt
     R = K * (_TWO_PI * rho * drho)[:, None] * dt
-
-    zone = _exact_zone_mask(rho0, rho, drho, tau, dt)
-    contains_r = (edges[:-1] <= rho0) & (rho0 <= edges[1:])
-    contains_t = (tau_edges[:-1] <= 0.0) & (0.0 <= tau_edges[1:])
-    for a, k in np.argwhere(contains_r[:, None] & contains_t[None, :]):
-        zone[a, k] = False
-        R[a, k] = _center_cell_integral(
-            lam, rho0, edges[a], edges[a + 1], t_lo[k], t_hi[k], t_eval
-        )
-    # the diagonal band, singular in rho' across a cell, is subdivided; off
-    # it the kernel is smooth in rho' and peaked in tau: the ridge rule
-    ridge = (np.abs(rho - rho0) > 3.0 * drho)[:, None]
-    for integrate, sel in ((_refine_cells, zone & ~ridge), (_ridge_cell_values, zone & ridge)):
-        a, k = np.nonzero(sel)
-        if a.size:
-            rects = np.column_stack([edges[a], edges[a + 1], t_lo[k], t_hi[k]])
-            R[a, k] = integrate(lam, rho0, rects, t_eval)
+    a, k = np.nonzero(_exact_zone_mask(rho0, rho, drho, tau, dt))
+    R[a, k] = _cell_integrals(
+        lam, rho0, edges[a] - rho0, edges[a + 1] - rho0, tau[k] - 0.5 * dt, tau[k] + 0.5 * dt
+    )
     return R
 
 
@@ -519,7 +374,7 @@ def weights_row(f: CylGridFunction, lam: float, rho0: float, t0: float) -> np.nd
     t = f.t_nodes
     dt = _uniform_dt(t)
     n = rho.size * t.size
-    K = _nodal_kbar(np.full(n, rho0), np.repeat(rho, t.size), np.tile(t - t0, rho.size), lam)
+    K = _nodal_kbar(np.full(n, rho0), np.repeat(rho - rho0, t.size), np.tile(t - t0, rho.size), lam)
     return _row_weights(lam, rho0, t0, rho, t, dt, K.reshape(rho.size, t.size))
 
 

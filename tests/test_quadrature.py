@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
-from heisenberg_hls.constants import diagonal_params
-from heisenberg_hls.grids import CylGridFunction, GridSpec, ball_indicator, lp_norm, sample
+from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
+from heisenberg_hls.extremal import extremal_H
+from heisenberg_hls.grids import (
+    CylGridFunction,
+    GridSpec,
+    ball_indicator,
+    lp_norm,
+    rho_cell_edges,
+    sample,
+)
 from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
     angular_average_kernel,
@@ -21,6 +30,8 @@ from heisenberg_hls.quadrature import (
 
 # small grid reused across tests; table build is the expensive part
 SMALL = GridSpec(n=1, n_rho=28, rho_min=5e-3, rho_max=25.0, n_t=56, t_max=25.0)
+# the coarse grid of the benchmark's cold quadrature workload
+COLD = GridSpec(n=1, n_rho=16, rho_min=0.02, rho_max=20.0, n_t=32, t_max=20.0)
 
 
 def H_profile(spec, lam=2.0):
@@ -94,8 +105,8 @@ class TestAngularAverage:
         assert val == pytest.approx(asym, rel=2e-3)
 
     def test_rho_swap_symmetric(self):
-        a = kbar_many([0.8], [1.7], [0.4], 1.5)[0]
-        b = kbar_many([1.7], [0.8], [0.4], 1.5)[0]
+        a = kbar_many([0.8], [1.7 - 0.8], [0.4], 1.5)[0]
+        b = kbar_many([1.7], [0.8 - 1.7], [0.4], 1.5)[0]
         assert a == pytest.approx(b, rel=1e-11)
 
     @pytest.mark.parametrize("lam", [0.3, 0.7, 2.0, 3.0, 3.9])
@@ -116,7 +127,7 @@ class TestAngularAverage:
                 epsabs=0.0, epsrel=1e-13, limit=200,
             )
             ref = val / (2.0 * math.pi)
-            assert kbar_many(rho, rho2, tau, lam)[0] == pytest.approx(ref, rel=1e-11)
+            assert kbar_many(rho, rho2 - rho, tau, lam)[0] == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize(
         "lam, rel", [(0.3, 1e-12), (0.7, 1e-12), (2.0, 1e-12), (3.0, 1e-12), (3.9, 1e-12),
@@ -137,7 +148,7 @@ class TestAngularAverage:
                 r, r2, t = mpmath.mpf(rho), mpmath.mpf(rho2), mpmath.mpf(tau)
                 Dm = ((r - r2) * (r + r2)) ** 2 + t * t
                 ref = Dm ** (-a) * mpmath.hyp2f1(a, 1 - a, 1, -((2 * r * r2) ** 2) / Dm)
-                assert kbar_many(rho, rho2, tau, lam)[0] == pytest.approx(float(ref), rel=rel)
+                assert kbar_many(rho, rho2 - rho, tau, lam)[0] == pytest.approx(float(ref), rel=rel)
 
     @pytest.mark.parametrize("lam", [0.3, 2.0, 3.0, 3.9])
     def test_finite_off_the_singular_locus(self, lam):
@@ -147,7 +158,7 @@ class TestAngularAverage:
         rho = np.concatenate([rho, rng.uniform(0.0, 30.0, 2000)])
         rho2 = np.concatenate([rho2, rng.uniform(0.0, 30.0, 2000)])
         tau = np.concatenate([tau, rng.uniform(-30.0, 30.0, 2000)])
-        out = kbar_many(rho, rho2, tau, lam)
+        out = kbar_many(rho, rho2 - rho, tau, lam)
         singular = (rho == rho2) & (tau == 0.0)
         assert np.all(out[singular] == math.inf)
         assert np.all(np.isfinite(out[~singular]) & (out[~singular] > 0.0))
@@ -280,6 +291,45 @@ class TestHlsQuotient:
         q2 = hls_quotient(fd, params)
         assert q2 == pytest.approx(q1, rel=2e-2)
 
+    @pytest.mark.parametrize("lam", [3.85, 3.9, 3.95])
+    def test_extremal_quotient_near_lambda_4(self, lam):
+        # as lam -> Q the mass of the cell around the evaluation point moves
+        # to offsets rho' - rho0 below one ulp of rho0; the cell rule and the
+        # kernel reach them through the offset itself
+        q = hls_quotient(extremal_H(1, lam, COLD), diagonal_params(1, lam))
+        assert q == pytest.approx(frank_lieb_constant(1, lam), rel=1e-2)
+
+
+def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
+    """Nested adaptive quad of 2 pi rho' Kbar(rho0, rho', tau) over the cell
+    rho' - rho0 in [d_lo, d_hi], tau in [tau_lo, tau_hi], split at
+    rho' = rho0 and tau = 0.  The inner integral runs in eta, tau =
+    w sinh(eta) with w = |rho'^2 - rho0^2|, so that quad sees the kernel's
+    tau ridge at any offset.  The kernel is the closed form, one point at a
+    time (hyp2f1 is accurate here for lam != 2 or rho0 = 0)."""
+    alpha = 0.25 * lam
+
+    def pieces(lo, hi):
+        return [(a, b) for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)) if b > a]
+
+    def inner(d):
+        w = abs(d * (2.0 * rho0 + d))
+        bb = (2.0 * rho0 * (rho0 + d)) ** 2
+
+        def g(eta):
+            D = w * w * math.cosh(eta) ** 2
+            return D ** -alpha * hyp2f1(alpha, 1.0 - alpha, 1.0, -bb / D) * w * math.cosh(eta)
+
+        tot = sum(
+            quad(g, math.asinh(a / w), math.asinh(b / w), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+            for a, b in pieces(tau_lo, tau_hi)
+        )
+        return 2.0 * math.pi * (rho0 + d) * tot
+
+    return sum(
+        quad(inner, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0] for a, b in pieces(d_lo, d_hi)
+    )
+
 
 class TestWeightsRow:
     @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0])
@@ -287,7 +337,7 @@ class TestWeightsRow:
         # at a lattice node the point row and the table row are one product
         # rule; cells exactly 3 dt away sit on the exact-zone edge, where the
         # table's tau (k - j) dt and the row's t' - t0 round differently
-        spec = GridSpec(n=1, n_rho=16, rho_min=0.02, rho_max=20.0, n_t=32, t_max=20.0)
+        spec = COLD
         f = H_profile(spec, lam)
         A = kernel_table(spec, lam).A
         n_t = spec.n_t
@@ -316,3 +366,33 @@ class TestWeightsRow:
         tail_norm = (ball_volume(1) * T ** (-4.0)) ** (3.0 / 4.0)
         bound = 4.0 * (2.0 * nrm * tail_norm + tail_norm ** 2) * 1.2  # grid-error slack
         assert 0.0 < Eb - Es < bound
+
+    @pytest.mark.parametrize(
+        "lam, rho0, t_off, cells",
+        [
+            # the centre cell and its neighbours near the axis, on a t-node
+            # and a quarter cell off the t-lattice
+            (3.0, 0.02, 0.0, [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+            (3.0, 0.02, 0.25, [(0, -1), (0, 0), (0, 1), (1, 0)]),
+            # the outermost row, whose zone spans many wide cells
+            (0.7, 20.0, 0.0, [(15, 0), (15, 2), (14, 0), (14, 3), (14, 9)]),
+            # a point on the axis
+            (2.0, 0.0, 0.0, [(0, 0), (0, 1), (1, 0)]),
+        ],
+    )
+    def test_zone_cells_match_nested_quad(self, lam, rho0, t_off, cells):
+        # weights_row entries of exact-zone cells are cell integrals; (a, k)
+        # counts the rho cell and the t cell from the middle t node
+        spec = COLD
+        f = H_profile(spec, lam)
+        rho, t, dt = f.rho_nodes, f.t_nodes, spec.dt
+        edges = rho_cell_edges(rho)
+        j = spec.n_t // 2
+        t0 = float(t[j]) + t_off * dt
+        R = weights_row(f, lam, rho0, t0)
+        for a, k in cells:
+            tau = t[j + k] - t0
+            ref = _cell_reference(
+                lam, rho0, edges[a] - rho0, edges[a + 1] - rho0, tau - 0.5 * dt, tau + 0.5 * dt
+            )
+            assert R[a, j + k] == pytest.approx(ref, rel=1e-2), (a, k)
