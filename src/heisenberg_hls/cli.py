@@ -1,5 +1,11 @@
 """Command-line surface: constants, evaluate, maximize, classify.
 
+Each subcommand declares only the flags it reads, and every setting given
+is either used or rejected: an unknown flag or config key, and a flag of
+the mode not taken (`evaluate` with or without `--mc`, `classify` with or
+without `--inputs`), exit 2.  Defaults live in the library (`GridSpec`,
+`IterationControls`, the generator families) except the Monte Carlo ones.
+
 Every command validates its parameters before any computation starts and
 writes output files only after the computation finishes, so a validation
 failure never leaves partial files.  Exit codes: 0 success, 2 validation
@@ -26,7 +32,7 @@ from .extremal import (
     maximize,
     perturbed_H,
 )
-from .grids import GridSpec, ball_indicator, lp_norm, sample
+from .grids import GridSpec, ball_indicator, empty_grid_function, lp_norm
 from .group import ball_volume
 from .quadrature import bilinear_energy, hls_quotient
 
@@ -34,6 +40,12 @@ SCHEMA_VERSION = 1
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+# grid flag (dest) -> GridSpec field; GridSpec holds the defaults
+GRID_FLAGS = {"grid_rho": "n_rho", "grid_t": "n_t", "rho_min": "rho_min",
+              "rho_max": "rho_max", "t_max": "t_max"}
+MC_DEFAULTS = {"samples": 1_000_000, "seed": 0, "workers": 1}
+CLASSIFY_DEFAULTS = {"generator": "spread", "length": 10, "seed": 0}
 
 
 def _fmt(x: float) -> str:
@@ -81,9 +93,15 @@ def _write_csv(path: str, header: list[str], rows):
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _load_config_file(path: str) -> dict:
-    """Key-value config: one `key = value` pair per line, '#' comments."""
-    out = {}
+def _config_flags(path: str) -> list[str]:
+    """A config file's `key = value` lines ('#' comments) as flags.
+
+    A key is a long option name without its dashes (`lambda = 2`,
+    `grid-rho = 64`) and becomes `--key` followed by the value split on
+    whitespace (`inputs = a.json b.json`); `true` / `false` give or drop a
+    bare switch (`mc = true`).
+    """
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -93,54 +111,50 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     _fail(EXIT_VALIDATION, f"{path}:{line_no}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
-                out[key.replace("-", "_")] = val
+                key = key.replace("_", "-")
+                if key in ("config", "help"):
+                    _fail(EXIT_VALIDATION, f"{path}:{line_no}: {key!r} is not a config key")
+                if val.lower() in ("true", "false"):
+                    flags += [f"--{key}"] if val.lower() == "true" else []
+                else:
+                    flags += [f"--{key}", *val.split()]
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read config {path}: {exc}")
-    return out
+    return flags
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv; a --config file supplies the command's defaults.
+    """Parse argv; a --config file's lines are flags placed before argv's own.
 
-    Config keys are the long option names without the leading dashes
-    (e.g. `lambda = 2.0`, `grid-rho = 64`).  The file values become the
-    subcommand's defaults and argv is parsed again, so flags in any form
-    win and argparse converts the values with each option's type.
+    argparse parses once more with them, so explicit flags win, each value
+    gets its option's type, and an unknown key exits 2 like an unknown flag.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = commands.choices[args.command]
-    by_key = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            by_key[opt.lstrip("-").replace("-", "_")] = action
-        by_key.setdefault(action.dest, action)
-    defaults = {}
-    for key, raw in _load_config_file(args.config).items():
-        action = by_key.get(key)
-        if action is None or action.dest in ("config", "help"):
-            continue
-        if isinstance(action.default, bool):
-            raw = raw.lower() in ("1", "true", "yes")
-        elif action.nargs in ("*", "+"):
-            raw = raw.split()
-        defaults[action.dest] = raw
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+
+
+def _given(args, dests) -> dict:
+    """The flags among dests (dest names) that were given, by dest."""
+    return {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+
+
+def _reject_given(args, dests, reason: str):
+    """Exit 2 if any flag among dests was given; reason says why it does
+    not apply."""
+    given = _given(args, dests)
+    if given:
+        flags = " ".join("--" + d.replace("_", "-") for d in given)
+        _fail(EXIT_VALIDATION, f"{flags}: {reason}")
 
 
 def _grid_spec(args) -> GridSpec:
+    given = _given(args, GRID_FLAGS)
     try:
-        return GridSpec(
-            n=args.n,
-            n_rho=args.grid_rho,
-            rho_min=args.rho_min,
-            rho_max=args.rho_max,
-            n_t=args.grid_t,
-            t_max=args.t_max,
-        )
+        return GridSpec(n=args.n, **{GRID_FLAGS[d]: v for d, v in given.items()})
     except ValueError as exc:
         _fail(EXIT_VALIDATION, f"invalid grid: {exc}")
 
@@ -154,6 +168,12 @@ def _check_lambda(lam: float, n: int):
 def _resolve_params(args):
     """Exponent tuple from --p, from --r/--s via the duality identification
     (s = p, r = conjugate of q), or the diagonal default."""
+    if args.p is not None:
+        _reject_given(args, ("r", "s"), "give --p or --r and --s, not both")
+        try:
+            return sc.derive_conjugates(args.n, args.lam, args.p)
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, f"inadmissible p: {exc}")
     if args.r is not None or args.s is not None:
         if args.r is None or args.s is None:
             _fail(EXIT_VALIDATION, "provide both --r and --s or neither")
@@ -167,11 +187,6 @@ def _resolve_params(args):
                 f"(r, s) violates the bilinear relation: expected r = {params.r}",
             )
         return params
-    if args.p is not None:
-        try:
-            return sc.derive_conjugates(args.n, args.lam, args.p)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, f"inadmissible p: {exc}")
     return sc.diagonal_params(args.n, args.lam)
 
 
@@ -182,13 +197,8 @@ def _resolve_params(args):
 def cmd_constants(args) -> int:
     _check_lambda(args.lam, args.n)
     n, lam = args.n, args.lam
-    Q = 2 * n + 2
-    if args.r is not None or args.s is not None:
-        if args.r is None or args.s is None:
-            _fail(EXIT_VALIDATION, "provide both --r and --s or neither")
-        r, s = args.r, args.s
-    else:
-        r = s = 2.0 * Q / (2.0 * Q - lam)
+    params = _resolve_params(args)
+    diagonal = sc.diagonal_params(n, lam)
     N = args.N if args.N is not None else 2 * n + 1
 
     records = [
@@ -198,23 +208,16 @@ def cmd_constants(args) -> int:
             "params": {"n": n, "lambda": lam},
             "value": sc.frank_lieb_constant(n, lam),
         },
+        {
+            "name": "theorem2_upper_bound",
+            "params": {"n": n, "lambda": lam, "r": params.r, "s": params.s},
+            "value": sc.theorem2_upper_bound(n, lam, params.r, params.s),
+        },
     ]
-    try:
-        records.append(
-            {
-                "name": "theorem2_upper_bound",
-                "params": {"n": n, "lambda": lam, "r": r, "s": s},
-                "value": sc.theorem2_upper_bound(n, lam, r, s),
-            }
-        )
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, f"inadmissible (r, s): {exc}")
     dominance = [
         {
             "name": "theorem2_vs_frank_lieb_diagonal",
-            "upper": sc.theorem2_upper_bound(
-                n, lam, 2 * Q / (2 * Q - lam), 2 * Q / (2 * Q - lam)
-            ),
+            "upper": sc.theorem2_upper_bound(n, lam, diagonal.r, diagonal.s),
             "sharp": sc.frank_lieb_constant(n, lam),
         }
     ]
@@ -267,11 +270,7 @@ def _preset_function(name: str, spec: GridSpec, lam: float):
         return ball_indicator(spec)
     if name == "gauss":
         return gaussian_profile(spec)
-    if name == "zero":
-        from .grids import empty_grid_function
-
-        return empty_grid_function(spec)
-    _fail(EXIT_VALIDATION, f"unknown preset {name!r} (H, ball, gauss, zero, or --input)")
+    return empty_grid_function(spec)  # "zero"
 
 
 def _preset_callable(name: str, n: int, lam: float):
@@ -335,25 +334,30 @@ def _load_grid_file(path: str, spec_n: int):
 
 
 def cmd_evaluate(args) -> int:
+    refine = args.refine or 0
+    if args.mc:
+        grid_path = ("p", "r", "s", "input", *GRID_FLAGS, "refine", "ladder_out")
+        _reject_given(args, grid_path, "not used by --mc")
+    else:
+        _reject_given(args, MC_DEFAULTS, "used only with --mc")
+    if refine < 0:
+        _fail(EXIT_VALIDATION, "--refine must be >= 0")
+    if args.ladder_out is not None and refine < 1:
+        _fail(EXIT_VALIDATION, "--ladder-out needs --refine 1 or more")
     _check_lambda(args.lam, args.n)
     if args.mc:
         # Monte Carlo path: the only deterministic-free route for n >= 2
         from .montecarlo import mc_bilinear_energy
 
-        if args.input:
-            _fail(EXIT_VALIDATION, "--mc works with presets, not --input")
+        mc = {**MC_DEFAULTS, **_given(args, MC_DEFAULTS)}
         func = _preset_callable(args.preset, args.n, args.lam)
-        est, se = mc_bilinear_energy(
-            func, func, args.lam, n=args.n, samples=args.samples,
-            seed=args.seed, workers=args.workers,
-        )
+        est, se = mc_bilinear_energy(func, func, args.lam, n=args.n, **mc)
         _emit_json(
             {
                 "command": "evaluate",
                 "preset": args.preset,
                 "mode": "monte-carlo",
-                "params": {"n": args.n, "lambda": args.lam, "samples": args.samples,
-                           "seed": args.seed, "workers": args.workers},
+                "params": {"n": args.n, "lambda": args.lam, **mc},
                 "result": {"energy": est, "stderr": se},
             },
             args.out,
@@ -396,12 +400,12 @@ def cmd_evaluate(args) -> int:
         },
         "result": result,
     }
-    if args.refine > 0:
+    if refine > 0:
         if args.input:
             _fail(EXIT_VALIDATION, "--refine works with presets, not --input")
         ladder = [{"level": 0, "n_rho": spec.n_rho, "n_t": spec.n_t, **result}]
         level_spec = spec
-        for level in range(1, args.refine + 1):
+        for level in range(1, refine + 1):
             level_spec = level_spec.refined()
             ladder.append(
                 {
@@ -412,7 +416,7 @@ def cmd_evaluate(args) -> int:
                 }
             )
         reference = None
-        if args.preset == "H" and args.p is None:
+        if args.preset == "H" and params.is_diagonal:
             reference = sc.frank_lieb_constant(args.n, args.lam)
             for row in ladder:
                 row["quotient_error"] = abs(row["quotient"] - reference)
@@ -441,11 +445,9 @@ def cmd_maximize(args) -> int:
         f0 = extremal_H(args.n, args.lam, spec)
     elif args.init == "hperturb":
         f0 = perturbed_H(args.n, args.lam, spec)
-    elif args.init == "gauss":
-        f0 = gaussian_profile(spec)
     else:
-        _fail(EXIT_VALIDATION, f"unknown init {args.init!r} (H, hperturb, gauss)")
-    opts = IterationControls(max_iter=args.max_iter, rtol=args.rtol)
+        f0 = gaussian_profile(spec)
+    opts = IterationControls(**_given(args, ("max_iter", "rtol")))
     f_star, quotient, trace = maximize(params, f0, opts)
 
     h_ref = extremal_H(args.n, args.lam, spec)
@@ -458,8 +460,7 @@ def cmd_maximize(args) -> int:
             "p": params.p,
             "q": params.q,
             "init": args.init,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
+            "max_iter": opts.max_iter,
         },
         "quotient": quotient,
         "sharp_constant_diagonal": sc.frank_lieb_constant(args.n, args.lam),
@@ -503,32 +504,24 @@ def _load_measure_file(path: str) -> DiscreteMeasure:
 
 
 def cmd_classify(args) -> int:
-    if args.inputs:
+    if args.inputs is not None:
+        _reject_given(args, ("n", *CLASSIFY_DEFAULTS, "k"), "not used with --inputs")
+        gen = dict.fromkeys(CLASSIFY_DEFAULTS)
         seq = [_load_measure_file(p) for p in args.inputs]
     else:
-        if args.generator not in GENERATORS:
-            _fail(
-                EXIT_VALIDATION,
-                f"unknown generator {args.generator!r} (choose from {sorted(GENERATORS)})",
-            )
-        if args.length < 3:
-            _fail(EXIT_VALIDATION, "sequence length must be >= 3")
-        gen = GENERATORS[args.generator]
-        if args.generator == "split":
-            if not (0.0 < args.k < 1.0):
-                _fail(EXIT_VALIDATION, "split mass fraction k must lie in (0,1)")
-            seq = gen(args.length, args.seed, k=args.k)
-        else:
-            seq = gen(args.length, args.seed)
+        gen = {**CLASSIFY_DEFAULTS, **_given(args, CLASSIFY_DEFAULTS)}
+        if gen["generator"] != "split":
+            _reject_given(args, ("k",), "applies to --generator split only")
+        seq = GENERATORS[gen["generator"]](gen["length"], gen["seed"], **_given(args, ("n", "k")))
     try:
-        verdict = classify_trichotomy(seq, eps=args.eps)
+        verdict = classify_trichotomy(seq, **_given(args, ("eps",)))
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     payload = {
         "command": "classify",
-        "generator": None if args.inputs else args.generator,
+        "generator": gen["generator"],
         "length": len(seq),
-        "seed": None if args.inputs else args.seed,
+        "seed": gen["seed"],
         "verdict": {
             "kind": verdict.kind,
             "k": verdict.k,
@@ -556,54 +549,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
-        p.add_argument("--n", type=int, default=1, help="complex dimension of H^n")
-        p.add_argument("--lambda", dest="lam", type=float, default=2.0, help="kernel exponent")
-        p.add_argument("--p", type=float, default=None, help="operator exponent p (default: diagonal)")
-        p.add_argument("--r", type=float, default=None, help="bilinear exponent r")
-        p.add_argument("--s", type=float, default=None, help="bilinear exponent s")
-        p.add_argument("--seed", type=int, default=0, help="seed for stochastic paths")
-        p.add_argument("--workers", type=int, default=1, help="worker stream count")
-        p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
-        p.add_argument("--out", type=str, default=None, help="JSON output path (default stdout)")
-        p.add_argument("--config", type=str, default=None, help="key=value config file; flags override")
-        if grid:
-            p.add_argument("--grid-rho", dest="grid_rho", type=int, default=64)
-            p.add_argument("--grid-t", dest="grid_t", type=int, default=128)
-            p.add_argument("--rho-min", dest="rho_min", type=float, default=1e-3)
-            p.add_argument("--rho-max", dest="rho_max", type=float, default=50.0)
-            p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
+    def command(name, func, help, exponents=True, grid=True):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help="JSON output path (default stdout)")
+        p.add_argument("--config", help="key = value config file; flags override")
+        if exponents:
+            p.add_argument("--n", type=int, default=1, help="complex dimension of H^n")
+            p.add_argument("--lambda", dest="lam", type=float, default=2.0, help="kernel exponent")
+            p.add_argument("--p", type=float, help="operator exponent p (default: diagonal)")
+            p.add_argument("--r", type=float, help="bilinear exponent r")
+            p.add_argument("--s", type=float, help="bilinear exponent s")
+        if grid:  # defaults: GridSpec
+            p.add_argument("--grid-rho", type=int)
+            p.add_argument("--grid-t", type=int)
+            p.add_argument("--rho-min", type=float)
+            p.add_argument("--rho-max", type=float)
+            p.add_argument("--t-max", type=float)
+        return p
 
-    p_const = sub.add_parser("constants", help="closed-form constants and dominance checks")
-    common(p_const, grid=False)
-    p_const.add_argument("--N", type=int, default=None, help="Euclidean dimension (default 2n+1)")
-    p_const.set_defaults(func=cmd_constants)
+    p_const = command("constants", cmd_constants, "closed-form constants and dominance checks", grid=False)
+    p_const.add_argument("--N", type=int, help="Euclidean dimension (default 2n+1)")
 
-    p_eval = sub.add_parser("evaluate", help="energies, norms, and the HLS quotient")
-    common(p_eval)
-    p_eval.add_argument("--preset", type=str, default="H", help="H | ball | gauss | zero")
-    p_eval.add_argument("--input", type=str, default=None, help="npz grid file (rho_nodes, t_nodes, values)")
-    p_eval.add_argument("--refine", type=int, default=0, help="extra grid refinement levels")
-    p_eval.add_argument("--ladder-out", dest="ladder_out", type=str, default=None, help="CSV path for the refinement ladder")
+    p_eval = command("evaluate", cmd_evaluate, "energies, norms, and the HLS quotient")
+    p_eval.add_argument("--preset", choices=("H", "ball", "gauss", "zero"), default="H")
+    p_eval.add_argument("--input", help="npz grid file (rho_nodes, t_nodes, values)")
+    p_eval.add_argument("--refine", type=int, help="extra grid refinement levels")
+    p_eval.add_argument("--ladder-out", help="CSV path for the refinement ladder")
     p_eval.add_argument("--mc", action="store_true", help="Monte Carlo energy estimate (any n)")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.add_argument("--samples", type=int, help="Monte Carlo sample count (default 10^6)")
+    p_eval.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+    p_eval.add_argument("--workers", type=int, help="Monte Carlo stream count (default 1)")
 
-    p_max = sub.add_parser("maximize", help="extremal search for the HLS quotient")
-    common(p_max)
-    p_max.add_argument("--init", type=str, default="gauss", help="H | hperturb | gauss (default: Gaussian profile, far from the maximizer)")
-    p_max.add_argument("--max-iter", dest="max_iter", type=int, default=500)
-    p_max.add_argument("--rtol", type=float, default=1e-7)
-    p_max.add_argument("--trace", type=str, default=None, help="CSV path for the convergence trace")
-    p_max.set_defaults(func=cmd_maximize)
+    p_max = command("maximize", cmd_maximize, "extremal search for the HLS quotient")
+    p_max.add_argument("--init", choices=("H", "hperturb", "gauss"), default="gauss",
+                       help="start (default: Gaussian profile, far from the maximizer)")
+    p_max.add_argument("--max-iter", type=int, help="iteration cap (default: IterationControls)")
+    p_max.add_argument("--rtol", type=float, help="stall tolerance (default: IterationControls)")
+    p_max.add_argument("--trace", help="CSV path for the convergence trace")
 
-    p_cls = sub.add_parser("classify", help="trichotomy classification of measure sequences")
-    common(p_cls, grid=False)
-    p_cls.add_argument("--generator", type=str, default="spread", help="spread | translate | split")
-    p_cls.add_argument("--length", type=int, default=10, help="sequence length")
-    p_cls.add_argument("--k", type=float, default=0.3, help="split mass fraction")
-    p_cls.add_argument("--eps", type=float, default=0.05, help="classifier threshold")
-    p_cls.add_argument("--inputs", nargs="*", default=None, help="measure JSON files instead of a generator")
-    p_cls.set_defaults(func=cmd_classify)
+    p_cls = command("classify", cmd_classify, "trichotomy classification of measure sequences",
+                    exponents=False, grid=False)
+    p_cls.add_argument("--n", type=int, help="complex dimension of generated measures (default 1)")
+    p_cls.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p_cls.add_argument("--generator", choices=sorted(GENERATORS), help="default spread")
+    p_cls.add_argument("--length", type=int, help="sequence length (default 10)")
+    p_cls.add_argument("--k", type=float, help="split mass fraction (default 0.3)")
+    p_cls.add_argument("--eps", type=float, help="classifier threshold (default 0.05)")
+    p_cls.add_argument("--inputs", nargs="*", help="measure JSON files instead of a generator")
     return parser
 
 

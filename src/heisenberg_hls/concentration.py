@@ -25,6 +25,11 @@ from .grids import CylGridFunction
 from .group import GroupPoint, distance_coords, multiply_coords, norm_coords
 from .montecarlo import Geometry
 
+# probe radii of the concentration profile; read-only because every
+# TrichotomyVerdict hands it out as profile_R
+R_GRID = np.geomspace(0.5, 6.0, 12)
+R_GRID.flags.writeable = False
+
 
 @dataclass
 class DiscreteMeasure:
@@ -154,11 +159,7 @@ class TrichotomyVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_trichotomy(
-    seq: list[DiscreteMeasure],
-    eps: float = 0.05,
-    R_grid: np.ndarray | None = None,
-) -> TrichotomyVerdict:
+def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> TrichotomyVerdict:
     """Classify a normalized measure sequence as vanishing, compactness, or
     dichotomy.
 
@@ -177,15 +178,10 @@ def classify_trichotomy(
     for mu in seq:
         if abs(mu.total_mass - 1.0) > 1e-9:
             raise ValueError("measures must be normalized to total mass 1")
-    if R_grid is None:
-        R_grid = np.geomspace(0.5, 6.0, 12)
-    R_grid = np.asarray(R_grid, dtype=float)
-    if np.any(np.diff(R_grid) <= 0) or R_grid[0] <= 0:
-        raise ValueError("R_grid must be positive and increasing")
 
     tail_start = max(len(seq) - max(len(seq) // 3, 2), 0)
     tail = seq[tail_start:]
-    prof_arg = [_profile(mu, R_grid) for mu in tail]
+    prof_arg = [_profile(mu, R_GRID) for mu in tail]
     profiles = np.array([pa[0] for pa in prof_arg])
     Q_hat = profiles.mean(axis=0)
     k_sup = float(Q_hat[-1])
@@ -193,7 +189,7 @@ def classify_trichotomy(
     if k_sup < eps:
         return TrichotomyVerdict(
             kind="vanishing",
-            profile_R=R_grid,
+            profile_R=R_GRID,
             profile_Q=Q_hat,
             diagnostics={"k_sup": k_sup, "tail_start": tail_start},
         )
@@ -201,7 +197,7 @@ def classify_trichotomy(
     if k_sup > 1.0 - eps:
         # smallest radius that already captures 1 - eps
         r_idx = int(np.argmax(Q_hat > 1.0 - eps))
-        R0 = float(R_grid[r_idx])
+        R0 = float(R_GRID[r_idx])
         # the tail's profiles already hold the argmax at R0
         head_idx = [_profile(mu, np.array([R0]))[1][0] for mu in seq[:tail_start]]
         tail_idx = [arg[r_idx] for _, arg in prof_arg]
@@ -211,15 +207,15 @@ def classify_trichotomy(
             centers.append(GroupPoint(mu.n, pt[: 2 * mu.n], float(pt[2 * mu.n])))
         return TrichotomyVerdict(
             kind="compactness",
-            profile_R=R_grid,
+            profile_R=R_GRID,
             profile_Q=Q_hat,
             centers=centers,
             diagnostics={"k_sup": k_sup, "R0": R0, "tail_start": tail_start},
         )
 
     # dichotomy: track the densest cluster, read k at the mid radius
-    R_track = float(R_grid[0])
-    R_mid = float(R_grid[len(R_grid) // 2])
+    R_track = float(R_GRID[0])
+    R_mid = float(R_GRID[len(R_GRID) // 2])
     k_vals = []
     tracked = []
     for mu, (_, arg) in zip(tail, prof_arg):
@@ -234,7 +230,7 @@ def classify_trichotomy(
     split = dichotomy_split(last, center_pt, R_mid)
     return TrichotomyVerdict(
         kind="dichotomy",
-        profile_R=R_grid,
+        profile_R=R_GRID,
         profile_Q=Q_hat,
         k=k_hat,
         split=split,

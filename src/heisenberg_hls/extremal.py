@@ -51,11 +51,14 @@ def gaussian_profile(spec: GridSpec) -> CylGridFunction:
     return sample(lambda R, T: np.exp(-(R ** 2) - T ** 2), spec)
 
 
-def perturbed_H(n: int, lam: float, spec: GridSpec, amplitude: float = 0.3) -> CylGridFunction:
-    """H times (1 + amplitude cos t); stays nonnegative for amplitude < 1."""
+PERTURB_AMPLITUDE = 0.3
+
+
+def perturbed_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
+    """H times (1 + PERTURB_AMPLITUDE cos t), a positive start off the maximizer."""
     h = extremal_H(n, lam, spec)
     T = h.t_nodes[None, :]
-    return h.with_values(h.values * (1.0 + amplitude * np.cos(T)))
+    return h.with_values(h.values * (1.0 + PERTURB_AMPLITUDE * np.cos(T)))
 
 
 @dataclass

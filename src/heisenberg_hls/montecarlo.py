@@ -10,7 +10,7 @@ Estimator: with v = u w (group translate),
 
 The w proposal is an equal mixture of a broad heavy-tailed component and a
 near-diagonal component whose radial density is proportional to
-r^(Q-1-lam) on (0, r0]; the latter cancels the kernel singularity exactly,
+r^(Q-1-lam) on (0, R0]; the latter cancels the kernel singularity exactly,
 which keeps the estimator variance bounded for all lam in (0, Q).
 
 Sampling uses the polar structure of homogeneous balls: if W is uniform in
@@ -31,6 +31,13 @@ import numpy as np
 from .group import ball_volume as heis_ball_volume
 from .group import multiply_coords, norm_coords
 from .constants import log_gamma
+
+# proposal shapes: the near-diagonal w component lives on (0, R0], both
+# Pareto components decay with tail exponent ALPHA, and the u proposal's
+# uniform core has radius U_SCALE
+R0 = 1.0
+ALPHA = 1.5
+U_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -152,9 +159,6 @@ def mc_bilinear_energy(
     seed: int,
     workers: int = 1,
     geometry: str = "heisenberg",
-    r0: float = 1.0,
-    alpha: float = 1.5,
-    u_scale: float = 2.0,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the bilinear energy; returns (estimate, stderr).
 
@@ -170,9 +174,9 @@ def mc_bilinear_energy(
     if not (0.0 < lam < geom.Q):
         raise ValueError(f"lambda must lie in (0, Q) = (0, {geom.Q}), got {lam}")
 
-    u_prop = ParetoBall(geom, u_scale, alpha)
-    w_broad = ParetoBall(geom, r0, alpha)
-    w_near = SingularMatched(geom, r0, lam)
+    u_prop = ParetoBall(geom, U_SCALE, ALPHA)
+    w_broad = ParetoBall(geom, R0, ALPHA)
+    w_near = SingularMatched(geom, R0, lam)
 
     streams = np.random.SeedSequence(seed).spawn(workers)
     counts = np.full(workers, samples // workers)

@@ -287,7 +287,8 @@ def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
     K[i', k] = Kbar(rho0, rho[i'], t[k] - t_eval).
 
     Nodal value times cell measure outside the exact zone; inside it, the
-    cell(s) holding the point included, the graded cell rule.
+    cell(s) holding the point included, the graded cell rule.  A weight
+    that is not finite (the kernel's D underflowed) raises ValueError.
     """
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
@@ -297,6 +298,11 @@ def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
     R[a, k] = _cell_integrals(
         lam, rho0, edges[a] - rho0, edges[a + 1] - rho0, tau[k] - 0.5 * dt, tau[k] + 0.5 * dt
     )
+    if not np.all(np.isfinite(R)):
+        raise ValueError(
+            f"non-finite quadrature weights at lambda = {lam}, rho0 = {rho0:.3g}: "
+            "kernel offsets underflow (lambda too close to Q, or rho_min too small)"
+        )
     return R
 
 

@@ -1,12 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from heisenberg_hls import cli
+from heisenberg_hls.constants import derive_conjugates, theorem2_upper_bound
 
 PKG = [sys.executable, "-m", "heisenberg_hls"]
 
@@ -133,6 +138,17 @@ class TestEvaluateCommand:
         )
         assert proc.returncode == 2
 
+    def test_non_finite_weights_name_lambda(self, tmp_path):
+        out = tmp_path / "never.json"
+        proc = run_cli(
+            "evaluate", "--lambda", "3.99", "--grid-rho", "16", "--grid-t", "32",
+            "--rho-min", "0.02", "--rho-max", "20", "--t-max", "20", "--out", str(out),
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "non-finite quadrature weights at lambda = 3.99" in proc.stderr
+        assert not out.exists()
+
     def test_no_partial_output_on_validation_failure(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run_cli(
@@ -205,7 +221,7 @@ class TestMaximizeCommand:
         # output paths recorded in the summary: run in two separate cwds
         args = [
             "maximize", "--n", "1", "--lambda", "2", "--init", "gauss",
-            "--max-iter", "12", "--seed", "3", *SMALL_GRID,
+            "--max-iter", "12", *SMALL_GRID,
             "--trace", "trace.csv", "--out", "summary.json",
         ]
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
@@ -294,3 +310,124 @@ class TestConfigFile:
     def test_missing_config_exit_3(self):
         proc = run_cli("constants", "--config", "/nope.cfg", check=False)
         assert proc.returncode == 3
+
+    def test_unknown_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lamda = 3\n")
+        out = tmp_path / "c.json"
+        proc = run_cli("constants", "--config", str(cfg), "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert "--lamda" in proc.stderr
+        assert not out.exists()
+
+    def test_switch_key(self, tmp_path):
+        # `mc = true` is the bare switch --mc, `mc = false` drops it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mc = true\nn = 2\nsamples = 2000\nlambda = 3\n")
+        out = tmp_path / "e.json"
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mode"] == "monte-carlo"
+        assert doc["params"] == {"n": 2, "lambda": 3.0, "samples": 2000, "seed": 0, "workers": 1}
+        cfg.write_text("mc = false\nsamples = 2000\n")
+        assert exits_2(["evaluate", "--config", str(cfg)], tmp_path / "never.json")
+
+
+def exits_2(argv, out):
+    """argv (with --out out appended) exits 2 and writes nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    return exc.value.code == 2 and not out.exists()
+
+
+class TestEverySettingIsRead:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--seed", "1"],
+            ["constants", "--workers", "2"],
+            ["constants", "--samples", "5000"],
+            ["maximize", "--seed", "1"],
+            ["maximize", "--workers", "2"],
+            ["maximize", "--samples", "5000"],
+            ["classify", "--lambda", "2"],
+            ["classify", "--p", "1.6"],
+            ["classify", "--r", "1.2"],
+            ["classify", "--s", "2"],
+            ["classify", "--workers", "2"],
+            ["classify", "--samples", "5000"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flag_exit_2(self, tmp_path, argv):
+        assert exits_2(argv, tmp_path / "never.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mc", "--p", "1.6"],
+            ["--mc", "--r", "1.1428571428571428", "--s", "1.6"],
+            ["--mc", "--grid-rho", "24"],
+            ["--mc", "--t-max", "25"],
+            ["--mc", "--refine", "1"],
+            ["--mc", "--ladder-out", "l.csv"],
+            ["--mc", "--input", "f.npz"],
+            ["--samples", "5000"],
+            ["--seed", "1"],
+            ["--workers", "2"],
+            ["--ladder-out", "l.csv"],
+            ["--refine", "0", "--ladder-out", "l.csv"],
+            ["--refine", "-1"],
+            ["--p", "1.6", "--r", "1.1428571428571428", "--s", "1.6"],
+        ],
+        ids=" ".join,
+    )
+    def test_evaluate_mode_flags_exit_2(self, tmp_path, argv):
+        assert exits_2(["evaluate", "--n", "1", "--lambda", "2", *argv], tmp_path / "never.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--inputs", "m.json", "--n", "1"],
+            ["--inputs", "m.json", "--generator", "split"],
+            ["--inputs", "m.json", "--length", "5"],
+            ["--inputs", "m.json", "--k", "0.3"],
+            ["--inputs", "m.json", "--seed", "1"],
+            ["--k", "0.3"],
+            ["--generator", "translate", "--k", "0.3"],
+        ],
+        ids=" ".join,
+    )
+    def test_classify_mode_flags_exit_2(self, tmp_path, argv):
+        assert exits_2(["classify", *argv], tmp_path / "never.json")
+
+    def test_constants_p_is_honoured(self):
+        proc = run_cli("constants", "--n", "1", "--lambda", "2", "--p", "1.6")
+        doc = json.loads(proc.stdout)
+        rec = next(r for r in doc["records"] if r["name"] == "theorem2_upper_bound")
+        params = derive_conjugates(1, 2.0, 1.6)
+        assert (rec["params"]["r"], rec["params"]["s"]) == (params.r, params.s)
+        assert rec["value"] == theorem2_upper_bound(1, 2.0, params.r, params.s)
+        assert rec["value"] == pytest.approx(7.66498, abs=1e-5)
+
+    def test_classify_n_is_honoured(self, tmp_path):
+        out = tmp_path / "c.json"
+        argv = ["classify", "--n", "2", "--generator", "translate", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"]["kind"] == "compactness"
+        assert {len(c) for c in doc["verdict"]["centers"]} == {5}
+
+
+def test_readme_command_lines_parse():
+    """Every `heisenberg-hls ...` line of README's Command line block parses
+    with the real parser, so the documented flags cannot drift from it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("heisenberg-hls ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.func is getattr(cli, f"cmd_{args.command}")

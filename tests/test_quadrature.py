@@ -19,6 +19,7 @@ from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
     angular_average_kernel,
     bilinear_energy,
+    build_kernel_table,
     fractional_integral,
     fractional_integral_grid,
     hls_quotient,
@@ -298,6 +299,29 @@ class TestHlsQuotient:
         # kernel reach them through the offset itself
         q = hls_quotient(extremal_H(1, lam, COLD), diagonal_params(1, lam))
         assert q == pytest.approx(frank_lieb_constant(1, lam), rel=1e-2)
+
+    def test_lambda_3_97_still_evaluates(self):
+        q = hls_quotient(extremal_H(1, 3.97, COLD), diagonal_params(1, 3.97))
+        assert q == pytest.approx(frank_lieb_constant(1, 3.97), rel=1e-2)
+
+
+class TestNonFiniteWeights:
+    # at lam = 3.99 the cell rule's offsets |delta| = x^(1/(4 - lam)) are so
+    # small that D underflows and the kernel is inf; at rho_min = 1e-100 the
+    # nodal D underflows the same way.  Both must name lambda, not yield nan.
+    def test_lambda_near_Q_point_raises(self):
+        f = extremal_H(1, 3.99, COLD)
+        with pytest.raises(ValueError, match=r"lambda = 3\.99, rho0 = 0\.317"):
+            fractional_integral(f, 3.99, GroupPoint(1, np.array([0.317, 0.0]), 0.968))
+
+    def test_lambda_near_Q_table_raises(self):
+        with pytest.raises(ValueError, match="lambda = 3.99.*lambda too close to Q"):
+            build_kernel_table(COLD, 3.99)
+
+    def test_tiny_rho_min_table_raises(self):
+        spec = GridSpec(n=1, n_rho=16, rho_min=1e-100, rho_max=20.0, n_t=32, t_max=20.0)
+        with pytest.raises(ValueError, match="lambda = 2.0.*rho_min too small"):
+            build_kernel_table(spec, 2.0)
 
 
 def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
