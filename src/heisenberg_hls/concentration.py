@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CylGridFunction
-from .group import GroupPoint, distance_coords, multiply_coords, norm_coords
+from .group import GroupPoint, multiply_coords
 from .montecarlo import Geometry
 
 # probe radii of the concentration profile; read-only because every
 # TrichotomyVerdict hands it out as profile_R
 R_GRID = np.geomspace(0.5, 6.0, 12)
 R_GRID.flags.writeable = False
+# atoms per side of the square blocks the ball-mass kernel forms at a time
+BLOCK = 128
 
 
 @dataclass
@@ -85,6 +87,62 @@ class DiscreteMeasure:
         return cls(f.n, pts, masses)
 
 
+def _d4(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Fourth powers of the distances |a_i^-1 b_j| between the rows of a and
+    the rows of b, as an (a rows, b rows) block:
+
+        d^4 = |z_b - z_a|^4 + (t_b - t_a + 2 sum_j (x_a,j y_b,j - y_a,j x_b,j))^2
+
+    The distance is symmetric, |u^-1 v| = |v^-1 u|."""
+    zsq = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(2 * n):
+        d = b[None, :, j] - a[:, j, None]
+        d *= d
+        zsq += d
+    t = b[None, :, 2 * n] - a[:, 2 * n, None]
+    twist = (2.0 * a[:, :n]) @ b[:, n : 2 * n].T
+    twist -= (2.0 * a[:, n : 2 * n]) @ b[:, :n].T
+    t += twist
+    zsq *= zsq
+    t *= t
+    zsq += t
+    return zsq
+
+
+def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
+    """masses[k, i] = mu(B_R(atom_i)) for the open ball of radius R_grid[k].
+
+    Each pair of atoms is compared once, d^4 against R^4: the atoms are cut
+    into blocks of BLOCK, only blocks on or above the diagonal are formed,
+    and an off-diagonal block adds to the balls of both its row atoms and
+    its column atoms.  Memory is O(len(R_grid) BLOCK^2) besides the result."""
+    R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
+    pts, w = mu.points, mu.masses
+    m = w.size
+    out = np.zeros((R4.shape[0], m))
+    for a in range(0, m, BLOCK):
+        rows = slice(a, a + BLOCK)
+        for b in range(a, m, BLOCK):
+            cols = slice(b, b + BLOCK)
+            inside = (_d4(pts[rows], pts[cols], mu.n) < R4).astype(float)
+            out[:, rows] += inside @ w[cols]
+            if b != a:
+                out[:, cols] += w[rows] @ inside
+    return out
+
+
+def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q(R) over the radius grid with atom probes, plus the argmax probe
+    index per radius."""
+    masses = _ball_masses(mu, R_grid)
+    return masses.max(axis=1), np.argmax(masses, axis=1)
+
+
+def _inside(mu: DiscreteMeasure, centers: np.ndarray, R: float) -> np.ndarray:
+    """inside[i, j]: atom j lies in the open ball B_R(centers[i])."""
+    return _d4(np.atleast_2d(centers), mu.points, mu.n) < R ** 4
+
+
 def levy_concentration(mu: DiscreteMeasure, R: float, centers: np.ndarray | None = None) -> float:
     """Q(R): max over probe centers of the mass inside the open ball B_R.
 
@@ -94,42 +152,15 @@ def levy_concentration(mu: DiscreteMeasure, R: float, centers: np.ndarray | None
     if not R > 0.0:
         raise ValueError("R must be positive")
     if centers is None:
-        centers = mu.points
+        return float(_profile(mu, np.array([R]))[0][0])
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] == 0:
         raise ValueError("probe set must be nonempty")
     best = 0.0
-    for c in centers:
-        d = distance_coords(c, mu.points, mu.n)
-        best = max(best, float(mu.masses[d < R].sum()))
+    for a in range(0, centers.shape[0], BLOCK):
+        ball = _inside(mu, centers[a : a + BLOCK], R) @ mu.masses
+        best = max(best, float(ball.max()))
     return best
-
-
-def _distance_matrix(mu: DiscreteMeasure, chunk: int = 512) -> np.ndarray:
-    """Pairwise distances d(atom_i, atom_j), chunked over rows."""
-    m = mu.points.shape[0]
-    out = np.empty((m, m))
-    for a in range(0, m, chunk):
-        b = min(m, a + chunk)
-        inv = -mu.points[a:b]  # inverse coordinates
-        for r in range(b - a):
-            out[a + r] = norm_coords(
-                multiply_coords(inv[r][None, :], mu.points, mu.n), mu.n
-            )
-    return out
-
-
-def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q(R) over the radius grid with atom probes, plus the argmax probe
-    index per radius.  One distance matrix evaluation per measure."""
-    D = _distance_matrix(mu)
-    Q = np.empty(R_grid.size)
-    arg = np.empty(R_grid.size, dtype=int)
-    for k, R in enumerate(R_grid):
-        masses = (D < R) @ mu.masses
-        arg[k] = int(np.argmax(masses))
-        Q[k] = float(masses[arg[k]])
-    return Q, arg
 
 
 def dichotomy_split(
@@ -141,8 +172,7 @@ def dichotomy_split(
         raise ValueError("R must be positive")
     if center.n != mu.n:
         raise ValueError("dimension mismatch")
-    d = distance_coords(center.coords(), mu.points, mu.n)
-    inside = d < R
+    inside = _inside(mu, center.coords(), R)[0]
     part1 = DiscreteMeasure(mu.n, mu.points, np.where(inside, mu.masses, 0.0))
     part2 = DiscreteMeasure(mu.n, mu.points, np.where(inside, 0.0, mu.masses))
     return part1, part2
@@ -221,8 +251,7 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     for mu, (_, arg) in zip(tail, prof_arg):
         c = mu.points[arg[0]]
         tracked.append(c)
-        d = distance_coords(c, mu.points, mu.n)
-        k_vals.append(float(mu.masses[d < R_mid].sum()))
+        k_vals.append(float(mu.masses[_inside(mu, c, R_mid)[0]].sum()))
     k_hat = float(np.mean(k_vals))
     last = seq[-1]
     c = tracked[-1]

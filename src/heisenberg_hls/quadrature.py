@@ -89,7 +89,7 @@ def kbar_many(rho, delta, tau, lam):
     alpha = 0.25 * lam
     D = (delta * (2.0 * rho + delta)) ** 2 + tau * tau
     b = 2.0 * rho * (rho + delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = -(b * b) / D
         if alpha == 0.5:
             # a - b = 0 is an integer: hyp2f1 loses accuracy as |z| grows

@@ -147,6 +147,7 @@ class TestEvaluateCommand:
         )
         assert proc.returncode == 2
         assert "non-finite quadrature weights at lambda = 3.99" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
     def test_no_partial_output_on_validation_failure(self, tmp_path):

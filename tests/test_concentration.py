@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from heisenberg_hls.concentration import (
+    BLOCK,
+    R_GRID,
     DiscreteMeasure,
+    _ball_masses,
+    _profile,
     brezis_lieb_defect,
     classify_trichotomy,
     dichotomy_split,
@@ -46,6 +51,75 @@ class TestLevyConcentration:
     def test_requires_positive_R(self):
         with pytest.raises(ValueError):
             levy_concentration(point_mass([0, 0, 0]), 0.0)
+
+
+def boundary_measure(n, seed):
+    """Random atoms with non-uniform masses, 2 BLOCK + 37 of them so the last
+    block is ragged, plus integer atoms at exactly distance 2 from each
+    other (one pair through the twist term), where d^4 = R^4 = 16 exactly."""
+    rng = np.random.default_rng(seed)
+    m = 2 * BLOCK + 37
+    pts = rng.standard_normal((m, 2 * n + 1)) * 1.5
+    pts[:, 2 * n] *= 2.0
+    exact = np.zeros((3, 2 * n + 1))
+    exact[0, 0] = 1.0  # (x1, y1, t) = (1, 0, 0)
+    exact[1, 0], exact[1, n], exact[1, 2 * n] = 1.0, 2.0, -4.0  # (1, 2, -4)
+    exact[2, 2 * n] = 4.0  # (0, 0, 4): distance 2 from the origin atom below
+    exact = np.vstack([exact, np.zeros(2 * n + 1)])
+    pts = np.vstack([pts, exact])
+    masses = rng.uniform(0.1, 1.0, pts.shape[0])
+    return DiscreteMeasure(n, pts, masses)
+
+
+def as_points(mu):
+    n = mu.n
+    return [GroupPoint(n, p[: 2 * n], p[2 * n]) for p in mu.points]
+
+
+def direct_ball_masses(mu, R_grid):
+    """masses[k, i] by a double loop over group.distance, strict d < R."""
+    atoms = as_points(mu)
+    D = np.array([[distance(u, v) for v in atoms] for u in atoms])
+    return np.array([[mu.masses[D[i] < R].sum() for i in range(len(atoms))] for R in R_grid]), D
+
+
+class TestBallMassKernel:
+    R_TEST = np.array([0.5, 1.0, 2.0, 3.0, 4.5])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_profile_matches_double_loop(self, n):
+        mu = boundary_measure(n, seed=10 + n)
+        ref, D = direct_ball_masses(mu, self.R_TEST)
+        assert np.count_nonzero(D == 2.0) >= 4  # both exact pairs, both orders
+        np.testing.assert_allclose(_ball_masses(mu, self.R_TEST), ref, rtol=0, atol=1e-12)
+        Q, arg = _profile(mu, self.R_TEST)
+        np.testing.assert_array_equal(arg, np.argmax(ref, axis=1))
+        np.testing.assert_allclose(Q, ref.max(axis=1), rtol=0, atol=1e-12)
+        for R, want in zip(self.R_TEST, ref.max(axis=1)):
+            assert levy_concentration(mu, R) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_levy_concentration_matches_double_loop(self, n):
+        mu = boundary_measure(n, seed=20 + n)
+        rng = np.random.default_rng(n)
+        centers = np.vstack([rng.standard_normal((BLOCK + 22, 2 * n + 1)), mu.points[-4:]])
+        atoms = as_points(mu)
+        probes = [GroupPoint(n, c[: 2 * n], c[2 * n]) for c in centers]
+        D = np.array([[distance(c, a) for a in atoms] for c in probes])
+        for R in (1.0, 2.0):
+            want = max(float(mu.masses[row < R].sum()) for row in D)
+            assert levy_concentration(mu, R, centers=centers) == pytest.approx(want, abs=1e-12)
+
+    def test_profile_memory_stays_blocked(self):
+        # an m x m distance matrix at 2048 atoms is 32 MB on its own
+        mu = translate_family(3, 0, n_atoms=2048)[-1]
+        tracemalloc.start()
+        try:
+            _profile(mu, R_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestDichotomySplit:
@@ -121,6 +195,15 @@ class TestClassifier:
             assert classify_trichotomy(translate_family(10, seed)).kind == "compactness"
             v = classify_trichotomy(split_family(10, seed, k=0.3))
             assert v.kind == "dichotomy" and abs(v.k - 0.3) <= 0.05
+
+    def test_benchmark_size_families(self):
+        # the atom count of the trichotomy benchmark workload
+        v = classify_trichotomy(spread_family(10, 7, n_atoms=2048))
+        assert v.kind == "vanishing" and v.diagnostics["k_sup"] <= 0.05
+        v = classify_trichotomy(translate_family(10, 7, n_atoms=2048))
+        assert v.kind == "compactness" and abs(v.diagnostics["k_sup"] - 1.0) <= 0.05
+        v = classify_trichotomy(split_family(10, 7, k=0.3, n_atoms=2048))
+        assert v.kind == "dichotomy" and abs(v.k - 0.3) <= 0.05
 
     def test_translation_invariance_of_verdicts(self):
         u = GroupPoint(1, np.array([7.0, -2.0]), 11.0)
