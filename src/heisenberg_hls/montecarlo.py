@@ -13,12 +13,15 @@ near-diagonal component whose radial density is proportional to
 r^(Q-1-lam) on (0, R0]; the latter cancels the kernel singularity exactly,
 which keeps the estimator variance bounded for all lam in (0, Q).
 
-Sampling uses the polar structure of homogeneous balls: if W is uniform in
-the unit ball then delta_R(W / |W|) has the cone-measure direction law, and
-radial laws are sampled by inversion.  Streams are split by worker index
-with SeedSequence spawning; results are bitwise reproducible for a fixed
-(seed, workers) pair and independent of scheduling because partial sums are
-merged in stream order.
+Sampling uses the polar structure of homogeneous balls: a point with a
+radial law r and a direction drawn from the unit sphere's cone measure is
+delta_r(direction).  The cone measure is sampled exactly from Gaussians
+(``Geometry.sphere``) and radial laws by inversion, so no sampler rejects
+at any n.  Each stream is drawn and evaluated in chunks of CHUNK samples,
+so working memory is O(CHUNK * dim) whatever the sample count.  Streams are
+split by worker index with SeedSequence spawning; results are bitwise
+reproducible for a fixed (seed, workers) pair and independent of
+scheduling because partial sums are merged in stream order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from .constants import log_gamma
 R0 = 1.0
 ALPHA = 1.5
 U_SCALE = 2.0
+# samples drawn and evaluated at once per stream: working memory is
+# O(CHUNK * dim) (26 MiB traced at n = 3) whatever the sample count
+CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -85,17 +91,30 @@ class Geometry:
             return out
         return pts * r[:, None]
 
-    def uniform_ball(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Uniform samples in the unit ball by box rejection."""
+    def sphere(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Exact samples of the unit sphere's cone measure, the direction law
+        of a uniform ball point; every row has norm 1."""
+        if self.kind == "euclidean":
+            g = rng.standard_normal((m, self.n))
+            return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        # in (|z|^2, t) = (cos a, sin a) the cone measure has density
+        # proportional to (1 - s^2)^(n/2 - 1) in s = sin a, the law of the
+        # last coordinate of a uniform direction h / |h| in R^(n+1)
+        n = self.n
+        g = rng.standard_normal((m, 3 * n + 1))
+        z, h, h0 = g[:, : 2 * n], g[:, 2 * n : 3 * n], g[:, 3 * n]
+        hsq = np.einsum("ij,ij->i", h, h)
+        h_len = np.sqrt(hsq + h0 * h0)
+        zsq = np.sqrt(hsq) / h_len
         out = np.empty((m, self.dim))
-        have = 0
-        while have < m:
-            cand = rng.uniform(-1.0, 1.0, size=(2 * (m - have) + 64, self.dim))
-            keep = cand[self.norm(cand) < 1.0]
-            take = min(keep.shape[0], m - have)
-            out[have : have + take] = keep[:take]
-            have += take
+        out[:, : 2 * n] = z * np.sqrt(zsq / np.einsum("ij,ij->i", z, z))[:, None]
+        out[:, 2 * n] = h0 / h_len
         return out
+
+    def uniform_ball(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Uniform samples in the unit ball: radius U^(1/Q), cone direction."""
+        dirs = self.sphere(rng, m)
+        return self.dilate(rng.random(m) ** (1.0 / self.Q), dirs)
 
 
 @dataclass(frozen=True)
@@ -107,15 +126,14 @@ class ParetoBall:
     alpha: float
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        pts = self.geom.uniform_ball(rng, m)
-        # direction from the ball sample, radius by inversion
-        radii = self.geom.norm(pts)
-        radii = np.where(radii > 0, radii, 1.0)
+        # cone direction, radius by inversion: the core holds mass
+        # alpha / (alpha + Q) with radius r0 U^(1/Q), the tail r0 U^(-1/alpha);
+        # U = 1 - random() lies in (0, 1], so the tail radius is finite
+        dirs = self.geom.sphere(rng, m)
         core = rng.random(m) < self.alpha / (self.alpha + self.geom.Q)
-        u = rng.random(m)
-        r_tail = self.r0 * u ** (-1.0 / self.alpha)
-        scale = np.where(core, self.r0, r_tail / radii)
-        return self.geom.dilate(scale, pts)
+        u = 1.0 - rng.random(m)
+        r = self.r0 * np.where(core, u ** (1.0 / self.geom.Q), u ** (-1.0 / self.alpha))
+        return self.geom.dilate(r, dirs)
 
     def pdf(self, pts: np.ndarray) -> np.ndarray:
         Q = self.geom.Q
@@ -134,12 +152,10 @@ class SingularMatched:
     lam: float
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        Q = self.geom.Q
-        pts = self.geom.uniform_ball(rng, m)
-        radii = self.geom.norm(pts)
-        radii = np.where(radii > 0, radii, 1.0)
-        r = self.r0 * rng.random(m) ** (1.0 / (Q - self.lam))
-        return self.geom.dilate(r / radii, pts)
+        # radius r0 U^(1/(Q-lam)) with U in (0, 1], never the origin
+        dirs = self.geom.sphere(rng, m)
+        r = self.r0 * (1.0 - rng.random(m)) ** (1.0 / (self.geom.Q - self.lam))
+        return self.geom.dilate(r, dirs)
 
     def pdf(self, pts: np.ndarray) -> np.ndarray:
         Q = self.geom.Q
@@ -170,6 +186,8 @@ def mc_bilinear_energy(
         raise ValueError("samples must be at least 10^3")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > samples:
+        raise ValueError(f"workers ({workers}) must not exceed samples ({samples})")
     geom = Geometry(geometry, n)
     if not (0.0 < lam < geom.Q):
         raise ValueError(f"lambda must lie in (0, Q) = (0, {geom.Q}), got {lam}")
@@ -179,32 +197,27 @@ def mc_bilinear_energy(
     w_near = SingularMatched(geom, R0, lam)
 
     streams = np.random.SeedSequence(seed).spawn(workers)
-    counts = np.full(workers, samples // workers)
-    counts[: samples % workers] += 1
+    counts = [samples // workers + (i < samples % workers) for i in range(workers)]
 
     total = 0.0
     total_sq = 0.0
-    for stream, m in zip(streams, counts):
-        if m == 0:
-            continue
+    for stream, count in zip(streams, counts):
         rng = np.random.default_rng(stream)
-        u = u_prop.sample(rng, int(m))
-        near = rng.random(int(m)) < 0.5
-        w = np.empty((int(m), geom.dim))
-        idx_n = np.flatnonzero(near)
-        idx_b = np.flatnonzero(~near)
-        if idx_n.size:
-            w[idx_n] = w_near.sample(rng, idx_n.size)
-        if idx_b.size:
-            w[idx_b] = w_broad.sample(rng, idx_b.size)
-        v = geom.shift(u, w)
-        r_w = geom.norm(w)
-        kernel = r_w ** (-lam)
-        p_u = u_prop.pdf(u)
-        p_w = 0.5 * w_near.pdf(w) + 0.5 * w_broad.pdf(w)
-        vals = f(u) * g(v) * kernel / (p_u * p_w)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        for start in range(0, count, CHUNK):
+            m = min(CHUNK, count - start)
+            u = u_prop.sample(rng, m)
+            # w from the equal mixture: a Binomial(m, 1/2) count of near
+            # draws, stacked on the broad ones; u is i.i.d. and independent
+            # of w, so the pairs have the law of i.i.d. mixture labels
+            m_near = int(rng.binomial(m, 0.5))
+            w = np.concatenate([w_near.sample(rng, m_near), w_broad.sample(rng, m - m_near)])
+            v = geom.shift(u, w)
+            kernel = geom.norm(w) ** (-lam)
+            p_u = u_prop.pdf(u)
+            p_w = 0.5 * w_near.pdf(w) + 0.5 * w_broad.pdf(w)
+            vals = f(u) * g(v) * kernel / (p_u * p_w)
+            total += float(vals.sum())
+            total_sq += float(np.dot(vals, vals))
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)

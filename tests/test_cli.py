@@ -168,6 +168,15 @@ class TestEvaluateCommand:
         assert doc["result"]["energy"] > 0
         assert doc["result"]["stderr"] > 0
 
+    def test_mc_more_workers_than_samples_exit_2(self):
+        proc = run_cli(
+            "evaluate", "--n", "1", "--lambda", "2", "--mc", "--samples", "2000",
+            "--workers", "2001", check=False,
+        )
+        assert proc.returncode == 2
+        assert "workers (2001) must not exceed samples (2000)" in proc.stderr
+        assert proc.stdout == ""
+
     def test_nonconvergence_reports_false_exit_zero(self, tmp_path):
         out = tmp_path / "s.json"
         proc = run_cli(

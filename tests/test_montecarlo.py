@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import beta
 
 from heisenberg_hls.constants import lieb_diagonal_constant
 from heisenberg_hls.montecarlo import (
+    CHUNK,
     Geometry,
     ParetoBall,
     SingularMatched,
@@ -29,10 +32,32 @@ class TestGeometry:
         g = Geometry("heisenberg", 1)
         assert g.ball_volume() == pytest.approx(math.pi ** 2 / 2.0, rel=1e-12)
 
-    def test_uniform_ball_inside(self):
-        g = Geometry("heisenberg", 1)
-        pts = g.uniform_ball(np.random.default_rng(0), 5000)
+    @pytest.mark.parametrize(
+        "kind,n", [("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3), ("heisenberg", 5), ("euclidean", 3)]
+    )
+    def test_uniform_ball_inside(self, kind, n):
+        g = Geometry(kind, n)
+        m = 400_000
+        pts = g.uniform_ball(np.random.default_rng(n), m)
+        assert pts.shape == (m, g.dim)
         assert np.all(g.norm(pts) < 1.0)
+        if kind == "heisenberg":
+            zsq = np.einsum("ij,ij->i", pts[:, : 2 * n], pts[:, : 2 * n])
+            moments = [
+                (pts[:, 2 * n] ** 2, 1.0 / (n + 3)),
+                (zsq, (n + 1) / (n + 2) * beta((n + 1) / 2, 0.5) / beta(n / 2, 0.5)),
+            ]
+        else:
+            moments = [(np.einsum("ij,ij->i", pts, pts), n / (n + 2))]
+        for x, exact in moments:
+            assert abs(x.mean() - exact) < 4.0 * x.std() / math.sqrt(m)
+
+    @pytest.mark.parametrize("kind,n", [("heisenberg", 1), ("heisenberg", 4), ("euclidean", 3)])
+    def test_sphere_rows_have_norm_one(self, kind, n):
+        g = Geometry(kind, n)
+        pts = g.sphere(np.random.default_rng(0), 20_000)
+        assert pts.shape == (20_000, g.dim)
+        assert np.max(np.abs(g.norm(pts) - 1.0)) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -94,6 +119,23 @@ class TestMcBilinearEnergy:
         b = mc_bilinear_energy(H, H, 2.0, n=1, samples=50_000, seed=5, workers=3)
         assert a == b
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reproducible_across_a_chunk_boundary(self, workers):
+        H = heisenberg_extremal_callable(1, 2.0)
+        a = mc_bilinear_energy(H, H, 2.0, n=1, samples=CHUNK + 1, seed=9, workers=workers)
+        b = mc_bilinear_energy(H, H, 2.0, n=1, samples=CHUNK + 1, seed=9, workers=workers)
+        assert a == b and a[1] > 0
+
+    def test_working_memory_is_bounded_by_the_chunk(self):
+        H = heisenberg_extremal_callable(3, 2.0)
+        tracemalloc.start()
+        try:
+            mc_bilinear_energy(H, H, 2.0, n=3, samples=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     def test_worker_split_changes_stream_but_not_statistics(self):
         H = heisenberg_extremal_callable(1, 2.0)
         e1, s1 = mc_bilinear_energy(H, H, 2.0, n=1, samples=400_000, seed=5, workers=1)
@@ -141,6 +183,11 @@ class TestMcBilinearEnergy:
         H = heisenberg_extremal_callable(1, 2.0)
         with pytest.raises(ValueError):
             mc_bilinear_energy(H, H, 2.0, n=1, samples=100, seed=0)
+
+    def test_more_workers_than_samples_rejected(self):
+        H = heisenberg_extremal_callable(1, 2.0)
+        with pytest.raises(ValueError, match="workers"):
+            mc_bilinear_energy(H, H, 2.0, n=1, samples=2000, seed=0, workers=2001)
 
     def test_lambda_validation(self):
         H = heisenberg_extremal_callable(1, 2.0)
