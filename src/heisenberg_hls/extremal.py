@@ -133,18 +133,20 @@ def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunctio
 # concentration renormalization
 
 
-def _axis_ball_masses(density: np.ndarray, g: CylGridFunction, R: float) -> np.ndarray:
-    """Mass of {(z,t): |z|^4 + (t-a)^2 < R^4} for every grid-aligned center a.
+def _ball_band(rho: np.ndarray, t: np.ndarray, R: float):
+    """Overlap table of the balls {(z,t): |z|^4 + (t-a)^2 < R^4} centered on
+    the t axis at the grid-aligned heights a, for the nodes (rho, t).
 
-    Balls centered on the t axis are cylindrically symmetric, so the mass is
-    a windowed sum over t per rho row.  Boundary t-cells enter with their
-    fractional overlap, which keeps the map d -> Q(1) continuous on coarse
-    grids instead of jumping a whole cell at a time.  On the uniform t grid
-    the overlap of cell j with the window around t_a depends only on j - a,
-    so one banded table per row serves every center.
+    Balls centered on the t axis are cylindrically symmetric, so a ball's
+    mass is a windowed sum over t per rho row.  Boundary t-cells enter with
+    their fractional overlap, which keeps the map d -> Q(1) continuous on
+    coarse grids instead of jumping a whole cell at a time.  On the uniform
+    t grid the overlap of cell j with the window around t_a depends only on
+    j - a, so one banded table per row serves every center.  Returns
+    (inside, windows): the rows with rho < R, and windows[i, s, j], the
+    share of t-cell j in row inside[i] covered by the ball centered at
+    t[n_t - 1 - s].
     """
-    rho = g.rho_nodes
-    t = g.t_nodes
     inside = rho ** 4 < R ** 4
     h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
     dt = t[1] - t[0]
@@ -153,9 +155,18 @@ def _axis_ball_masses(density: np.ndarray, g: CylGridFunction, R: float) -> np.n
     lo = np.maximum(offset - 0.5 * dt, -h)
     hi = np.minimum(offset + 0.5 * dt, h)
     band = np.clip(hi - lo, 0.0, None) / dt
-    # windows[i, s, j] = band[i, s + j]: offset j - a for s = n_t - 1 - a
-    windows = np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+    return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+
+
+def _band_masses(band, density: np.ndarray) -> np.ndarray:
+    """Ball mass of density around every grid-aligned center, from _ball_band."""
+    inside, windows = band
     return np.einsum("isj,ij->s", windows, density[inside])[::-1]
+
+
+def _axis_ball_masses(density: np.ndarray, g: CylGridFunction, R: float) -> np.ndarray:
+    """Mass of {(z,t): |z|^4 + (t-a)^2 < R^4} for every grid-aligned center a."""
+    return _band_masses(_ball_band(g.rho_nodes, g.t_nodes, R), density)
 
 
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
@@ -164,37 +175,51 @@ def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> flo
     return float(_axis_ball_masses(density, f, R).max())
 
 
-def dilate_grid_function(f: CylGridFunction, d: float, p: float, t_shift: float = 0.0) -> CylGridFunction:
-    """Resample u -> d^(-Q/p) f(delta_{1/d}(z, t - t_shift)) on f's own grid.
+def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
+    """Linear interpolation along one axis: the left node index i of each
+    query point, the weights (w0, w1) of nodes i and i + 1, clipped to hold
+    the end values, and the unclipped w1, which leaves [0, 1] beyond the end
+    nodes."""
+    i = np.clip(np.searchsorted(nodes, query) - 1, 0, nodes.size - 2)
+    w = (query - nodes[i]) / (nodes[i + 1] - nodes[i])
+    w1 = np.clip(w, 0.0, 1.0)
+    return i, 1.0 - w1, w1, w
+
+
+def _resample(
+    values: np.ndarray, rho: np.ndarray, t: np.ndarray, d: float, t_shift: float = 0.0
+) -> np.ndarray:
+    """f(delta_{1/d}(z, t - t_shift)) at the nodes (rho, t) of f's values.
 
     Bilinear interpolation in (log rho, t); values beyond the outer edges
     are taken as zero, values inside the first rho node are held constant
-    (profiles of interest are flat at the axis).  The L^p norm is restored
+    (profiles of interest are flat at the axis).  The query points form a
+    tensor grid, so the interpolation is one 1-D stencil per axis, applied
+    along rho and then along t.  No amplitude factor is applied.
+    """
+    logr = np.log(rho)
+    li, r0, r1, wl = _axis_stencil(logr, logr - math.log(d))
+    beyond = wl > 1.0
+    r0[beyond] = r1[beyond] = 0.0
+    tq = (t - t_shift) / (d * d)
+    ti, c0, c1, _ = _axis_stencil(t, tq)
+    off = (tq < t[0]) | (tq > t[-1])
+    c0[off] = c1[off] = 0.0
+    rows = values[li] * r0[:, None] + values[li + 1] * r1[:, None]
+    return rows[:, ti] * c0 + rows[:, ti + 1] * c1
+
+
+def dilate_grid_function(f: CylGridFunction, d: float, p: float, t_shift: float = 0.0) -> CylGridFunction:
+    """Resample u -> d^(-Q/p) f(delta_{1/d}(z, t - t_shift)) on f's own grid.
+
+    The resampling is bilinear (_resample).  The L^p norm is restored
     exactly afterwards, matching the exact invariance of the continuum
     transform.
     """
     if d <= 0.0:
         raise ValueError("dilation factor must be positive")
     old_norm = lp_norm(f, p)
-    logr = np.log(f.rho_nodes)
-    t = f.t_nodes
-    Lq, Tq = np.meshgrid(logr - math.log(d), (t - t_shift) / (d * d), indexing="ij")
-
-    li = np.clip(np.searchsorted(logr, Lq) - 1, 0, logr.size - 2)
-    ti = np.clip(np.searchsorted(t, Tq) - 1, 0, t.size - 2)
-    wl = (Lq - logr[li]) / (logr[li + 1] - logr[li])
-    wt = (Tq - t[ti]) / (t[ti + 1] - t[ti])
-    wl_in = np.clip(wl, 0.0, 1.0)  # constant extension toward the axis
-    wt = np.clip(wt, 0.0, 1.0)
-    vals = (
-        f.values[li, ti] * (1 - wl_in) * (1 - wt)
-        + f.values[li + 1, ti] * wl_in * (1 - wt)
-        + f.values[li, ti + 1] * (1 - wl_in) * wt
-        + f.values[li + 1, ti + 1] * wl_in * wt
-    )
-    # zero beyond the outer rho edge and beyond the t range
-    vals = np.where(wl > 1.0, 0.0, vals)
-    vals = np.where((Tq < t[0]) | (Tq > t[-1]), 0.0, vals)
+    vals = _resample(f.values, f.rho_nodes, f.t_nodes, d, t_shift)
     out = f.with_values(vals * d ** (-f.Q / p))
     new_norm = lp_norm(out, p)
     if new_norm > 0.0 and old_norm > 0.0:
@@ -211,20 +236,28 @@ def renormalize_concentration(
     d -> Q(1) of the dilated profile is monotone in the continuum (larger
     d spreads mass), so bisection applies; on grids too coarse to resolve
     the unit ball the discrete map can wiggle, and a log-ladder scan then
-    locates the crossing nearest d = 1 first.  Returns (profile, d, a)
-    with the L^p norm preserved exactly.
+    locates the crossing nearest d = 1 first.  The bisection stops once
+    Q(1) is within Q1_TOL of 1/2 or the bracket has closed to adjacent
+    doubles.  Returns (profile, d, a) with the L^p norm preserved exactly.
+
+    Each probe of Q(1) at a trial d resamples the values (_resample) and
+    divides the largest unit-ball mass by the total mass: the factor
+    d^(-Q/p) and the norm restore of dilate_grid_function cancel in that
+    ratio, and the ball overlap table is built once per call.  Only the
+    final d builds a grid function.
     """
     p = params.p
     nrm = lp_norm(f, p)
     if nrm == 0.0:
         raise ValueError("cannot renormalize the zero function")
     work = f.with_values(f.values / nrm)
+    rho, t = work.rho_nodes, work.t_nodes
+    band = _ball_band(rho, t, 1.0)
 
     # grid-aligned t-recentering: roll is exact, no interpolation
     density = work.weights * np.abs(work.values) ** p
-    masses = _axis_ball_masses(density, work, 1.0)
+    masses = _band_masses(band, density)
     best = np.flatnonzero(masses >= masses.max() * (1.0 - TIE_RTOL))
-    t = work.t_nodes
     center_idx = best[np.argmin(np.abs(t[best]))]
     mid_idx = int(np.argmin(np.abs(t)))
     shift_nodes = center_idx - mid_idx
@@ -242,7 +275,9 @@ def renormalize_concentration(
         work.values /= renorm
 
     def q1_of(d: float) -> float:
-        return levy_concentration_grid(dilate_grid_function(work, d, p), p, 1.0)
+        density = work.weights * np.abs(_resample(work.values, rho, t, d)) ** p
+        total = float(np.sum(density))
+        return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
 
     target = 0.5
     d_lo, d_hi = 1.0, 1.0
@@ -281,10 +316,10 @@ def renormalize_concentration(
                     "vanishing-type failure: no dilation reaches Q(1) = 1/2"
                 )
             d_lo = d_hi = float(ladder[best])
-    for _ in range(200):
-        if d_lo == d_hi:
-            break
+    while d_lo != d_hi:
         d_mid = math.sqrt(d_lo * d_hi)
+        if d_mid == d_lo or d_mid == d_hi:
+            break  # adjacent doubles: every later midpoint repeats an end
         q_mid = q1_of(d_mid)
         if abs(q_mid - target) <= Q1_TOL:
             d_lo = d_hi = d_mid
@@ -370,7 +405,7 @@ def align(
     ghat = g.with_values(g.values / ng)
 
     def residual(d, a):
-        moved = dilate_grid_function(ghat, d, p, t_shift=a)
+        moved = ghat.with_values(_resample(ghat.values, ghat.rho_nodes, ghat.t_nodes, d, a))
         moved.values /= lp_norm(moved, p)
         return lp_norm(fhat.with_values(fhat.values - moved.values), p)
 

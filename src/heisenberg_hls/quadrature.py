@@ -39,6 +39,11 @@ One row assembler turns a nodal kernel row into these weights for both
 callers: the kernel table (one row per rho node, the evaluation point at
 tau = 0 on the tau lattice) and point evaluation (`weights_row`, any
 (rho0, t0)).  At a lattice node the two therefore give the same weights.
+
+The sum over j' is a correlation along t, so the table is applied in
+Fourier space: it caches the rfft of A along k, and an apply costs one
+rfft of the values, one batched matmul over the frequencies and one irfft
+instead of a loop over i.
 """
 
 from __future__ import annotations
@@ -207,21 +212,36 @@ class KernelTable:
     A[i, i', k] is the quadrature weight of node (i', j') in the evaluation
     of I_lam f at node (i, j), with k = j' - j + (n_t - 1).  spec is None for
     a table built from the nodes of a grid function without one.
+
+    The sum over j' is a correlation along t, so apply multiplies in
+    Fourier space.  The table keeps the rfft of A along k at the even
+    length 2 n_t, frequency-major so that each frequency's (i, i') block is
+    contiguous; it takes about as many bytes as A.
     """
 
     spec: GridSpec | None
     lam: float
     A: np.ndarray
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        n_rho, n_t = values.shape
-        out = np.empty((n_rho, n_t))
+    def __post_init__(self):
+        n_rho, _, L = self.A.shape
+        self._nfft = L + 1
+        # filled one row at a time: no full-size temporary beside A and A_hat
+        self._A_hat = np.empty((self._nfft // 2 + 1, n_rho, n_rho), dtype=complex)
         for i in range(n_rho):
-            win = np.lib.stride_tricks.sliding_window_view(self.A[i], n_t, axis=-1)
-            # win[i', s, j'] = A[i, i', s + j'];  out[i, j] = tmp[n_t-1-j]
-            tmp = np.einsum("bsk,bk->s", win, values)
-            out[i] = tmp[::-1]
-        return out
+            self._A_hat[:, i, :] = np.fft.rfft(self.A[i], self._nfft).T
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """I_lam f at every node, for the values of f on the table's grid:
+        one rfft, one batched matmul over the frequencies, one irfft."""
+        n_t = values.shape[1]
+        # with v_rev[m] = values[n_t - 1 - m], out[:, j] is the convolution
+        # A * v_rev at lag K = 2 n_t - 2 - j; for those lags K - m stays in
+        # [0, 2 n_t - 2], so a circular convolution of any length >= the
+        # 2 n_t - 1 entries of A has no wrap-around there
+        v_hat = np.fft.rfft(values[:, ::-1], self._nfft)
+        conv = np.fft.irfft((self._A_hat @ v_hat.T[:, :, None])[:, :, 0].T, self._nfft)
+        return conv[:, n_t - 1 : 2 * n_t - 1][:, ::-1]
 
 
 def _nodal_kbar(rho, delta, tau, lam):

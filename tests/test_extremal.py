@@ -9,6 +9,7 @@ from heisenberg_hls.constants import (
     diagonal_params,
     theorem2_upper_bound,
 )
+from heisenberg_hls import extremal
 from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
@@ -282,6 +283,50 @@ def test_off_diagonal_search(p):
     assert q <= theorem2_upper_bound(1, 2.0, params.r, params.s)
     _, q_dilated, _ = maximize(params, dilate_grid_function(start, 1.6, p))
     assert q_dilated == pytest.approx(q, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "p, q_found, n_records",
+    [
+        (4.0 / 3.0, 3.99117391018437, 7),
+        (1.15, 4.49127313570518, 5),
+        (1.6, 4.49772818467991, 8),
+        (1.85, 5.80913900970627, 4),
+    ],
+)
+def test_search_results_pinned(p, q_found, n_records):
+    # the four searches of the benchmark's search workload; a change to the
+    # search that moves these numbers has to show it here
+    params = PARAMS if p == 4.0 / 3.0 else derive_conjugates(1, 2.0, p)
+    _, q, trace = maximize(params, gaussian_profile(SMALL))
+    assert q == pytest.approx(q_found, rel=1e-10)
+    assert len(trace.iterations) == n_records
+    assert trace.stop_reason == "no_ascent"
+
+
+def test_bisection_stops_at_adjacent_doubles(monkeypatch):
+    # at p = 1.85 three renormalizations fall back to the 81-point ladder and
+    # return d = 0.2335; their bisections close to adjacent doubles without
+    # meeting Q1_TOL and must stop there instead of re-probing one point
+    calls = [0]
+    runs = []
+    resample, renormalize = extremal._resample, extremal.renormalize_concentration
+
+    def counting_resample(*args, **kwargs):
+        calls[0] += 1
+        return resample(*args, **kwargs)
+
+    def recording_renormalize(f, params):
+        before = calls[0]
+        out = renormalize(f, params)
+        runs.append((calls[0] - before - 1, out[1]))  # less the final dilation
+        return out
+
+    monkeypatch.setattr(extremal, "_resample", counting_resample)
+    monkeypatch.setattr(extremal, "renormalize_concentration", recording_renormalize)
+    maximize(derive_conjugates(1, 2.0, 1.85), gaussian_profile(SMALL))
+    assert max(probes for probes, _ in runs) <= 170
+    assert sum(d == pytest.approx(0.2335, abs=5e-5) for _, d in runs) == 3
 
 
 class TestAlign:

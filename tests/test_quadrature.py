@@ -17,6 +17,7 @@ from heisenberg_hls.grids import (
 )
 from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
+    _table_for,
     angular_average_kernel,
     bilinear_energy,
     build_kernel_table,
@@ -352,6 +353,43 @@ def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
 
     return sum(
         quad(inner, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0] for a, b in pieces(d_lo, d_hi)
+    )
+
+
+def correlate_by_windows(A, values):
+    """KernelTable.apply as a direct sum: one sliding-window correlation
+    along t per evaluation radius."""
+    n_rho, n_t = values.shape
+    out = np.empty((n_rho, n_t))
+    for i in range(n_rho):
+        win = np.lib.stride_tricks.sliding_window_view(A[i], n_t, axis=-1)
+        # win[i', s, j'] = A[i, i', s + j'];  out[i, j] = tmp[n_t-1-j]
+        out[i] = np.einsum("bsk,bk->s", win, values)[::-1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, lam",
+    [
+        (SMALL, 2.0),
+        (GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0), 3.0),
+        (GridSpec(), 2.0),
+        (None, 2.0),
+    ],
+    ids=["28x56", "9x7", "64x128", "no-spec"],
+)
+def test_apply_matches_window_correlation(spec, lam):
+    if spec is None:
+        # a function without a spec: the table is built on its own nodes
+        rho, t = np.linspace(0.1, 3.0, 8), np.linspace(-3.0, 3.0, 9)
+        ones = np.ones((rho.size, t.size))
+        table = _table_for(CylGridFunction(1, rho, t, ones, ones), lam)
+    else:
+        table = kernel_table(spec, lam)
+    n_rho, n_tau = table.A.shape[1:]
+    values = np.random.default_rng(n_rho).random((n_rho, (n_tau + 1) // 2))
+    np.testing.assert_allclose(
+        table.apply(values), correlate_by_windows(table.A, values), rtol=1e-13, atol=0.0
     )
 
 
