@@ -303,7 +303,7 @@ def _load_grid_file(path: str, spec_n: int):
     for key in ("rho_nodes", "t_nodes", "values"):
         if key not in data:
             _fail(EXIT_IO, f"grid file {path} missing array {key!r}")
-    from .grids import CylGridFunction, build_weights
+    from .grids import CylGridFunction
 
     rho = data["rho_nodes"]
     t = data["t_nodes"]
@@ -320,7 +320,7 @@ def _load_grid_file(path: str, spec_n: int):
         n_t=t.size,
         t_max=float(t[-1]),
     )
-    # weights and kernel table come from the spec, so its nodes must be the file's
+    # the values are read onto the spec's grid, so its nodes must be the file's
     for key, nodes in (("rho_nodes", spec.rho_nodes()), ("t_nodes", spec.t_nodes())):
         dev = float(np.max(np.abs(data[key] - nodes))) / float(np.max(np.abs(nodes)))
         if not dev <= 1e-12:
@@ -330,7 +330,7 @@ def _load_grid_file(path: str, spec_n: int):
                 "(relative); rho_nodes must be geomspace(rho_min, rho_max, n_rho) "
                 "and t_nodes linspace(-t_max, t_max, n_t)",
             )
-    return CylGridFunction(spec_n, rho, t, data["values"], build_weights(spec), spec)
+    return CylGridFunction(spec, data["values"])
 
 
 def cmd_evaluate(args) -> int:

@@ -14,7 +14,8 @@ Exponents: the operator form sup_{|f|_p=1} |I_lam f|_q is governed by
     1/q = 1/p - (Q - lam)/Q,      1 < p < Q/(Q - lam),
 
 and translates to the bilinear form on L^r x L^s through r = q/(q-1),
-s = p, which gives 1/r + 1/s + lam/Q = 2 identically.
+s = p, which gives 1/r + 1/s + lam/Q = 2 identically.  `HlsParams` stores
+only (n, lam, p) and derives Q, q, r and s from them where they are read.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from scipy.special import gammaln
 
 from .group import homogeneous_dimension
 
-#: Tolerance for the linear exponent relations.  Inputs violating them by
-#: more than this are rejected, never projected.
+#: Margin of the admissible p range and tolerance of the bilinear relation
+#: 1/r + 1/s + lam/Q = 2.  Inputs violating them are rejected, never projected.
 ADMISSIBILITY_TOL = 1e-12
 
 #: Lieb diagonal constant variant shipped as default.  The printed form uses
@@ -43,97 +44,72 @@ def log_gamma(x: float) -> float:
     return float(gammaln(x))
 
 
+def check_lambda(lam: float, Q: float, label: str = "Q"):
+    """Raise ValueError unless 0 < lam < Q (label names Q in the message)."""
+    if not (0.0 < lam < Q):
+        raise ValueError(f"lambda must lie in (0, {label}) = (0, {Q}), got {lam}")
+
+
 @dataclass(frozen=True)
 class HlsParams:
-    """Exponent tuple (n, Q, lam, p, q, r, s) for the Heisenberg HLS problem."""
+    """Exponent tuple of the Heisenberg HLS problem, fixed by (n, lam, p).
+
+    Q = 2n + 2, q (1/q = 1/p - (Q - lam)/Q), r = q/(q - 1) and s = p are
+    derived on access.  Construction rejects n that is not a positive
+    integer, lam outside (0, Q) and p outside (1, Q/(Q - lam)), where q
+    would be nonpositive or infinite; inputs are never projected.
+    """
 
     n: int
-    Q: int
     lam: float
     p: float
-    q: float
-    r: float
-    s: float
 
-    def validate(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.Q != homogeneous_dimension(self.n):
-            raise ValueError(f"Q must equal 2n+2 = {homogeneous_dimension(self.n)}")
-        if not (0.0 < self.lam < self.Q):
-            raise ValueError(f"lambda must lie in (0, Q) = (0, {self.Q}), got {self.lam}")
-        if not (1.0 < self.p < self.Q / (self.Q - self.lam)):
-            raise ValueError(
-                f"p must lie in (1, Q/(Q-lambda)) = (1, {self.Q / (self.Q - self.lam)}), got {self.p}"
-            )
-        if not (self.q > 1.0 and math.isfinite(self.q)):
-            raise ValueError(f"q must be finite and > 1, got {self.q}")
-        if abs(1.0 / self.q - (1.0 / self.p - (self.Q - self.lam) / self.Q)) > ADMISSIBILITY_TOL:
-            raise ValueError("q does not satisfy 1/q = 1/p - (Q-lambda)/Q")
-        if abs(self.r - self.q / (self.q - 1.0)) > ADMISSIBILITY_TOL * max(1.0, self.r):
-            raise ValueError("r must equal the conjugate q/(q-1)")
-        if abs(self.s - self.p) > ADMISSIBILITY_TOL:
-            raise ValueError("s must equal p")
-        bilinear = 1.0 / self.r + 1.0 / self.s + self.lam / self.Q
-        if abs(bilinear - 2.0) > ADMISSIBILITY_TOL:
-            raise ValueError(f"bilinear condition 1/r+1/s+lambda/Q = 2 violated: {bilinear}")
-        return self
+    def __post_init__(self):
+        if self.n < 1 or int(self.n) != self.n:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+        Q = self.Q
+        check_lambda(self.lam, Q)
+        p_max = Q / (Q - self.lam)
+        if not (1.0 + ADMISSIBILITY_TOL < self.p < p_max - ADMISSIBILITY_TOL):
+            raise ValueError(f"p must lie in (1, Q/(Q-lambda)) = (1, {p_max}), got {self.p}")
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "p", float(self.p))
+
+    @property
+    def Q(self) -> int:
+        return homogeneous_dimension(self.n)
+
+    @property
+    def q(self) -> float:
+        Q = self.Q
+        return 1.0 / (1.0 / self.p - (Q - self.lam) / Q)
+
+    @property
+    def r(self) -> float:
+        q = self.q
+        return q / (q - 1.0)
+
+    @property
+    def s(self) -> float:
+        return self.p
 
     @property
     def is_diagonal(self) -> bool:
         return abs(self.r - self.s) <= 1e-12
 
 
-@dataclass(frozen=True)
-class EuclideanParams:
-    """Exponents (N, lam, r, s) for the Euclidean bilinear HLS form."""
-
-    N: int
-    lam: float
-    r: float
-    s: float
-
-    def validate(self):
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
-        if not (0.0 < self.lam < self.N):
-            raise ValueError(f"lambda must lie in (0, N), got {self.lam}")
-        if not (1.0 < self.r < math.inf and 1.0 < self.s < math.inf):
-            raise ValueError("r and s must lie in (1, infinity)")
-        bilinear = 1.0 / self.r + 1.0 / self.s + self.lam / self.N
-        if abs(bilinear - 2.0) > ADMISSIBILITY_TOL:
-            raise ValueError(f"bilinear condition 1/r+1/s+lambda/N = 2 violated: {bilinear}")
-        return self
-
-
 def derive_conjugates(n: int, lam: float, p: float) -> HlsParams:
-    """Populate the full exponent tuple from (n, lambda, p).
-
-    q is determined by 1/q = 1/p - (Q-lambda)/Q; then r = q/(q-1) and s = p.
-    p outside (1, Q/(Q-lambda)) makes q nonpositive or infinite and is
-    rejected.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    Q = homogeneous_dimension(int(n))
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
-    p_max = Q / (Q - lam)
-    if not (1.0 + ADMISSIBILITY_TOL < p and p < p_max - ADMISSIBILITY_TOL):
-        raise ValueError(f"p must lie in (1, Q/(Q-lambda)) = (1, {p_max}), got {p}")
-    inv_q = 1.0 / p - (Q - lam) / Q
-    q = 1.0 / inv_q
-    r = q / (q - 1.0)
-    return HlsParams(n=int(n), Q=Q, lam=float(lam), p=float(p), q=q, r=r, s=float(p)).validate()
+    """The exponent tuple of (n, lambda, p); see HlsParams."""
+    return HlsParams(n, lam, p)
 
 
 def diagonal_params(n: int, lam: float) -> HlsParams:
     """Exponents of the diagonal case r = s = 2Q/(2Q-lambda), where the sharp
     constant and extremal profile are known in closed form."""
     Q = homogeneous_dimension(int(n))
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
-    return derive_conjugates(n, lam, 2.0 * Q / (2.0 * Q - lam))
+    check_lambda(lam, Q)  # before p is formed, which divides by zero at lam = 2Q
+    return HlsParams(n, lam, 2.0 * Q / (2.0 * Q - lam))
 
 
 def frank_lieb_constant(n: int, lam: float) -> float:
@@ -147,8 +123,7 @@ def frank_lieb_constant(n: int, lam: float) -> float:
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     Q = homogeneous_dimension(int(n))
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
+    check_lambda(lam, Q)
     log_vol_factor = (n + 1) * math.log(math.pi) - (n - 1) * math.log(2.0) - log_gamma(n + 1.0)
     lg = (
         (lam / Q) * log_vol_factor
@@ -160,8 +135,7 @@ def frank_lieb_constant(n: int, lam: float) -> float:
 
 
 def _check_bilinear(dim_label: str, dim: float, lam: float, r: float, s: float):
-    if not (0.0 < lam < dim):
-        raise ValueError(f"lambda must lie in (0, {dim_label}) = (0, {dim}), got {lam}")
+    check_lambda(lam, dim, dim_label)
     if not (1.0 < r < math.inf and 1.0 < s < math.inf):
         raise ValueError("r and s must lie in (1, infinity)")
     bilinear = 1.0 / r + 1.0 / s + lam / dim
@@ -201,8 +175,7 @@ def lieb_diagonal_constant(N: int, lam: float, variant: str = DEFAULT_LIEB_VARIA
     """
     if N < 1 or int(N) != N:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if not (0.0 < lam < N):
-        raise ValueError(f"lambda must lie in (0, N) = (0, {N}), got {lam}")
+    check_lambda(lam, N, "N")
     if variant == "standard":
         e = lam / 2.0
     elif variant == "paper":

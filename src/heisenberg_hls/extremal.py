@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HlsParams
-from .grids import CylGridFunction, GridSpec, lp_norm, sample
+from .constants import HlsParams, check_lambda
+from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from .group import homogeneous_dimension
 from .quadrature import fractional_integral_grid, hls_quotient
 
@@ -38,8 +38,7 @@ from .quadrature import fractional_integral_grid, hls_quotient
 def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
     """The closed-form diagonal extremal sampled on the grid."""
     Q = homogeneous_dimension(n)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
+    check_lambda(lam, Q)
     if spec.n != n:
         raise ValueError("grid spec dimension does not match n")
     expo = (2.0 * Q - lam) / 4.0
@@ -247,10 +246,7 @@ def renormalize_concentration(
     final d builds a grid function.
     """
     p = params.p
-    nrm = lp_norm(f, p)
-    if nrm == 0.0:
-        raise ValueError("cannot renormalize the zero function")
-    work = f.with_values(f.values / nrm)
+    work = normalized(f, p)
     rho, t = work.rho_nodes, work.t_nodes
     band = _ball_band(rho, t, 1.0)
 
@@ -330,7 +326,7 @@ def renormalize_concentration(
             d_hi = d_mid
     d = math.sqrt(d_lo * d_hi)
     out = dilate_grid_function(work, d, p)
-    out.values *= nrm / lp_norm(out, p)
+    out.values *= lp_norm(f, p) / lp_norm(out, p)
     return out, d, a
 
 
@@ -348,14 +344,13 @@ def maximize(
     less than rtol over STALL_WINDOW iterations, or at max_iter;
     trace.stop_reason says which ("no_ascent", "stall", "max_iter").
     """
-    params.validate()
     if not np.any(init.values != 0.0):
         raise ValueError("initialization must be nonzero")
     if np.any(init.values < 0.0):
         raise ValueError("initialization must be nonnegative")
 
     p = params.p
-    f = init.with_values(init.values / lp_norm(init, p))
+    f = normalized(init, p)
     f, _, _ = renormalize_concentration(f, params)
     quotient = hls_quotient(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
@@ -398,11 +393,8 @@ def align(
     L^p normalization, so the residual is scale invariant.  Returns
     (d, a, rel_error).
     """
-    nf, ng = lp_norm(f, p), lp_norm(g, p)
-    if nf == 0.0 or ng == 0.0:
-        raise ValueError("align requires nonzero inputs")
-    fhat = f.with_values(f.values / nf)
-    ghat = g.with_values(g.values / ng)
+    fhat = normalized(f, p)
+    ghat = normalized(g, p)
 
     def residual(d, a):
         moved = ghat.with_values(_resample(ghat.values, ghat.rho_nodes, ghat.t_nodes, d, a))

@@ -9,10 +9,15 @@ t nodes.  The quadrature weight of node (i, j) is the measure of its cell,
 with omega_{2n-1} = 2 pi^n / (n-1)! the area of the unit sphere in R^(2n).
 rho cell edges sit at the geometric means of consecutive nodes, so composite
 quadrature is uniform in log(rho); t cells have constant width dt.
+
+A `GridSpec` fixes the grid.  A `CylGridFunction` is a spec plus its
+values: nodes and weights are built once per spec and shared, read-only,
+by every function on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,8 +34,8 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameters of a (rho, t) tensor grid; hashable so kernel tables can be
-    cached per (spec, lambda)."""
+    """Parameters of a (rho, t) tensor grid; hashable so nodes and weights
+    can be cached per spec and kernel tables per (spec, lambda)."""
 
     n: int = 1
     n_rho: int = 64
@@ -74,61 +79,6 @@ def rho_cell_edges(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([[lo], inner, [hi]])
 
 
-@dataclass
-class CylGridFunction:
-    """Samples of a cylindrically symmetric function with quadrature weights.
-
-    values[i, j] = f(rho_nodes[i], t_nodes[j]); weights carry the full
-    cylindrical measure so that sums against weights approximate integrals
-    over H^n.
-    """
-
-    n: int
-    rho_nodes: np.ndarray
-    t_nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    spec: GridSpec | None = None
-
-    def __post_init__(self):
-        self.rho_nodes = np.asarray(self.rho_nodes, dtype=float)
-        self.t_nodes = np.asarray(self.t_nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.rho_nodes.ndim != 1 or np.any(np.diff(self.rho_nodes) <= 0) or self.rho_nodes[0] <= 0:
-            raise ValueError("rho_nodes must be strictly increasing and positive")
-        if self.t_nodes.ndim != 1 or np.any(np.diff(self.t_nodes) <= 0):
-            raise ValueError("t_nodes must be strictly increasing")
-        shape = (self.rho_nodes.size, self.t_nodes.size)
-        if self.values.shape != shape or self.weights.shape != shape:
-            raise ValueError(f"values and weights must have shape {shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-        if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be nonnegative and finite")
-
-    @property
-    def Q(self) -> int:
-        return homogeneous_dimension(self.n)
-
-    def same_grid(self, other: "CylGridFunction") -> bool:
-        return (
-            self.n == other.n
-            and self.rho_nodes.shape == other.rho_nodes.shape
-            and self.t_nodes.shape == other.t_nodes.shape
-            and np.array_equal(self.rho_nodes, other.rho_nodes)
-            and np.array_equal(self.t_nodes, other.t_nodes)
-        )
-
-    def with_values(self, values: np.ndarray) -> "CylGridFunction":
-        return CylGridFunction(
-            self.n, self.rho_nodes, self.t_nodes, values, self.weights, self.spec
-        )
-
-    def copy(self) -> "CylGridFunction":
-        return self.with_values(self.values.copy())
-
-
 def build_weights(spec: GridSpec) -> np.ndarray:
     rho = spec.rho_nodes()
     edges = rho_cell_edges(rho)
@@ -137,15 +87,70 @@ def build_weights(spec: GridSpec) -> np.ndarray:
     return np.outer(radial, np.full(spec.n_t, spec.dt))
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_arrays(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho nodes, t nodes, weights) of spec, built once and read-only, so
+    every grid function on spec shares them."""
+    arrays = spec.rho_nodes(), spec.t_nodes(), build_weights(spec)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass
+class CylGridFunction:
+    """Samples of a cylindrically symmetric function on the grid of spec.
+
+    values[i, j] = f(rho_nodes[i], t_nodes[j]); weights carry the full
+    cylindrical measure so that sums against weights approximate integrals
+    over H^n.  Nodes and weights come from spec and are shared, read-only,
+    by every function on it.
+    """
+
+    spec: GridSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        self._rho, self._t, self._w = _grid_arrays(self.spec)
+        self.values = np.asarray(self.values, dtype=float)
+        shape = (self.spec.n_rho, self.spec.n_t)
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @property
+    def Q(self) -> int:
+        return homogeneous_dimension(self.spec.n)
+
+    @property
+    def rho_nodes(self) -> np.ndarray:
+        return self._rho
+
+    @property
+    def t_nodes(self) -> np.ndarray:
+        return self._t
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w
+
+    def same_grid(self, other: "CylGridFunction") -> bool:
+        return self.spec == other.spec
+
+    def with_values(self, values: np.ndarray) -> "CylGridFunction":
+        return CylGridFunction(self.spec, values)
+
+    def copy(self) -> "CylGridFunction":
+        return self.with_values(self.values.copy())
+
+
 def empty_grid_function(spec: GridSpec) -> CylGridFunction:
-    return CylGridFunction(
-        spec.n,
-        spec.rho_nodes(),
-        spec.t_nodes(),
-        np.zeros((spec.n_rho, spec.n_t)),
-        build_weights(spec),
-        spec,
-    )
+    return CylGridFunction(spec, np.zeros((spec.n_rho, spec.n_t)))
 
 
 def sample(func, spec: GridSpec) -> CylGridFunction:

@@ -153,8 +153,3 @@ def multiply_coords(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     out[:, 2 * n] = u[:, 2 * n] + v[:, 2 * n] + 2.0 * twist
     return out
 
-
-def distance_coords(u: np.ndarray, pts: np.ndarray, n: int) -> np.ndarray:
-    """Distances |u^-1 v| from a single point u to each row of pts."""
-    u = np.asarray(u, dtype=float).reshape(1, -1)
-    return norm_coords(multiply_coords(-u, pts, n), n)

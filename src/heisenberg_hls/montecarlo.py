@@ -33,7 +33,7 @@ import numpy as np
 
 from .group import ball_volume as heis_ball_volume
 from .group import multiply_coords, norm_coords
-from .constants import log_gamma
+from .constants import check_lambda, log_gamma
 
 # proposal shapes: the near-diagonal w component lives on (0, R0], both
 # Pareto components decay with tail exponent ALPHA, and the u proposal's
@@ -189,8 +189,7 @@ def mc_bilinear_energy(
     if workers > samples:
         raise ValueError(f"workers ({workers}) must not exceed samples ({samples})")
     geom = Geometry(geometry, n)
-    if not (0.0 < lam < geom.Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {geom.Q}), got {lam}")
+    check_lambda(lam, geom.Q)
 
     u_prop = ParetoBall(geom, U_SCALE, ALPHA)
     w_broad = ParetoBall(geom, R0, ALPHA)

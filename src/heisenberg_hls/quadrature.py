@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipk, hyp2f1
 
-from .constants import HlsParams
+from .constants import HlsParams, check_lambda
 from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
 from .group import GroupPoint, distance, homogeneous_dimension
 
@@ -64,9 +64,7 @@ _TWO_PI = 2.0 * math.pi
 
 def riesz_kernel(u: GroupPoint, v: GroupPoint, lam: float) -> float:
     """Kernel |u^-1 v|^(-lam); returns +inf at u = v (signaled, not raised)."""
-    Q = homogeneous_dimension(u.n)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
+    check_lambda(lam, homogeneous_dimension(u.n))
     d = distance(u, v)
     if d == 0.0:
         return math.inf
@@ -112,8 +110,7 @@ def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> f
 
     The exact singular point rho = rho', tau = 0 returns +inf.
     """
-    if not (0.0 < lam < 4.0):
-        raise ValueError(f"lambda must lie in (0, 4) for n = 1, got {lam}")
+    check_lambda(lam, 4)
     if rho < 0.0 or rho2 < 0.0:
         raise ValueError("radii must be nonnegative")
     return float(kbar_many(rho, rho2 - rho, tau, lam)[0])
@@ -210,8 +207,9 @@ class KernelTable:
     """Product-integration tensor for (I_lam f) on a fixed grid, n = 1.
 
     A[i, i', k] is the quadrature weight of node (i', j') in the evaluation
-    of I_lam f at node (i, j), with k = j' - j + (n_t - 1).  spec is None for
-    a table built from the nodes of a grid function without one.
+    of I_lam f at node (i, j), with k = j' - j + (n_t - 1).  Tables are
+    built from a GridSpec (build_kernel_table) and cached per (spec, lam)
+    (kernel_table).
 
     The sum over j' is a correlation along t, so apply multiplies in
     Fourier space.  The table keeps the rfft of A along k at the even
@@ -219,8 +217,6 @@ class KernelTable:
     contiguous; it takes about as many bytes as A.
     """
 
-    spec: GridSpec | None
-    lam: float
     A: np.ndarray
 
     def __post_init__(self):
@@ -339,9 +335,7 @@ def _table_weights(rho, dt, n_t, lam):
 
 
 def _check_deterministic(n: int, lam: float):
-    Q = homogeneous_dimension(n)
-    if not (0.0 < lam < Q):
-        raise ValueError(f"lambda must lie in (0, Q) = (0, {Q}), got {lam}")
+    check_lambda(lam, homogeneous_dimension(n))
     if n != 1:
         raise ValueError("deterministic path requires n = 1; use the Monte Carlo path")
 
@@ -349,7 +343,7 @@ def _check_deterministic(n: int, lam: float):
 def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
     _check_deterministic(spec.n, lam)
     A = _table_weights(spec.rho_nodes(), spec.dt, spec.n_t, lam)
-    return KernelTable(spec=spec, lam=lam, A=A)
+    return KernelTable(A)
 
 
 _TABLE_CACHE: dict = {}
@@ -368,28 +362,13 @@ def clear_table_cache():
     _TABLE_CACHE.clear()
 
 
-def _uniform_dt(t: np.ndarray) -> float:
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-10, atol=0.0):
-        raise ValueError("the deterministic operator requires a uniform t grid")
-    return float(dt)
-
-
-def _table_for(f: CylGridFunction, lam: float) -> KernelTable:
-    if f.spec is not None:
-        return kernel_table(f.spec, lam)
-    _check_deterministic(f.n, lam)
-    A = _table_weights(f.rho_nodes, _uniform_dt(f.t_nodes), f.t_nodes.size, lam)
-    return KernelTable(spec=None, lam=lam, A=A)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
 def fractional_integral_grid(f: CylGridFunction, lam: float) -> CylGridFunction:
     """I_lam f sampled on f's own grid (deterministic path, n = 1)."""
-    table = _table_for(f, lam)
+    table = kernel_table(f.spec, lam)
     return f.with_values(table.apply(f.values))
 
 
@@ -398,7 +377,7 @@ def weights_row(f: CylGridFunction, lam: float, rho0: float, t0: float) -> np.nd
     _check_deterministic(f.n, lam)
     rho = f.rho_nodes
     t = f.t_nodes
-    dt = _uniform_dt(t)
+    dt = f.spec.dt
     n = rho.size * t.size
     K = _nodal_kbar(np.full(n, rho0), np.repeat(rho - rho0, t.size), np.tile(t - t0, rho.size), lam)
     return _row_weights(lam, rho0, t0, rho, t, dt, K.reshape(rho.size, t.size))
@@ -421,7 +400,7 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
     """
     if not f.same_grid(g):
         raise ValueError("f and g must live on the same grid")
-    table = _table_for(f, lam)
+    table = kernel_table(f.spec, lam)
     If = table.apply(f.values)
     Ig = table.apply(g.values)
     e1 = float(np.sum(f.weights * g.values * If))
@@ -431,7 +410,6 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
 
 def hls_quotient(f: CylGridFunction, params: HlsParams) -> float:
     """Discrete |I_lam f|_q / |f|_p for the exponent tuple params."""
-    params.validate()
     if not np.any(f.values != 0.0):
         raise ValueError("hls_quotient requires a nonzero function")
     If = fractional_integral_grid(f, params.lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from heisenberg_hls.constants import (
     DEFAULT_LIEB_VARIANT,
-    EuclideanParams,
+    HlsParams,
     derive_conjugates,
     diagonal_params,
     frank_lieb_constant,
@@ -83,6 +84,43 @@ class TestDeriveConjugates:
         assert tup.p == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert tup.q == pytest.approx(4.0, rel=1e-14)
         assert tup.is_diagonal
+
+
+class TestHlsParams:
+    def test_stores_only_n_lambda_p(self):
+        assert [f.name for f in dataclasses.fields(HlsParams)] == ["n", "lam", "p"]
+
+    @pytest.mark.parametrize(
+        "tup, q, r, s",
+        [
+            (derive_conjugates(1, 2.0, 1.6), 8.0, 1.1428571428571428, 1.6),
+            (derive_conjugates(1, 2.0, 1.15), 2.7058823529411757, 1.5862068965517244, 1.15),
+            (diagonal_params(2, 3.0), 4.0, 1.3333333333333333, 1.3333333333333333),
+            (diagonal_params(1, 0.7), 11.428571428571411, 1.0958904109589043, 1.095890410958904),
+        ],
+    )
+    def test_derived_exponents_pinned(self, tup, q, r, s):
+        # the values of the seven-field tuple these replace, bit for bit
+        assert (tup.q, tup.r, tup.s) == (q, r, s)
+
+    def test_normalizes_types(self):
+        tup = HlsParams(1.0, 2, 1.6)
+        assert type(tup.n) is int and type(tup.lam) is float and tup.Q == 4
+
+    @pytest.mark.parametrize(
+        "n, lam, p, match",
+        [
+            (0, 2.0, 1.6, "n must be"),
+            (1.5, 2.0, 1.6, "n must be"),
+            (1, 0.0, 1.6, "lambda must lie"),
+            (1, 4.0, 1.6, "lambda must lie"),
+            (1, 2.0, 1.0, "p must lie"),
+            (1, 2.0, 2.0, "p must lie"),
+        ],
+    )
+    def test_rejects_at_construction(self, n, lam, p, match):
+        with pytest.raises(ValueError, match=match):
+            HlsParams(n, lam, p)
 
 
 class TestFrankLiebConstant:
@@ -197,12 +235,3 @@ class TestDominance:
                 assert lieb_loss_upper_bound(N, lam, r, r) > lieb_diagonal_constant(
                     N, lam, DEFAULT_LIEB_VARIANT
                 )
-
-
-class TestEuclideanParams:
-    def test_validate(self):
-        EuclideanParams(3, 2.0, 1.5, 1.5).validate()
-        with pytest.raises(ValueError):
-            EuclideanParams(3, 2.0, 1.5, 1.6).validate()
-        with pytest.raises(ValueError):
-            EuclideanParams(3, 3.5, 1.5, 1.5).validate()

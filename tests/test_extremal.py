@@ -1,10 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from heisenberg_hls.constants import (
-    HlsParams,
     derive_conjugates,
     diagonal_params,
     theorem2_upper_bound,
@@ -97,7 +97,9 @@ class TestEulerLagrangeStep:
         # with p = q = 2 the step is one power iteration on I o I
         from heisenberg_hls.quadrature import fractional_integral_grid
 
-        params = HlsParams(n=1, Q=4, lam=2.0, p=2.0, q=2.0, r=2.0, s=2.0)
+        # p = 2 is outside (1, Q/(Q - lam)) = (1, 2), so HlsParams rejects
+        # it; the step reads only lam, p and q
+        params = SimpleNamespace(lam=2.0, p=2.0, q=2.0)
         f = normalized(gaussian_profile(SMALL), 2.0)
         out = euler_lagrange_step(f, params)
         ref = fractional_integral_grid(fractional_integral_grid(f, 2.0), 2.0)

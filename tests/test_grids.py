@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestValidation:
         spec = GridSpec(n_rho=8, n_t=8)
         g = empty_grid_function(spec)
         with pytest.raises(ValueError):
-            CylGridFunction(1, g.rho_nodes, g.t_nodes, np.zeros((3, 3)), g.weights)
+            CylGridFunction(spec, np.zeros((3, 3)))
 
     def test_rejects_nonfinite_values(self):
         g = empty_grid_function(GridSpec(n_rho=8, n_t=8))
@@ -131,10 +132,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             g.with_values(vals)
 
-    def test_rejects_unsorted_nodes(self):
-        g = empty_grid_function(GridSpec(n_rho=8, n_t=8))
-        with pytest.raises(ValueError):
-            CylGridFunction(1, g.rho_nodes[::-1], g.t_nodes, g.values, g.weights)
+    def test_fields_are_spec_and_values(self):
+        assert [f.name for f in dataclasses.fields(CylGridFunction)] == ["spec", "values"]
+
+    def test_functions_on_one_spec_share_read_only_grid(self):
+        spec = GridSpec(n_rho=8, n_t=8)
+        a = empty_grid_function(spec)
+        b = sample(lambda R, T: R + T, GridSpec(n_rho=8, n_t=8))
+        for name in ("rho_nodes", "t_nodes", "weights"):
+            arr = getattr(a, name)
+            assert getattr(b, name) is arr and getattr(a.with_values(b.values), name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        np.testing.assert_array_equal(a.weights, build_weights(spec))
+        assert (a.n, a.Q) == (1, 4)
 
     def test_same_grid(self):
         a = empty_grid_function(GridSpec(n_rho=8, n_t=8))

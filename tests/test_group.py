@@ -8,10 +8,10 @@ from heisenberg_hls.group import (
     ball_volume,
     dilate,
     distance,
-    distance_coords,
     identity,
     inverse,
     multiply,
+    multiply_coords,
     norm,
     norm_coords,
     from_polar,
@@ -217,7 +217,7 @@ class TestBallVolume:
         x[:, 0] = rng.uniform(w.z[0] - 1, w.z[0] + 1, m)
         x[:, 1] = rng.uniform(w.z[1] - 1, w.z[1] + 1, m)
         x[:, 2] = rng.uniform(w.t - t_half, w.t + t_half, m)
-        d = distance_coords(w.coords(), x, 1)
+        d = norm_coords(multiply_coords(-w.coords(), x, 1), 1)
         inside = d < 1.0
         box = 2.0 * 2.0 * (2.0 * t_half)
         est = box * inside.mean()

@@ -8,7 +8,6 @@ from scipy.special import hyp2f1
 from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
 from heisenberg_hls.extremal import extremal_H
 from heisenberg_hls.grids import (
-    CylGridFunction,
     GridSpec,
     ball_indicator,
     lp_norm,
@@ -17,7 +16,6 @@ from heisenberg_hls.grids import (
 )
 from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
-    _table_for,
     angular_average_kernel,
     bilinear_energy,
     build_kernel_table,
@@ -198,18 +196,6 @@ class TestFractionalIntegral:
         val = fractional_integral(f, 2.0, u)
         assert val == pytest.approx(If.values[i, j], rel=1e-6)
 
-    def test_function_without_spec_uses_its_own_nodes(self):
-        # no GridSpec: the table is built on the function's (here linear)
-        # rho nodes, so grid and point evaluation agree at those nodes
-        rho = np.linspace(0.1, 3.0, 8)
-        t = np.linspace(-3.0, 3.0, 9)
-        values = ((1 + rho[:, None] ** 2) ** 2 + t[None, :] ** 2) ** -1.5
-        f = CylGridFunction(1, rho, t, values, np.ones_like(values))
-        If = fractional_integral_grid(f, 2.0)
-        for i, j in ((0, 4), (3, 0), (7, 6)):
-            val = float(np.sum(weights_row(f, 2.0, rho[i], t[j]) * values))
-            assert val == pytest.approx(If.values[i, j], rel=1e-12)
-
     def test_exact_identity_at_extremal(self):
         # I_2 H = 2 pi H^(1/3) for n = 1, lambda = 2
         spec = SMALL
@@ -374,18 +360,11 @@ def correlate_by_windows(A, values):
         (SMALL, 2.0),
         (GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0), 3.0),
         (GridSpec(), 2.0),
-        (None, 2.0),
     ],
-    ids=["28x56", "9x7", "64x128", "no-spec"],
+    ids=["28x56", "9x7", "64x128"],
 )
 def test_apply_matches_window_correlation(spec, lam):
-    if spec is None:
-        # a function without a spec: the table is built on its own nodes
-        rho, t = np.linspace(0.1, 3.0, 8), np.linspace(-3.0, 3.0, 9)
-        ones = np.ones((rho.size, t.size))
-        table = _table_for(CylGridFunction(1, rho, t, ones, ones), lam)
-    else:
-        table = kernel_table(spec, lam)
+    table = kernel_table(spec, lam)
     n_rho, n_tau = table.A.shape[1:]
     values = np.random.default_rng(n_rho).random((n_rho, (n_tau + 1) // 2))
     np.testing.assert_allclose(
