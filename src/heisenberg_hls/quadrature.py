@@ -39,6 +39,9 @@ One row assembler turns a nodal kernel row into these weights for both
 callers: the kernel table (one row per rho node, the evaluation point at
 tau = 0 on the tau lattice) and point evaluation (`weights_row`, any
 (rho0, t0)).  At a lattice node the two therefore give the same weights.
+Kbar is even in tau and the tau lattice exactly antisymmetric, so the table
+integrates each row on tau >= 0 and mirrors it, bit for bit what the full
+lattice would give at half the cell-rule work.
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: it caches the rfft of A along k, and an apply costs one
@@ -84,7 +87,9 @@ def kbar_many(rho, delta, tau, lam):
     free of cancellation near the singular locus: D is formed from the
     offset, which rho' would lose to rounding once it falls below one ulp of
     rho.  Exactly singular entries (D = 0: delta = 0 and tau = 0) come out
-    as +inf.
+    as +inf, and so do entries whose D underflows to zero or to a subnormal
+    number, whose lost bits would put D^(-alpha) off with no sign of it
+    (by 5.6e-6 at rho = 1e-80, rho' = tau = 0, lam = 2).
     """
     rho = np.asarray(rho, dtype=float).ravel()
     delta = np.asarray(delta, dtype=float).ravel()
@@ -102,13 +107,14 @@ def kbar_many(rho, delta, tau, lam):
         else:
             F = hyp2f1(alpha, 1.0 - alpha, 1.0, z)
         out = D ** (-alpha) * F
-    return np.where(D == 0.0, math.inf, out)
+    return np.where(D < np.finfo(float).tiny, math.inf, out)
 
 
 def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> float:
     """Angular average of the kernel over the phi circle (n = 1 reduction).
 
-    The exact singular point rho = rho', tau = 0 returns +inf.
+    The exact singular point rho = rho', tau = 0 returns +inf, as do points
+    so close to it that the kernel's D is not a normal float (kbar_many).
     """
     check_lambda(lam, 4)
     if rho < 0.0 or rho2 < 0.0:
@@ -326,11 +332,15 @@ def _table_weights(rho, dt, n_t, lam):
     """A[i, i', k] for the rho nodes and n_t uniform t nodes of spacing dt:
     row i is the product rule of the point (rho[i], 0) on the tau lattice
     (k - (n_t - 1)) dt, which by translation invariance in t serves every
-    evaluation height."""
+    evaluation height.  The kernel is even in tau and the lattice exactly
+    antisymmetric, so each row is assembled on tau >= 0 (the centre cell
+    whole) and mirrored; the mirrored cells would give the same bits."""
     tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+    mid = n_t - 1
     A = _build_kbar_lattice(rho, tau, lam)
     for i in range(rho.size):
-        A[i] = _row_weights(lam, rho[i], 0.0, rho, tau, dt, A[i])
+        A[i, :, mid:] = _row_weights(lam, rho[i], 0.0, rho, tau[mid:], dt, A[i, :, mid:])
+        A[i, :, :mid] = A[i, :, mid + 1 :][:, ::-1]
     return A
 
 

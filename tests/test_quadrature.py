@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
+from heisenberg_hls import quadrature
 from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
 from heisenberg_hls.extremal import extremal_H
 from heisenberg_hls.grids import (
@@ -149,6 +150,13 @@ class TestAngularAverage:
                 Dm = ((r - r2) * (r + r2)) ** 2 + t * t
                 ref = Dm ** (-a) * mpmath.hyp2f1(a, 1 - a, 1, -((2 * r * r2) ** 2) / Dm)
                 assert kbar_many(rho, rho2 - rho, tau, lam)[0] == pytest.approx(float(ref), rel=rel)
+
+    def test_subnormal_D_is_inf(self):
+        # at rho = 1e-80, rho' = tau = 0 the kernel's D = rho^4 = 1e-320 is
+        # subnormal, and D^(-1/2) would be 1.0000056e160; at 1e-70 D is normal
+        assert angular_average_kernel(1e-80, 0.0, 0.0, 2.0) == math.inf
+        assert angular_average_kernel(1e-150, 0.0, 0.0, 2.0) == math.inf
+        assert angular_average_kernel(1e-70, 0.0, 0.0, 2.0) == pytest.approx(1e140, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.3, 2.0, 3.0, 3.9])
     def test_finite_off_the_singular_locus(self, lam):
@@ -370,6 +378,56 @@ def test_apply_matches_window_correlation(spec, lam):
     np.testing.assert_allclose(
         table.apply(values), correlate_by_windows(table.A, values), rtol=1e-13, atol=0.0
     )
+
+
+def full_lattice_weights(spec, lam):
+    """The kernel table assembled row by row over the whole tau lattice,
+    without the tau mirror: the reference for build_kernel_table."""
+    rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
+    tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+    A = quadrature._build_kbar_lattice(rho, tau, lam)
+    for i in range(rho.size):
+        A[i] = quadrature._row_weights(lam, rho[i], 0.0, rho, tau, dt, A[i])
+    return A
+
+
+class TestTableMirror:
+    # the table integrates tau >= 0 and mirrors; the kernel is even in tau and
+    # the lattice (k - (n_t - 1)) dt exactly antisymmetric, so every mirrored
+    # cell would be integrated from the same bits
+    @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0, 3.9])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            COLD,
+            SMALL,
+            GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0),
+            GridSpec(n=1, n_rho=16, rho_min=0.02, rho_max=20.0, n_t=33, t_max=20.0),
+        ],
+        ids=["16x32", "28x56", "9x7", "16x33"],
+    )
+    def test_table_equals_full_lattice_bitwise(self, spec, lam):
+        A = build_kernel_table(spec, lam).A
+        assert np.array_equal(A, full_lattice_weights(spec, lam))
+        assert np.array_equal(A, A[:, :, ::-1])
+
+    def test_mirror_halves_kernel_evaluations(self, monkeypatch):
+        # a work count, not a time: the cell rule and the nodal lattice look
+        # kbar_many up at call time, so the wrapper sees every point
+        points = [0]
+        kbar = quadrature.kbar_many
+
+        def counting(rho, delta, tau, lam):
+            out = kbar(rho, delta, tau, lam)
+            points[0] += out.size
+            return out
+
+        monkeypatch.setattr(quadrature, "kbar_many", counting)
+        build_kernel_table(COLD, 2.0)
+        mirrored = points[0]
+        points[0] = 0
+        full_lattice_weights(COLD, 2.0)
+        assert mirrored <= 0.6 * points[0]
 
 
 class TestWeightsRow:
