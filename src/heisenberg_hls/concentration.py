@@ -87,26 +87,25 @@ class DiscreteMeasure:
         return cls(f.n, pts, masses)
 
 
-def _d4(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Fourth powers of the distances |a_i^-1 b_j| between the rows of a and
-    the rows of b, as an (a rows, b rows) block:
+def _factors(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row factors A, B, each (2, m, 2n+2), of the atoms (x, y, t) in points:
+    A[0]_a . B[0]_b = |z_b - z_a|^2 and
+    A[1]_a . B[1]_b = t_b - t_a + 2 sum_j (x_a,j y_b,j - y_a,j x_b,j)."""
+    z, t = points[:, : 2 * n], points[:, 2 * n :]
+    one, zsq = np.ones_like(t), np.sum(z * z, axis=1, keepdims=True)
+    A = np.stack([np.hstack([zsq, one, z]), np.hstack([one, -t, 2.0 * z[:, :n], -2.0 * z[:, n:]])])
+    B = np.stack([np.hstack([one, zsq, -2.0 * z]), np.hstack([t, one, z[:, n:], z[:, :n]])])
+    return A, B
 
-        d^4 = |z_b - z_a|^4 + (t_b - t_a + 2 sum_j (x_a,j y_b,j - y_a,j x_b,j))^2
 
-    The distance is symmetric, |u^-1 v| = |v^-1 u|."""
-    zsq = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(2 * n):
-        d = b[None, :, j] - a[:, j, None]
-        d *= d
-        zsq += d
-    t = b[None, :, 2 * n] - a[:, 2 * n, None]
-    twist = (2.0 * a[:, :n]) @ b[:, n : 2 * n].T
-    twist -= (2.0 * a[:, n : 2 * n]) @ b[:, :n].T
-    t += twist
-    zsq *= zsq
-    t *= t
-    zsq += t
-    return zsq
+def _d4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Fourth powers of the distances |a^-1 b| (symmetric, |u^-1 v| = |v^-1 u|)
+    between the atoms a with row factors A and the atoms b with column
+    factors B, as an (A rows, B rows) block: the sum of the squares of the
+    two factor products."""
+    P = A @ B.transpose(0, 2, 1)
+    P *= P
+    return P[0] + P[1]
 
 
 def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
@@ -117,14 +116,15 @@ def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
     and an off-diagonal block adds to the balls of both its row atoms and
     its column atoms.  Memory is O(len(R_grid) BLOCK^2) besides the result."""
     R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
-    pts, w = mu.points, mu.masses
+    A, B = _factors(mu.points, mu.n)
+    w = mu.masses
     m = w.size
     out = np.zeros((R4.shape[0], m))
     for a in range(0, m, BLOCK):
         rows = slice(a, a + BLOCK)
         for b in range(a, m, BLOCK):
             cols = slice(b, b + BLOCK)
-            inside = (_d4(pts[rows], pts[cols], mu.n) < R4).astype(float)
+            inside = (_d4(A[:, rows], B[:, cols]) < R4).astype(float)
             out[:, rows] += inside @ w[cols]
             if b != a:
                 out[:, cols] += w[rows] @ inside
@@ -138,9 +138,13 @@ def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.nd
     return masses.max(axis=1), np.argmax(masses, axis=1)
 
 
-def _inside(mu: DiscreteMeasure, centers: np.ndarray, R: float) -> np.ndarray:
-    """inside[i, j]: atom j lies in the open ball B_R(centers[i])."""
-    return _d4(np.atleast_2d(centers), mu.points, mu.n) < R ** 4
+def _inside(mu: DiscreteMeasure, centers: np.ndarray, R: float):
+    """Yields inside[i, j], atom j lies in the open ball B_R(centers[i]), a
+    BLOCK of centers at a time; the measure's factors are built once."""
+    A = _factors(np.atleast_2d(centers), mu.n)[0]
+    B = _factors(mu.points, mu.n)[1]
+    for a in range(0, A.shape[1], BLOCK):
+        yield _d4(A[:, a : a + BLOCK], B) < R ** 4
 
 
 def levy_concentration(mu: DiscreteMeasure, R: float, centers: np.ndarray | None = None) -> float:
@@ -156,11 +160,11 @@ def levy_concentration(mu: DiscreteMeasure, R: float, centers: np.ndarray | None
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] == 0:
         raise ValueError("probe set must be nonempty")
-    best = 0.0
-    for a in range(0, centers.shape[0], BLOCK):
-        ball = _inside(mu, centers[a : a + BLOCK], R) @ mu.masses
-        best = max(best, float(ball.max()))
-    return best
+    if centers.shape[1] != 2 * mu.n + 1:
+        raise ValueError(
+            f"centers have {centers.shape[1]} columns, but atoms of H^{mu.n} have {2 * mu.n + 1}"
+        )
+    return max(float((inside @ mu.masses).max()) for inside in _inside(mu, centers, R))
 
 
 def dichotomy_split(
@@ -172,7 +176,7 @@ def dichotomy_split(
         raise ValueError("R must be positive")
     if center.n != mu.n:
         raise ValueError("dimension mismatch")
-    inside = _inside(mu, center.coords(), R)[0]
+    inside = next(_inside(mu, center.coords(), R))[0]
     part1 = DiscreteMeasure(mu.n, mu.points, np.where(inside, mu.masses, 0.0))
     part2 = DiscreteMeasure(mu.n, mu.points, np.where(inside, 0.0, mu.masses))
     return part1, part2
@@ -196,8 +200,9 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     The limiting concentration profile Q(R) is estimated by averaging the
     per-index profiles over the last third of the sequence (Cesaro style,
     damping pre-asymptotic transients), and its value at the largest probe
-    radius plays the role of the limit k.  Verdicts: vanishing if k < eps,
-    compactness if k > 1 - eps (sup centers are returned), else dichotomy.
+    radius plays the role of the limit k.  Verdicts, for 0 < eps < 1/2:
+    vanishing if k < eps, compactness if k > 1 - eps (sup centers are
+    returned), else dichotomy.  All measures must live on the same H^n.
     For a dichotomy the tracked center is the densest cluster (the ball-mass
     argmax at the smallest probe radius) and the reported k is the mass it
     captures at the mid-grid radius; which side of the split k names is a
@@ -205,6 +210,10 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     """
     if len(seq) < 3:
         raise ValueError("need a sequence of at least 3 measures")
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    if len({mu.n for mu in seq}) > 1:
+        raise ValueError("measures must all live on the same H^n")
     for mu in seq:
         if abs(mu.total_mass - 1.0) > 1e-9:
             raise ValueError("measures must be normalized to total mass 1")
@@ -251,7 +260,7 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     for mu, (_, arg) in zip(tail, prof_arg):
         c = mu.points[arg[0]]
         tracked.append(c)
-        k_vals.append(float(mu.masses[_inside(mu, c, R_mid)[0]].sum()))
+        k_vals.append(float(mu.masses[next(_inside(mu, c, R_mid))[0]].sum()))
     k_hat = float(np.mean(k_vals))
     last = seq[-1]
     c = tracked[-1]

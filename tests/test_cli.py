@@ -292,6 +292,11 @@ class TestClassifyCommand:
         proc = run_cli("classify", "--generator", "oscillate", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("eps", ["0", "-0.1", "0.5", "nan"])
+    def test_eps_outside_open_half_interval_exit_2(self, tmp_path, eps):
+        argv = ["classify", "--generator", "translate", "--length", "3", "--eps", eps]
+        assert exits_2(argv, tmp_path / "never.json")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):

@@ -6,9 +6,12 @@ import pytest
 
 from heisenberg_hls.concentration import (
     BLOCK,
+    GENERATORS,
     R_GRID,
     DiscreteMeasure,
     _ball_masses,
+    _d4,
+    _factors,
     _profile,
     brezis_lieb_defect,
     classify_trichotomy,
@@ -52,6 +55,13 @@ class TestLevyConcentration:
         with pytest.raises(ValueError):
             levy_concentration(point_mass([0, 0, 0]), 0.0)
 
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_rejects_centers_of_the_wrong_width(self, width):
+        # an n = 1 measure has 3 coordinates per atom
+        mu = point_mass([0.0, 0.0, 3.0])
+        with pytest.raises(ValueError, match=rf"{width} columns.* 3"):
+            levy_concentration(mu, 1.0, centers=np.zeros((1, width)))
+
 
 def boundary_measure(n, seed):
     """Random atoms with non-uniform masses, 2 BLOCK + 37 of them so the last
@@ -83,10 +93,65 @@ def direct_ball_masses(mu, R_grid):
     return np.array([[mu.masses[D[i] < R].sum() for i in range(len(atoms))] for R in R_grid]), D
 
 
+def reference_d4(a, b, n):
+    """d^4 between the rows of a and of b from coordinate differences, the
+    twist as two small matmuls: the kernel the Gram form replaced."""
+    zsq = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(2 * n):
+        d = b[None, :, j] - a[:, j, None]
+        zsq += d * d
+    t = b[None, :, 2 * n] - a[:, 2 * n, None]
+    t += (2.0 * a[:, :n]) @ b[:, n : 2 * n].T
+    t -= (2.0 * a[:, n : 2 * n]) @ b[:, :n].T
+    return zsq * zsq + t * t
+
+
+def reference_ball_masses(mu, R_grid):
+    """_ball_masses with reference_d4, in the same blocks and summation order."""
+    R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
+    pts, w, m = mu.points, mu.masses, mu.masses.size
+    out = np.zeros((R4.shape[0], m))
+    for a in range(0, m, BLOCK):
+        rows = slice(a, a + BLOCK)
+        for b in range(a, m, BLOCK):
+            cols = slice(b, b + BLOCK)
+            inside = (reference_d4(pts[rows], pts[cols], mu.n) < R4).astype(float)
+            out[:, rows] += inside @ w[cols]
+            if b != a:
+                out[:, cols] += w[rows] @ inside
+    return out
+
+
+class TestGramDistances:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [0.0, 40.0, 1e3])
+    def test_matches_coordinate_differences(self, n, shift):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((300, 2 * n + 1)) * 2.0
+        z = rng.standard_normal(2 * n)
+        u = GroupPoint(n, shift * z / np.linalg.norm(z), shift * rng.standard_normal())
+        pts = DiscreteMeasure(n, pts, np.ones(300)).translated(u).points
+        a, b = pts[:120], pts[120:]
+        got = _d4(_factors(a, n)[0], _factors(b, n)[1])
+        want = reference_d4(a, b, n)
+        # every term of both factor products is O(S_a + S_b), S = 1 + |z|^2 + |t|
+        S = 1.0 + np.sum(pts[:, : 2 * n] ** 2, axis=1) + np.abs(pts[:, 2 * n])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.add.outer(S[:120], S[120:]) ** 2)
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_ball_masses_equal_reference_at_benchmark_size(self, family):
+        for seed in range(3):
+            seq = GENERATORS[family](10, seed, n_atoms=2048)
+            for mu in (seq[0], seq[-1]):
+                want = reference_ball_masses(mu, R_GRID)
+                np.testing.assert_array_equal(_ball_masses(mu, R_GRID), want)
+                np.testing.assert_array_equal(_profile(mu, R_GRID)[1], np.argmax(want, axis=1))
+
+
 class TestBallMassKernel:
     R_TEST = np.array([0.5, 1.0, 2.0, 3.0, 4.5])
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_profile_matches_double_loop(self, n):
         mu = boundary_measure(n, seed=10 + n)
         ref, D = direct_ball_masses(mu, self.R_TEST)
@@ -227,6 +292,18 @@ class TestClassifier:
         mu = point_mass([0, 0, 0])
         with pytest.raises(ValueError):
             classify_trichotomy([mu, mu])
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.5, 0.7, math.nan, math.inf])
+    def test_rejects_eps_outside_open_half_interval(self, eps):
+        # a compact family: k_sup = 1, so no eps may read it as a dichotomy
+        with pytest.raises(ValueError, match="eps"):
+            classify_trichotomy(translate_family(10, 0), eps=eps)
+
+    def test_rejects_mixed_dimensions(self):
+        mu1 = point_mass([0, 0, 0])
+        mu2 = DiscreteMeasure(2, np.zeros((1, 5)), np.array([1.0]))
+        with pytest.raises(ValueError, match="same H\\^n"):
+            classify_trichotomy([mu1, mu1, mu2])
 
     def test_dichotomy_k_against_other_fraction(self):
         v = classify_trichotomy(split_family(10, 1, k=0.7))
