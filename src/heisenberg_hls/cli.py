@@ -153,16 +153,7 @@ def _reject_given(args, dests, reason: str):
 
 def _grid_spec(args) -> GridSpec:
     given = _given(args, GRID_FLAGS)
-    try:
-        return GridSpec(n=args.n, **{GRID_FLAGS[d]: v for d, v in given.items()})
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, f"invalid grid: {exc}")
-
-
-def _check_lambda(lam: float, n: int):
-    Q = 2 * n + 2
-    if not (0.0 < lam < Q):
-        _fail(EXIT_VALIDATION, "lambda out of (0,Q)")
+    return GridSpec(n=args.n, **{GRID_FLAGS[d]: v for d, v in given.items()})
 
 
 def _resolve_params(args):
@@ -170,10 +161,7 @@ def _resolve_params(args):
     (s = p, r = conjugate of q), or the diagonal default."""
     if args.p is not None:
         _reject_given(args, ("r", "s"), "give --p or --r and --s, not both")
-        try:
-            return sc.derive_conjugates(args.n, args.lam, args.p)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, f"inadmissible p: {exc}")
+        return sc.derive_conjugates(args.n, args.lam, args.p)
     if args.r is not None or args.s is not None:
         if args.r is None or args.s is None:
             _fail(EXIT_VALIDATION, "provide both --r and --s or neither")
@@ -195,7 +183,6 @@ def _resolve_params(args):
 
 
 def cmd_constants(args) -> int:
-    _check_lambda(args.lam, args.n)
     n, lam = args.n, args.lam
     params = _resolve_params(args)
     diagonal = sc.diagonal_params(n, lam)
@@ -344,7 +331,6 @@ def cmd_evaluate(args) -> int:
         _fail(EXIT_VALIDATION, "--refine must be >= 0")
     if args.ladder_out is not None and refine < 1:
         _fail(EXIT_VALIDATION, "--ladder-out needs --refine 1 or more")
-    _check_lambda(args.lam, args.n)
     if args.mc:
         # Monte Carlo path: the only deterministic-free route for n >= 2
         from .montecarlo import mc_bilinear_energy
@@ -365,8 +351,8 @@ def cmd_evaluate(args) -> int:
         return 0
     if args.n != 1:
         _fail(EXIT_VALIDATION, "deterministic evaluation requires --n 1; use --mc for n >= 2")
-    spec = _grid_spec(args)
     params = _resolve_params(args)
+    spec = _grid_spec(args)
 
     def evaluate_on(spec_level):
         if args.input:
@@ -436,11 +422,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    _check_lambda(args.lam, args.n)
     if args.n != 1:
         _fail(EXIT_VALIDATION, "the search requires --n 1 (deterministic quadrature)")
-    spec = _grid_spec(args)
     params = _resolve_params(args)
+    spec = _grid_spec(args)
     if args.init == "H":
         f0 = extremal_H(args.n, args.lam, spec)
     elif args.init == "hperturb":
@@ -513,10 +498,7 @@ def cmd_classify(args) -> int:
         if gen["generator"] != "split":
             _reject_given(args, ("k",), "applies to --generator split only")
         seq = GENERATORS[gen["generator"]](gen["length"], gen["seed"], **_given(args, ("n", "k")))
-    try:
-        verdict = classify_trichotomy(seq, **_given(args, ("eps",)))
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    verdict = classify_trichotomy(seq, **_given(args, ("eps",)))
     payload = {
         "command": "classify",
         "generator": gen["generator"],

@@ -73,19 +73,6 @@ class DiscreteMeasure:
         moved = multiply_coords(u.coords()[None, :], self.points, self.n)
         return DiscreteMeasure(self.n, moved, self.masses.copy())
 
-    @classmethod
-    def from_grid_function(cls, f: CylGridFunction, p: float) -> "DiscreteMeasure":
-        """|f|^p with its quadrature weights, atoms at the grid nodes placed
-        at polar angle zero (balls centered on the t axis see the exact
-        cylindrical mass)."""
-        R, T = np.meshgrid(f.rho_nodes, f.t_nodes, indexing="ij")
-        m = f.rho_nodes.size * f.t_nodes.size
-        pts = np.zeros((m, 2 * f.n + 1))
-        pts[:, 0] = R.ravel()
-        pts[:, 2 * f.n] = T.ravel()
-        masses = (f.weights * np.abs(f.values) ** p).ravel()
-        return cls(f.n, pts, masses)
-
 
 def _factors(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row factors A, B, each (2, m, 2n+2), of the atoms (x, y, t) in points:
@@ -138,33 +125,21 @@ def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.nd
     return masses.max(axis=1), np.argmax(masses, axis=1)
 
 
-def _inside(mu: DiscreteMeasure, centers: np.ndarray, R: float):
-    """Yields inside[i, j], atom j lies in the open ball B_R(centers[i]), a
-    BLOCK of centers at a time; the measure's factors are built once."""
-    A = _factors(np.atleast_2d(centers), mu.n)[0]
+def _inside(mu: DiscreteMeasure, center: np.ndarray, R: float) -> np.ndarray:
+    """inside[j]: atom j of mu lies in the open ball B_R(center)."""
+    A = _factors(center[None, :], mu.n)[0]
     B = _factors(mu.points, mu.n)[1]
-    for a in range(0, A.shape[1], BLOCK):
-        yield _d4(A[:, a : a + BLOCK], B) < R ** 4
+    return _d4(A, B)[0] < R ** 4
 
 
-def levy_concentration(mu: DiscreteMeasure, R: float, centers: np.ndarray | None = None) -> float:
-    """Q(R): max over probe centers of the mass inside the open ball B_R.
-
-    The probe set defaults to the atom locations; the result is a lower
-    bound of the true supremum, exact when a maximizing center is probed.
+def levy_concentration(mu: DiscreteMeasure, R: float) -> float:
+    """Q(R): max over the atom locations of the mass inside the open ball B_R
+    around them; a lower bound of the true supremum, exact when a
+    maximizing center is an atom.
     """
     if not R > 0.0:
         raise ValueError("R must be positive")
-    if centers is None:
-        return float(_profile(mu, np.array([R]))[0][0])
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[0] == 0:
-        raise ValueError("probe set must be nonempty")
-    if centers.shape[1] != 2 * mu.n + 1:
-        raise ValueError(
-            f"centers have {centers.shape[1]} columns, but atoms of H^{mu.n} have {2 * mu.n + 1}"
-        )
-    return max(float((inside @ mu.masses).max()) for inside in _inside(mu, centers, R))
+    return float(_profile(mu, np.array([R]))[0][0])
 
 
 def dichotomy_split(
@@ -176,7 +151,7 @@ def dichotomy_split(
         raise ValueError("R must be positive")
     if center.n != mu.n:
         raise ValueError("dimension mismatch")
-    inside = next(_inside(mu, center.coords(), R))[0]
+    inside = _inside(mu, center.coords(), R)
     part1 = DiscreteMeasure(mu.n, mu.points, np.where(inside, mu.masses, 0.0))
     part2 = DiscreteMeasure(mu.n, mu.points, np.where(inside, 0.0, mu.masses))
     return part1, part2
@@ -260,7 +235,7 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     for mu, (_, arg) in zip(tail, prof_arg):
         c = mu.points[arg[0]]
         tracked.append(c)
-        k_vals.append(float(mu.masses[next(_inside(mu, c, R_mid))[0]].sum()))
+        k_vals.append(float(mu.masses[_inside(mu, c, R_mid)].sum()))
     k_hat = float(np.mean(k_vals))
     last = seq[-1]
     c = tracked[-1]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .group import homogeneous_dimension
+from .group import check_n, homogeneous_dimension
 
 #: Margin of the admissible p range and tolerance of the bilinear relation
 #: 1/r + 1/s + lam/Q = 2.  Inputs violating them are rejected, never projected.
@@ -65,9 +65,7 @@ class HlsParams:
     p: float
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_n(self.n))
         Q = self.Q
         check_lambda(self.lam, Q)
         p_max = Q / (Q - self.lam)
@@ -107,7 +105,7 @@ def derive_conjugates(n: int, lam: float, p: float) -> HlsParams:
 def diagonal_params(n: int, lam: float) -> HlsParams:
     """Exponents of the diagonal case r = s = 2Q/(2Q-lambda), where the sharp
     constant and extremal profile are known in closed form."""
-    Q = homogeneous_dimension(int(n))
+    Q = homogeneous_dimension(check_n(n))
     check_lambda(lam, Q)  # before p is formed, which divides by zero at lam = 2Q
     return HlsParams(n, lam, 2.0 * Q / (2.0 * Q - lam))
 
@@ -120,9 +118,8 @@ def frank_lieb_constant(n: int, lam: float) -> float:
 
     in the bilinear normalization with r = s = 2Q/(2Q-lam).
     """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    Q = homogeneous_dimension(int(n))
+    n = check_n(n)
+    Q = homogeneous_dimension(n)
     check_lambda(lam, Q)
     log_vol_factor = (n + 1) * math.log(math.pi) - (n - 1) * math.log(2.0) - log_gamma(n + 1.0)
     lg = (
@@ -153,12 +150,11 @@ def theorem2_upper_bound(n: int, lam: float, r: float, s: float) -> float:
     """
     from .group import ball_volume
 
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    Q = homogeneous_dimension(int(n))
+    n = check_n(n)
+    Q = homogeneous_dimension(n)
     _check_bilinear("Q", Q, lam, r, s)
     a = lam / Q
-    pref = Q * ball_volume(int(n)) ** a / (r * s * (Q - lam))
+    pref = Q * ball_volume(n) ** a / (r * s * (Q - lam))
     return pref * ((a / (1.0 - 1.0 / r)) ** a + (a / (1.0 - 1.0 / s)) ** a)
 
 
@@ -173,8 +169,7 @@ def lieb_diagonal_constant(N: int, lam: float, variant: str = DEFAULT_LIEB_VARIA
     "paper".  The variants coincide at N = 2; the Monte Carlo oracle with
     the known extremal (1 + |x|^2)^(-(2N-lam)/2) selects "standard".
     """
-    if N < 1 or int(N) != N:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    N = check_n(N, "N")
     check_lambda(lam, N, "N")
     if variant == "standard":
         e = lam / 2.0
@@ -199,8 +194,7 @@ def lieb_loss_upper_bound(N: int, lam: float, r: float, s: float) -> float:
 
     with omega_{N-1} = 2 pi^(N/2) / Gamma(N/2) the area of the unit sphere.
     """
-    if N < 1 or int(N) != N:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    N = check_n(N, "N")
     _check_bilinear("N", float(N), lam, r, s)
     a = lam / N
     omega = 2.0 * math.exp(0.5 * N * math.log(math.pi) - log_gamma(N / 2.0))

@@ -163,15 +163,10 @@ def _band_masses(band, density: np.ndarray) -> np.ndarray:
     return np.einsum("isj,ij->s", windows, density[inside])[::-1]
 
 
-def _axis_ball_masses(density: np.ndarray, g: CylGridFunction, R: float) -> np.ndarray:
-    """Mass of {(z,t): |z|^4 + (t-a)^2 < R^4} for every grid-aligned center a."""
-    return _band_masses(_ball_band(g.rho_nodes, g.t_nodes, R), density)
-
-
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
     """sup over grid-aligned t-axis centers of the |f|^p mass in B_R."""
     density = f.weights * np.abs(f.values) ** p
-    return float(_axis_ball_masses(density, f, R).max())
+    return float(_band_masses(_ball_band(f.rho_nodes, f.t_nodes, R), density).max())
 
 
 def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
@@ -208,8 +203,8 @@ def _resample(
     return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
-def dilate_grid_function(f: CylGridFunction, d: float, p: float, t_shift: float = 0.0) -> CylGridFunction:
-    """Resample u -> d^(-Q/p) f(delta_{1/d}(z, t - t_shift)) on f's own grid.
+def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunction:
+    """Resample u -> d^(-Q/p) f(delta_{1/d} u) on f's own grid.
 
     The resampling is bilinear (_resample).  The L^p norm is restored
     exactly afterwards, matching the exact invariance of the continuum
@@ -218,7 +213,7 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float, t_shift: float 
     if d <= 0.0:
         raise ValueError("dilation factor must be positive")
     old_norm = lp_norm(f, p)
-    vals = _resample(f.values, f.rho_nodes, f.t_nodes, d, t_shift)
+    vals = _resample(f.values, f.rho_nodes, f.t_nodes, d)
     out = f.with_values(vals * d ** (-f.Q / p))
     new_norm = lp_norm(out, p)
     if new_norm > 0.0 and old_norm > 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .group import homogeneous_dimension
+from .group import check_n, homogeneous_dimension
 from .constants import log_gamma
 
 
@@ -45,8 +45,7 @@ class GridSpec:
     t_max: float = 50.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", check_n(self.n))
         if not (0.0 < self.rho_min < self.rho_max):
             raise ValueError("need 0 < rho_min < rho_max")
         if self.n_rho < 4 or self.n_t < 4:
@@ -176,24 +175,19 @@ def normalized(f: CylGridFunction, p: float) -> CylGridFunction:
     return f.with_values(f.values / nrm)
 
 
-def ball_indicator(spec: GridSpec, radius: float = 1.0, antialias: bool = True) -> CylGridFunction:
-    """Indicator of the ball {rho^4 + t^2 < radius^4}.
+def ball_indicator(spec: GridSpec, radius: float = 1.0) -> CylGridFunction:
+    """Indicator of the ball {rho^4 + t^2 < radius^4}, antialiased.
 
-    With antialias=True each node value carries the exact ball mass of its
-    cell divided by the node's quadrature weight, so the discrete L^1 mass
-    matches radius^Q |B_1| to quadrature accuracy rather than stair-step
-    accuracy.  Values may exceed 1 by the small factor separating the
-    trapezoid-in-log weights from exact cell measures (about dlog^2/8).
+    Each node value carries the exact ball mass of its cell divided by the
+    node's quadrature weight, so the discrete L^1 mass matches
+    radius^Q |B_1| to quadrature accuracy rather than stair-step accuracy.
+    Values may exceed 1 by the small factor separating the trapezoid-in-log
+    weights from exact cell measures (about dlog^2/8).
     """
     g = empty_grid_function(spec)
     rho = g.rho_nodes
     t = g.t_nodes
     r4 = radius ** 4
-    if not antialias:
-        R, T = np.meshgrid(rho, t, indexing="ij")
-        g.values[:] = ((R ** 4 + T ** 2) < r4).astype(float)
-        return g
-
     edges = rho_cell_edges(rho)
     dt = spec.dt
     t_lo = t - 0.5 * dt

@@ -26,6 +26,14 @@ def homogeneous_dimension(n: int) -> int:
     return 2 * n + 2
 
 
+def check_n(n, label: str = "n") -> int:
+    """n as an int; ValueError unless it is a positive integer (label names
+    it in the message, N for a Euclidean dimension)."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"{label} must be a positive integer, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class GroupPoint:
     """A point of H^n: 2n horizontal coordinates (x parts then y parts) and t."""
@@ -35,8 +43,7 @@ class GroupPoint:
     t: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", check_n(self.n))
         z = np.asarray(self.z, dtype=float)
         if z.shape != (2 * self.n,):
             raise ValueError(f"z must have shape ({2 * self.n},), got {z.shape}")
@@ -116,9 +123,7 @@ def ball_volume(n: int) -> float:
 
     Evaluated in log space; the radius-R ball has volume R^Q |B_1|.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    Q = homogeneous_dimension(int(n))
+    Q = homogeneous_dimension(check_n(n))
     lg = (
         math.log(2.0)
         + 0.5 * (Q - 2) * math.log(math.pi)

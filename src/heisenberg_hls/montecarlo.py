@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import ball_volume as heis_ball_volume
-from .group import multiply_coords, norm_coords
+from .group import check_n, multiply_coords, norm_coords
 from .constants import check_lambda, log_gamma
 
 # proposal shapes: the near-diagonal w component lives on (0, R0], both
@@ -56,8 +56,7 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("heisenberg", "euclidean"):
             raise ValueError(f"unknown geometry {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("dimension must be a positive integer")
+        object.__setattr__(self, "n", check_n(self.n, "n" if self.kind == "heisenberg" else "N"))
 
     @property
     def dim(self) -> int:
@@ -135,10 +134,10 @@ class ParetoBall:
         r = self.r0 * np.where(core, u ** (1.0 / self.geom.Q), u ** (-1.0 / self.alpha))
         return self.geom.dilate(r, dirs)
 
-    def pdf(self, pts: np.ndarray) -> np.ndarray:
+    def pdf(self, r: np.ndarray) -> np.ndarray:
+        """Density at points of norm r."""
         Q = self.geom.Q
         c = self.r0 ** self.alpha * self.alpha / (self.geom.ball_volume() * (self.alpha + Q))
-        r = self.geom.norm(pts)
         return c * np.maximum(r, self.r0) ** (-(self.alpha + Q))
 
 
@@ -157,9 +156,9 @@ class SingularMatched:
         r = self.r0 * (1.0 - rng.random(m)) ** (1.0 / (self.geom.Q - self.lam))
         return self.geom.dilate(r, dirs)
 
-    def pdf(self, pts: np.ndarray) -> np.ndarray:
+    def pdf(self, r: np.ndarray) -> np.ndarray:
+        """Density at points of norm r."""
         Q = self.geom.Q
-        r = self.geom.norm(pts)
         c = (Q - self.lam) / (Q * self.geom.ball_volume() * self.r0 ** (Q - self.lam))
         with np.errstate(divide="ignore"):
             val = c * r ** (-self.lam)
@@ -211,9 +210,11 @@ def mc_bilinear_energy(
             m_near = int(rng.binomial(m, 0.5))
             w = np.concatenate([w_near.sample(rng, m_near), w_broad.sample(rng, m - m_near)])
             v = geom.shift(u, w)
-            kernel = geom.norm(w) ** (-lam)
-            p_u = u_prop.pdf(u)
-            p_w = 0.5 * w_near.pdf(w) + 0.5 * w_broad.pdf(w)
+            # both w proposals are radial: one |w| serves them and the kernel
+            r_w = geom.norm(w)
+            kernel = r_w ** (-lam)
+            p_u = u_prop.pdf(geom.norm(u))
+            p_w = 0.5 * w_near.pdf(r_w) + 0.5 * w_broad.pdf(r_w)
             vals = f(u) * g(v) * kernel / (p_u * p_w)
             total += float(vals.sum())
             total_sq += float(np.dot(vals, vals))
@@ -248,10 +249,10 @@ def euclidean_extremal_callable(N: int, lam: float):
     return F
 
 
-def ball_indicator_callable(n: int, radius: float = 1.0, geometry: str = "heisenberg"):
-    geom = Geometry(geometry, n)
+def ball_indicator_callable(n: int):
+    """Indicator of the unit ball of H^n as a coordinate callable."""
 
     def chi(pts: np.ndarray) -> np.ndarray:
-        return (geom.norm(pts) < radius).astype(float)
+        return (norm_coords(pts, n) < 1.0).astype(float)
 
     return chi

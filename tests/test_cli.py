@@ -50,7 +50,7 @@ class TestConstantsCommand:
     def test_lambda_validation_exit_2(self):
         proc = run_cli("constants", "--n", "1", "--lambda", "5", check=False)
         assert proc.returncode == 2
-        assert "lambda out of (0,Q)" in proc.stderr
+        assert "lambda must lie in (0, Q)" in proc.stderr
 
     def test_json_roundtrip(self):
         proc = run_cli("constants", "--n", "2", "--lambda", "1.3")
@@ -158,6 +158,13 @@ class TestEvaluateCommand:
         assert proc.returncode == 2
         assert not out.exists()
 
+    def test_deterministic_path_needs_n_1(self, tmp_path):
+        out = tmp_path / "never.json"
+        proc = run_cli("evaluate", "--n", "2", "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert "deterministic evaluation requires --n 1" in proc.stderr
+        assert not out.exists()
+
     def test_mc_mode_general_n(self):
         proc = run_cli(
             "evaluate", "--n", "2", "--lambda", "3", "--mc", "--preset", "H",
@@ -241,6 +248,13 @@ class TestMaximizeCommand:
             assert proc.returncode == 0, proc.stderr
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+
+    def test_search_needs_n_1(self, tmp_path):
+        out = tmp_path / "never.json"
+        proc = run_cli("maximize", "--n", "2", "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert "the search requires --n 1" in proc.stderr
+        assert not out.exists()
 
 
 class TestClassifyCommand:

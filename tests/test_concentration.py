@@ -55,13 +55,6 @@ class TestLevyConcentration:
         with pytest.raises(ValueError):
             levy_concentration(point_mass([0, 0, 0]), 0.0)
 
-    @pytest.mark.parametrize("width", [2, 5])
-    def test_rejects_centers_of_the_wrong_width(self, width):
-        # an n = 1 measure has 3 coordinates per atom
-        mu = point_mass([0.0, 0.0, 3.0])
-        with pytest.raises(ValueError, match=rf"{width} columns.* 3"):
-            levy_concentration(mu, 1.0, centers=np.zeros((1, width)))
-
 
 def boundary_measure(n, seed):
     """Random atoms with non-uniform masses, 2 BLOCK + 37 of them so the last
@@ -165,15 +158,22 @@ class TestBallMassKernel:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_levy_concentration_matches_double_loop(self, n):
+        # single-center ball masses (dichotomy_split) at off-atom probes and
+        # at the atoms with exact distance-2 pairs, and their max over the
+        # atoms (levy_concentration), against brute-force distances
         mu = boundary_measure(n, seed=20 + n)
         rng = np.random.default_rng(n)
         centers = np.vstack([rng.standard_normal((BLOCK + 22, 2 * n + 1)), mu.points[-4:]])
         atoms = as_points(mu)
         probes = [GroupPoint(n, c[: 2 * n], c[2 * n]) for c in centers]
         D = np.array([[distance(c, a) for a in atoms] for c in probes])
+        _, D_atoms = direct_ball_masses(mu, [])
         for R in (1.0, 2.0):
-            want = max(float(mu.masses[row < R].sum()) for row in D)
-            assert levy_concentration(mu, R, centers=centers) == pytest.approx(want, abs=1e-12)
+            for c, row in zip(probes, D):
+                inside = dichotomy_split(mu, c, R)[0].total_mass
+                assert inside == pytest.approx(float(mu.masses[row < R].sum()), abs=1e-12)
+            want = max(float(mu.masses[row < R].sum()) for row in D_atoms)
+            assert levy_concentration(mu, R) == pytest.approx(want, abs=1e-12)
 
     def test_profile_memory_stays_blocked(self):
         # an m x m distance matrix at 2048 atoms is 32 MB on its own
@@ -245,7 +245,7 @@ class TestClassifier:
         R0 = v.diagnostics["R0"]
         for mu, c in zip(fam, v.centers):
             best = levy_concentration(mu, R0)
-            assert levy_concentration(mu, R0, centers=c.coords()) == pytest.approx(best, rel=1e-12)
+            assert dichotomy_split(mu, c, R0)[0].total_mass == pytest.approx(best, rel=1e-12)
 
     def test_split_is_dichotomy_with_k(self):
         v = classify_trichotomy(split_family(10, 0, k=0.3))
@@ -379,14 +379,6 @@ class TestStrictSubadditivityGap:
 
 
 class TestDiscreteMeasure:
-    def test_from_grid_function_mass(self):
-        spec = GridSpec(n=1, n_rho=24, rho_min=1e-2, rho_max=20.0, n_t=48, t_max=20.0)
-        f = sample(lambda R, T: np.exp(-(R ** 2) - T ** 2), spec)
-        from heisenberg_hls.grids import lp_norm
-
-        mu = DiscreteMeasure.from_grid_function(f, 4.0 / 3.0)
-        assert mu.total_mass == pytest.approx(lp_norm(f, 4.0 / 3.0) ** (4.0 / 3.0), rel=1e-12)
-
     def test_translated_preserves_masses_and_distances(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((30, 3))

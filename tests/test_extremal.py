@@ -13,7 +13,8 @@ from heisenberg_hls import extremal
 from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
-    _axis_ball_masses,
+    _ball_band,
+    _band_masses,
     align,
     dilate_grid_function,
     euler_lagrange_step,
@@ -137,7 +138,8 @@ def test_axis_ball_masses_match_overlap_loop(spec, R):
     density = np.random.default_rng(spec.n_rho * spec.n_t).random(g.values.shape)
     ref = loop_ball_masses(density, g, R)
     assert np.any(ref > 0.0)
-    np.testing.assert_allclose(_axis_ball_masses(density, g, R), ref, rtol=1e-12, atol=0.0)
+    masses = _band_masses(_ball_band(g.rho_nodes, g.t_nodes, R), density)
+    np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0.0)
 
 
 class TestRenormalizeConcentration:

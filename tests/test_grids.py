@@ -106,11 +106,6 @@ class TestBallIndicator:
         f = ball_indicator(spec, radius=1.3)
         assert lp_norm(f, 1.0) == pytest.approx(1.3 ** 4 * ball_volume(1), rel=2e-3)
 
-    def test_aliased_variant_is_binary(self):
-        spec = GridSpec(n_rho=32, rho_min=1e-3, rho_max=2.0, n_t=64, t_max=2.0)
-        f = ball_indicator(spec, antialias=False)
-        assert set(np.unique(f.values)).issubset({0.0, 1.0})
-
     def test_values_in_unit_interval(self):
         spec = GridSpec(n_rho=48, rho_min=1e-3, rho_max=2.0, n_t=96, t_max=2.0)
         f = ball_indicator(spec)

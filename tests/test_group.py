@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from heisenberg_hls.constants import (
+    HlsParams,
+    frank_lieb_constant,
+    lieb_diagonal_constant,
+    lieb_loss_upper_bound,
+    theorem2_upper_bound,
+)
+from heisenberg_hls.grids import GridSpec
 from heisenberg_hls.group import (
     GroupPoint,
     ball_volume,
+    check_n,
     dilate,
     distance,
     identity,
@@ -16,6 +25,7 @@ from heisenberg_hls.group import (
     norm_coords,
     from_polar,
 )
+from heisenberg_hls.montecarlo import Geometry
 
 RTOL = 1e-12
 
@@ -242,3 +252,32 @@ class TestCoordHelpers:
         assert u.z[0] == pytest.approx(0.0, abs=1e-15)
         assert u.z[1] == pytest.approx(2.0)
         assert u.t == 1.5
+
+
+# every place that takes a dimension n (or a Euclidean N) rejects a value that
+# is not a positive integer, instead of building an object around it
+DIMENSION_TAKERS = {
+    "GroupPoint": lambda n: GroupPoint(n, np.zeros(3), 0.0),
+    "ball_volume": ball_volume,
+    "HlsParams": lambda n: HlsParams(n, 2.0, 1.2),
+    "frank_lieb_constant": lambda n: frank_lieb_constant(n, 2.0),
+    "theorem2_upper_bound": lambda n: theorem2_upper_bound(n, 2.0, 1.5, 1.5),
+    "lieb_diagonal_constant": lambda N: lieb_diagonal_constant(N, 0.5),
+    "lieb_loss_upper_bound": lambda N: lieb_loss_upper_bound(N, 0.5, 1.5, 1.5),
+    "GridSpec": lambda n: GridSpec(n=n),
+    "Geometry[heisenberg]": lambda n: Geometry("heisenberg", n),
+    "Geometry[euclidean]": lambda N: Geometry("euclidean", N),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 0])
+@pytest.mark.parametrize("name", list(DIMENSION_TAKERS))
+def test_dimension_must_be_a_positive_integer(name, bad):
+    label = "N" if name.startswith("lieb") or name == "Geometry[euclidean]" else "n"
+    with pytest.raises(ValueError, match=rf"^{label} must be a positive integer, got {bad}$"):
+        DIMENSION_TAKERS[name](bad)
+
+
+def test_integral_float_dimension_is_stored_as_int():
+    assert check_n(2.0) == 2 and type(check_n(2.0)) is int
+    assert GridSpec(n=2.0).n == 2 and Geometry("heisenberg", 2.0).dim == 5

@@ -97,7 +97,7 @@ class TestProposals:
         # radial integral of the pdf: uses polar measure Q|B1| r^(Q-1)
         Q, vol = geom.Q, geom.ball_volume()
         total, _ = integrate.quad(
-            lambda r: Q * vol * r ** (Q - 1) * prop.pdf(np.array([[r, 0.0, 0.0]]))[0]
+            lambda r: Q * vol * r ** (Q - 1) * prop.pdf(np.array([r]))[0]
             if r > 0
             else 0.0,
             0.0,
