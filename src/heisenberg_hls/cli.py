@@ -482,10 +482,12 @@ def _load_measure_file(path: str) -> DiscreteMeasure:
         _fail(EXIT_IO, f"malformed measure file {path}: {exc}")
     try:
         return DiscreteMeasure(
-            int(data["n"]), np.asarray(data["points"], dtype=float), np.asarray(data["masses"], dtype=float)
+            data["n"], np.asarray(data["points"], dtype=float), np.asarray(data["masses"], dtype=float)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         _fail(EXIT_IO, f"malformed measure file {path}: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, f"measure file {path}: {exc}")
 
 
 def cmd_classify(args) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CylGridFunction
-from .group import GroupPoint, multiply_coords
+from .group import GroupPoint, check_n, multiply_coords
 from .montecarlo import Geometry
 
 # probe radii of the concentration profile; read-only because every
@@ -45,6 +45,7 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
+        self.n = check_n(self.n)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.masses = np.asarray(self.masses, dtype=float).ravel()
         if self.points.shape != (self.masses.size, 2 * self.n + 1):
@@ -290,18 +291,18 @@ def strict_subadditivity_gap(k: float, p: float, q: float) -> float:
 
 
 def spread_family(
-    length: int, seed: int, n: int = 1, n_atoms: int = 256, scale: float = 3.0
+    length: int, seed: int, n: int = 1, n_atoms: int = 256
 ) -> list[DiscreteMeasure]:
-    """Mass-preserving dilation spread: atoms at delta_{scale j}(points).
+    """Mass-preserving dilation spread: atoms at delta_{3 j}(points).
 
-    Q(R) decays like (R / (scale j))^Q down to the single-atom floor
+    Q(R) decays like (R / (3 j))^Q down to the single-atom floor
     1/n_atoms, so by the tail of a length-10 sequence the mass in any
     probe-sized ball is negligible."""
     base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
     out = []
     for j in range(1, length + 1):
-        d = scale * j
+        d = 3.0 * j
         pts = base.copy()
         pts[:, : 2 * n] *= d
         pts[:, 2 * n] *= d * d
@@ -310,16 +311,17 @@ def spread_family(
 
 
 def translate_family(
-    length: int, seed: int, n: int = 1, n_atoms: int = 256, step: float = 4.0
+    length: int, seed: int, n: int = 1, n_atoms: int = 256
 ) -> list[DiscreteMeasure]:
-    """A fixed cloud left-translated by wandering centers; compactness."""
+    """A fixed cloud left-translated by wandering centers (x = 4 j,
+    t = j / 2); compactness."""
     base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
     mu0 = DiscreteMeasure(n, base, masses)
     out = []
     for j in range(1, length + 1):
         z = np.zeros(2 * n)
-        z[0] = step * j
+        z[0] = 4.0 * j
         u = GroupPoint(n, z, 0.5 * j)
         out.append(mu0.translated(u))
     return out
@@ -331,13 +333,13 @@ def split_family(
     k: float = 0.3,
     n: int = 1,
     n_atoms: int = 256,
-    step: float = 6.0,
 ) -> list[DiscreteMeasure]:
     """Two clusters, masses k and 1-k, separating linearly in j; dichotomy.
 
     The mass-k cluster is tight (radius 0.4) and sits at the origin; the
-    other is wide (radius 2.5) and escapes, so the densest cluster, the one
-    the classifier tracks, carries exactly the labeled k.
+    other is wide (radius 2.5) and escapes along x (centre 6 (j + 2)), so
+    the densest cluster, the one the classifier tracks, carries exactly the
+    labeled k.
     """
     if not (0.0 < k < 1.0):
         raise ValueError("k must lie in (0, 1)")
@@ -350,7 +352,7 @@ def split_family(
     out = []
     for j in range(1, length + 1):
         moved = wide.copy()
-        moved[:, 0] += step * (j + 2)
+        moved[:, 0] += 6.0 * (j + 2)
         pts = np.vstack([tight, moved])
         masses = np.concatenate(
             [np.full(m1, k / m1), np.full(m2, (1.0 - k) / m2)]

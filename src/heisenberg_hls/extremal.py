@@ -24,6 +24,7 @@ sharp constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -237,8 +238,8 @@ def renormalize_concentration(
     Each probe of Q(1) at a trial d resamples the values (_resample) and
     divides the largest unit-ball mass by the total mass: the factor
     d^(-Q/p) and the norm restore of dilate_grid_function cancel in that
-    ratio, and the ball overlap table is built once per call.  Only the
-    final d builds a grid function.
+    ratio, and the ball overlap table is built once per call.  No d is
+    probed twice, and only the final d builds a grid function.
     """
     p = params.p
     work = normalized(f, p)
@@ -265,29 +266,26 @@ def renormalize_concentration(
             raise ValueError("vanishing-type failure: mass lost under recentering")
         work.values /= renorm
 
+    @functools.cache
     def q1_of(d: float) -> float:
         density = work.weights * np.abs(_resample(work.values, rho, t, d)) ** p
         total = float(np.sum(density))
         return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
 
+    # walk from d = 1 by factors of 2 in the direction Q(1) says (larger d
+    # spreads mass) until Q(1) reaches 1/2; the last two steps bracket it
     target = 0.5
-    d_lo, d_hi = 1.0, 1.0
-    q_now = q1_of(1.0)
+    d = d_prev = 1.0
+    q = q1_of(d)
+    up = q > target
     bracketed = True
-    if q_now > target:
-        while q1_of(d_hi) > target:
-            d_hi *= 2.0
-            if d_hi > 1e8:
-                bracketed = False
-                break
-        d_lo = d_hi / 2.0
-    elif q_now < target:
-        while q1_of(d_lo) < target:
-            d_lo *= 0.5
-            if d_lo < 1e-8:
-                bracketed = False
-                break
-        d_hi = d_lo * 2.0
+    while q > target if up else q < target:
+        d_prev, d = d, d * (2.0 if up else 0.5)
+        if not 1e-8 <= d <= 1e8:
+            bracketed = False
+            break
+        q = q1_of(d)
+    d_lo, d_hi = (d_prev, d) if up else (d, d_prev)
     if not bracketed:
         # on coarse grids d -> Q(1) need not be monotone (mass resampled
         # between nodes); scan a log ladder for the crossing nearest d = 1
@@ -298,7 +296,7 @@ def renormalize_concentration(
         if crossings.size:
             j = crossings[np.argmin(np.abs(np.log(ladder[crossings])))]
             d_lo, d_hi = float(ladder[j]), float(ladder[j + 1])
-            if q1_of(d_lo) < target:
+            if qs[j] < target:
                 d_lo, d_hi = d_hi, d_lo  # orient: Q(d_lo) >= target
         else:
             best = int(np.argmin(np.abs(qs - target)))

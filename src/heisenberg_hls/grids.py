@@ -175,19 +175,18 @@ def normalized(f: CylGridFunction, p: float) -> CylGridFunction:
     return f.with_values(f.values / nrm)
 
 
-def ball_indicator(spec: GridSpec, radius: float = 1.0) -> CylGridFunction:
-    """Indicator of the ball {rho^4 + t^2 < radius^4}, antialiased.
+def ball_indicator(spec: GridSpec) -> CylGridFunction:
+    """Indicator of the unit ball {rho^4 + t^2 < 1}, antialiased.
 
     Each node value carries the exact ball mass of its cell divided by the
     node's quadrature weight, so the discrete L^1 mass matches
-    radius^Q |B_1| to quadrature accuracy rather than stair-step accuracy.
+    |B_1| to quadrature accuracy rather than stair-step accuracy.
     Values may exceed 1 by the small factor separating the trapezoid-in-log
     weights from exact cell measures (about dlog^2/8).
     """
     g = empty_grid_function(spec)
     rho = g.rho_nodes
     t = g.t_nodes
-    r4 = radius ** 4
     edges = rho_cell_edges(rho)
     dt = spec.dt
     t_lo = t - 0.5 * dt
@@ -199,7 +198,7 @@ def ball_indicator(spec: GridSpec, radius: float = 1.0) -> CylGridFunction:
         a, b = edges[i], edges[i + 1]
         rr = 0.5 * (b - a) * gl_x + 0.5 * (a + b)
         ww = 0.5 * (b - a) * gl_w
-        h2 = r4 - rr ** 4
+        h2 = 1.0 - rr ** 4
         h = np.sqrt(np.clip(h2, 0.0, None))  # t half-width of the ball at rho=rr
         # overlap length of [t_lo_j, t_hi_j] with [-h, h], per GL node
         lo = np.maximum(t_lo[None, :], -h[:, None])

@@ -35,13 +35,16 @@ split at rho' = rho0 and tau = 0, with nodes clustered toward both on the
 kernel's own scales, and the offset raised to the power Q - lam where the
 tau integral leaves a |rho' - rho0|^(3 - lam) singularity.
 
-One row assembler turns a nodal kernel row into these weights for both
-callers: the kernel table (one row per rho node, the evaluation point at
-tau = 0 on the tau lattice) and point evaluation (`weights_row`, any
-(rho0, t0)).  At a lattice node the two therefore give the same weights.
-Kbar is even in tau and the tau lattice exactly antisymmetric, so the table
-integrates each row on tau >= 0 and mirrors it, bit for bit what the full
-lattice would give at half the cell-rule work.
+One row function, `_row_weights(lam, rho0, tau, rho, dt)`, gives these
+weights from the point's radius and its tau offsets alone, for both
+callers: the kernel table (one row per rho node, tau on the lattice) and
+point evaluation (`weights_row`, tau = t - t0).  At a lattice node the two
+therefore give the same weights.  The nodal kernel is evaluated from the
+smaller radius and |rho' - rho0|, so the table's entries for (rho, rho')
+and (rho', rho) come from the same bits.  Kbar is even in tau and the tau
+lattice exactly antisymmetric, so the table integrates each row on
+tau >= 0 and mirrors it, bit for bit what the full lattice would give at
+half the work.
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: it caches the rfft of A along k, and an apply costs one
@@ -246,37 +249,6 @@ class KernelTable:
         return conv[:, n_t - 1 : 2 * n_t - 1][:, ::-1]
 
 
-def _nodal_kbar(rho, delta, tau, lam):
-    """kbar_many at grid nodes; the exactly singular entry (delta = 0,
-    tau = 0) is set to 0, its cell being integrated by the cell rule."""
-    exact = (delta == 0.0) & (tau == 0.0)
-    out = np.zeros(delta.size)
-    idx = np.flatnonzero(~exact)
-    out[idx] = kbar_many(rho[idx], delta[idx], tau[idx], lam)
-    return out
-
-
-def _build_kbar_lattice(rho, tau, lam):
-    """Nodal Kbar[i, i', k] on the tau lattice, exploiting the symmetries
-    Kbar(rho, rho', tau) = Kbar(rho', rho, tau) = Kbar(rho, rho', -tau)."""
-    nr = rho.size
-    L = tau.size
-    mid = (L - 1) // 2
-    tau_half = tau[mid:]
-    K = np.empty((nr, nr, L))
-    iu, ju = np.triu_indices(nr)
-    vals = _nodal_kbar(
-        np.repeat(rho[iu], tau_half.size),
-        np.repeat(rho[ju] - rho[iu], tau_half.size),
-        np.tile(tau_half, iu.size),
-        lam,
-    ).reshape(iu.size, tau_half.size)
-    K[iu, ju, mid:] = vals
-    K[ju, iu, mid:] = vals
-    K[:, :, :mid] = K[:, :, mid + 1 :][:, :, ::-1]
-    return K
-
-
 def _exact_zone_mask(rho0, rho, drho, tau, dt):
     """Cells integrated exactly instead of nodally, per evaluation radius.
 
@@ -303,20 +275,28 @@ def _exact_zone_mask(rho0, rho, drho, tau, dt):
     return in_delta[:, None] & (np.abs(tau)[None, :] <= tau_win[:, None])
 
 
-def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
-    """Product-rule weights R[i', k] of the point (rho0, t_eval) against the
-    cells centered on the nodes (rho[i'], t[k]), given the nodal kernel row
-    K[i', k] = Kbar(rho0, rho[i'], t[k] - t_eval).
+def _row_weights(lam, rho0, tau, rho, dt):
+    """Product-rule weights R[i', k] of the point (rho0, t) against the cells
+    centered on the nodes (rho[i'], t + tau[k]).
 
-    Nodal value times cell measure outside the exact zone; inside it, the
-    cell(s) holding the point included, the graded cell rule.  A weight
-    that is not finite (the kernel's D underflowed) raises ValueError.
+    Nodal value Kbar(rho0, rho[i'], tau[k]) times cell measure outside the
+    exact zone; inside it, the cell(s) holding the point included, the
+    graded cell rule.  The nodal kernel is evaluated from the smaller radius
+    and the offset's magnitude, so Kbar(rho0, rho') and Kbar(rho', rho0)
+    come from the same bits.  A weight that is not finite (the kernel's D
+    underflowed) raises ValueError.
     """
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
-    tau = t - t_eval
-    R = K * (_TWO_PI * rho * drho)[:, None] * dt
-    a, k = np.nonzero(_exact_zone_mask(rho0, rho, drho, tau, dt))
+    zone = _exact_zone_mask(rho0, rho, drho, tau, dt)
+    R = np.empty(zone.shape)
+    a, k = np.nonzero(~zone)
+    R[a, k] = (
+        kbar_many(np.minimum(rho0, rho[a]), np.abs(rho[a] - rho0), tau[k], lam)
+        * (_TWO_PI * rho * drho)[a]
+        * dt
+    )
+    a, k = np.nonzero(zone)
     R[a, k] = _cell_integrals(
         lam, rho0, edges[a] - rho0, edges[a + 1] - rho0, tau[k] - 0.5 * dt, tau[k] + 0.5 * dt
     )
@@ -328,22 +308,6 @@ def _row_weights(lam, rho0, t_eval, rho, t, dt, K):
     return R
 
 
-def _table_weights(rho, dt, n_t, lam):
-    """A[i, i', k] for the rho nodes and n_t uniform t nodes of spacing dt:
-    row i is the product rule of the point (rho[i], 0) on the tau lattice
-    (k - (n_t - 1)) dt, which by translation invariance in t serves every
-    evaluation height.  The kernel is even in tau and the lattice exactly
-    antisymmetric, so each row is assembled on tau >= 0 (the centre cell
-    whole) and mirrored; the mirrored cells would give the same bits."""
-    tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
-    mid = n_t - 1
-    A = _build_kbar_lattice(rho, tau, lam)
-    for i in range(rho.size):
-        A[i, :, mid:] = _row_weights(lam, rho[i], 0.0, rho, tau[mid:], dt, A[i, :, mid:])
-        A[i, :, :mid] = A[i, :, mid + 1 :][:, ::-1]
-    return A
-
-
 def _check_deterministic(n: int, lam: float):
     check_lambda(lam, homogeneous_dimension(n))
     if n != 1:
@@ -351,25 +315,30 @@ def _check_deterministic(n: int, lam: float):
 
 
 def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
+    """A[i, i', k] for the spec's grid: row i is the product rule of the
+    point (rho[i], 0) on the tau lattice (k - (n_t - 1)) dt, which by
+    translation invariance in t serves every evaluation height.  The kernel
+    is even in tau and the lattice exactly antisymmetric, so each row is
+    assembled on tau >= 0 (the centre cell whole) and mirrored; the mirrored
+    cells would give the same bits."""
     _check_deterministic(spec.n, lam)
-    A = _table_weights(spec.rho_nodes(), spec.dt, spec.n_t, lam)
+    rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
+    tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+    mid = n_t - 1
+    A = np.empty((rho.size, rho.size, tau.size))
+    for i in range(rho.size):
+        A[i, :, mid:] = _row_weights(lam, rho[i], tau[mid:], rho, dt)
+        A[i, :, :mid] = A[i, :, mid + 1 :][:, ::-1]
     return KernelTable(A)
 
 
-_TABLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def kernel_table(spec: GridSpec, lam: float) -> KernelTable:
-    key = (spec, float(lam))
-    if key not in _TABLE_CACHE:
-        if len(_TABLE_CACHE) >= 8:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE[key] = build_kernel_table(spec, lam)
-    return _TABLE_CACHE[key]
+    """build_kernel_table, cached for the 8 most recent (spec, lam)."""
+    return build_kernel_table(spec, lam)
 
 
-def clear_table_cache():
-    _TABLE_CACHE.clear()
+clear_table_cache = kernel_table.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +354,7 @@ def fractional_integral_grid(f: CylGridFunction, lam: float) -> CylGridFunction:
 def weights_row(f: CylGridFunction, lam: float, rho0: float, t0: float) -> np.ndarray:
     """Quadrature weights R[i', j'] so that I_lam f(rho0, t0) = sum R * values."""
     _check_deterministic(f.n, lam)
-    rho = f.rho_nodes
-    t = f.t_nodes
-    dt = f.spec.dt
-    n = rho.size * t.size
-    K = _nodal_kbar(np.full(n, rho0), np.repeat(rho - rho0, t.size), np.tile(t - t0, rho.size), lam)
-    return _row_weights(lam, rho0, t0, rho, t, dt, K.reshape(rho.size, t.size))
+    return _row_weights(lam, rho0, f.t_nodes - t0, f.rho_nodes, f.spec.dt)
 
 
 def fractional_integral(f: CylGridFunction, lam: float, u: GroupPoint) -> float:

@@ -68,3 +68,17 @@ def test_tracer_wraps_every_target_and_restores_it():
 def test_workload_sets_up(name):
     work = workloads.WORKLOADS[name](0)
     assert work.seed == 0 and work.attempted == work.failed == 0
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_rounds_pass_their_checks(name):
+    # untraced rounds as run.py runs them: no operation fails and every
+    # output passes the workload's closed-form checks (two rounds, since
+    # mc-energy checks only estimates pooled from two calls or more)
+    work = workloads.WORKLOADS[name](0)
+    work.clock = workloads.CalibratedClock()
+    for k in range(2):
+        work.run_round(k)
+    checks, _ = work.finish()
+    assert work.attempted > 0 and work.failed == 0
+    assert checks and all(ok for _, ok, _ in checks), [c for c in checks if not c[1]]

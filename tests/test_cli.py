@@ -302,6 +302,11 @@ class TestClassifyCommand:
         proc = run_cli("classify", "--inputs", str(p), check=False)
         assert proc.returncode == 3
 
+    def test_non_integer_n_in_measure_file_exit_2(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 1.5, "points": [[0.0, 0.0, 0.0]], "masses": [1.0]}))
+        assert exits_2(["classify", "--inputs", str(p)], tmp_path / "never.json")
+
     def test_bad_generator_exit_2(self):
         proc = run_cli("classify", "--generator", "oscillate", check=False)
         assert proc.returncode == 2

@@ -230,7 +230,7 @@ class TestClassifier:
         assert v.centers is not None and len(v.centers) == 10
 
     def test_translate_centers_recovered(self):
-        fam = translate_family(8, 3, step=4.0)
+        fam = translate_family(8, 3)
         v = classify_trichotomy(fam)
         # recovered center must sit inside the translated cloud (radius 1)
         for j, c in enumerate(v.centers, start=1):
@@ -396,3 +396,8 @@ class TestDiscreteMeasure:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(1, np.zeros((1, 3)), np.array([-0.1]))
+
+    @pytest.mark.parametrize("n", [0, 1.5, -1])
+    def test_n_must_be_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            DiscreteMeasure(n, np.zeros((2, 1)), [0.5, 0.5])

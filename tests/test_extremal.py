@@ -308,29 +308,45 @@ def test_search_results_pinned(p, q_found, n_records):
     assert trace.stop_reason == "no_ascent"
 
 
-def test_bisection_stops_at_adjacent_doubles(monkeypatch):
-    # at p = 1.85 three renormalizations fall back to the 81-point ladder and
-    # return d = 0.2335; their bisections close to adjacent doubles without
-    # meeting Q1_TOL and must stop there instead of re-probing one point
-    calls = [0]
+@pytest.fixture(scope="module")
+def probes_at_p185():
+    """The trial d of every Q(1) probe, and the d returned, of each
+    renormalization in the p = 1.85 search (a _resample call is one probe,
+    less the final dilation at the returned d)."""
+    calls = []
     runs = []
     resample, renormalize = extremal._resample, extremal.renormalize_concentration
 
-    def counting_resample(*args, **kwargs):
-        calls[0] += 1
-        return resample(*args, **kwargs)
+    def recording_resample(values, rho, t, d):
+        calls.append(d)
+        return resample(values, rho, t, d)
 
     def recording_renormalize(f, params):
-        before = calls[0]
+        before = len(calls)
         out = renormalize(f, params)
-        runs.append((calls[0] - before - 1, out[1]))  # less the final dilation
+        runs.append((calls[before:-1], out[1]))
         return out
 
-    monkeypatch.setattr(extremal, "_resample", counting_resample)
-    monkeypatch.setattr(extremal, "renormalize_concentration", recording_renormalize)
-    maximize(derive_conjugates(1, 2.0, 1.85), gaussian_profile(SMALL))
-    assert max(probes for probes, _ in runs) <= 170
-    assert sum(d == pytest.approx(0.2335, abs=5e-5) for _, d in runs) == 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "_resample", recording_resample)
+        mp.setattr(extremal, "renormalize_concentration", recording_renormalize)
+        maximize(derive_conjugates(1, 2.0, 1.85), gaussian_profile(SMALL))
+    return runs
+
+
+def test_bisection_stops_at_adjacent_doubles(probes_at_p185):
+    # at p = 1.85 three renormalizations fall back to the 81-point ladder and
+    # return d = 0.2335; their bisections close to adjacent doubles without
+    # meeting Q1_TOL and must stop there instead of re-probing one point
+    assert max(len(ds) for ds, _ in probes_at_p185) <= 170
+    assert sum(d == pytest.approx(0.2335, abs=5e-5) for _, d in probes_at_p185) == 3
+
+
+def test_no_renormalization_probes_a_dilation_twice(probes_at_p185):
+    # the walk reuses the d = 1 probe and the ladder its own Q(1) values
+    assert any(len(ds) > 81 for ds, _ in probes_at_p185)  # a ladder fallback is among them
+    for ds, _ in probes_at_p185:
+        assert len(set(ds)) == len(ds)
 
 
 class TestAlign:

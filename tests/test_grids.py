@@ -101,11 +101,6 @@ class TestBallIndicator:
         f = ball_indicator(spec)
         assert lp_norm(f, 1.0) == pytest.approx(ball_volume(1), rel=1e-3)
 
-    def test_mass_other_radius(self):
-        spec = GridSpec(n=1, n_rho=96, rho_min=1e-3, rho_max=3.0, n_t=257, t_max=4.0)
-        f = ball_indicator(spec, radius=1.3)
-        assert lp_norm(f, 1.0) == pytest.approx(1.3 ** 4 * ball_volume(1), rel=2e-3)
-
     def test_values_in_unit_interval(self):
         spec = GridSpec(n_rho=48, rho_min=1e-3, rho_max=2.0, n_t=96, t_max=2.0)
         f = ball_indicator(spec)

@@ -380,15 +380,24 @@ def test_apply_matches_window_correlation(spec, lam):
     )
 
 
+def test_kernel_table_cache():
+    # lam = 2 and 2.0 hash equal, so they share one table; clearing the
+    # cache forces a rebuild, from the same bits
+    spec = GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0)
+    table = kernel_table(spec, 2)
+    assert kernel_table(spec, 2.0) is table
+    quadrature.clear_table_cache()
+    rebuilt = kernel_table(spec, 2.0)
+    assert rebuilt is not table
+    assert np.array_equal(rebuilt.A, table.A)
+
+
 def full_lattice_weights(spec, lam):
     """The kernel table assembled row by row over the whole tau lattice,
     without the tau mirror: the reference for build_kernel_table."""
     rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
     tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
-    A = quadrature._build_kbar_lattice(rho, tau, lam)
-    for i in range(rho.size):
-        A[i] = quadrature._row_weights(lam, rho[i], 0.0, rho, tau, dt, A[i])
-    return A
+    return np.stack([quadrature._row_weights(lam, r, tau, rho, dt) for r in rho])
 
 
 class TestTableMirror:
@@ -412,7 +421,7 @@ class TestTableMirror:
         assert np.array_equal(A, A[:, :, ::-1])
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
-        # a work count, not a time: the cell rule and the nodal lattice look
+        # a work count, not a time: the cell rule and the nodal rows look
         # kbar_many up at call time, so the wrapper sees every point
         points = [0]
         kbar = quadrature.kbar_many
