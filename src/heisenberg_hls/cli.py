@@ -563,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mc", action="store_true", help="Monte Carlo energy estimate (any n)")
     p_eval.add_argument("--samples", type=int, help="Monte Carlo sample count (default 10^6)")
     p_eval.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    p_eval.add_argument("--workers", type=int, help="Monte Carlo stream count (default 1)")
+    p_eval.add_argument("--workers", type=int,
+                        help="Monte Carlo streams the samples are split into (default 1); they run "
+                             "one after another in one thread, so the count changes the draws, not the speed")
 
     p_max = command("maximize", cmd_maximize, "extremal search for the HLS quotient")
     p_max.add_argument("--init", choices=("H", "hperturb", "gauss"), default="gauss",

@@ -347,8 +347,8 @@ def split_family(
     m1 = n_atoms // 2
     m2 = n_atoms - m1
     geom = Geometry("heisenberg", n)
-    tight = geom.dilate(np.full(m1, 0.4), geom.uniform_ball(rng, m1))
-    wide = geom.dilate(np.full(m2, 2.5), geom.uniform_ball(rng, m2))
+    tight = geom.dilate(0.4, geom.uniform_ball(rng, m1).T).T
+    wide = geom.dilate(2.5, geom.uniform_ball(rng, m2).T).T
     out = []
     for j in range(1, length + 1):
         moved = wide.copy()

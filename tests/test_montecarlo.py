@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.special import beta
 
 from heisenberg_hls.constants import lieb_diagonal_constant
+from heisenberg_hls.group import norm_coords
 from heisenberg_hls.montecarlo import (
     CHUNK,
     Geometry,
@@ -52,10 +53,34 @@ class TestGeometry:
         for x, exact in moments:
             assert abs(x.mean() - exact) < 4.0 * x.std() / math.sqrt(m)
 
+    @pytest.mark.parametrize(
+        "kind,n,first,last",
+        [
+            (
+                "heisenberg",
+                2,
+                [0.25419929761558935, -0.31831161220140297, 0.05207478927408346, -0.07071648923904654, -0.6996306743955298],
+                [0.46184377607851407, 0.6699100273196795, -0.42205602573594797, -0.2869081999467829, 0.26589643495201715],
+            ),
+            (
+                "euclidean",
+                3,
+                [0.3662092684282336, -0.45857193048883743, 0.0750209409014787],
+                [-0.21216007086512625, 0.8976070764408771, 0.3408846980997911],
+            ),
+        ],
+    )
+    def test_uniform_ball_keeps_recorded_draws(self, kind, n, first, last):
+        # rows 0 and 999 of 1000 at seed 3, recorded from the row-major
+        # sampler; the generator families place their atoms with this draw
+        pts = Geometry(kind, n).uniform_ball(np.random.default_rng(3), 1000)
+        assert pts.flags.c_contiguous
+        np.testing.assert_allclose(pts[[0, 999]], [first, last], rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("kind,n", [("heisenberg", 1), ("heisenberg", 4), ("euclidean", 3)])
     def test_sphere_rows_have_norm_one(self, kind, n):
         g = Geometry(kind, n)
-        pts = g.sphere(np.random.default_rng(0), 20_000)
+        pts = g.sphere(np.random.default_rng(0), 20_000).T
         assert pts.shape == (20_000, g.dim)
         assert np.max(np.abs(g.norm(pts) - 1.0)) < 1e-12
 
@@ -69,7 +94,7 @@ class TestProposals:
         geom = Geometry("euclidean", 3)
         prop = ParetoBall(geom, 1.0, 1.5)
         rng = np.random.default_rng(1)
-        pts = prop.sample(rng, 400_000)
+        pts = prop.sample(rng, 400_000)[0].T
         est = np.exp(-np.einsum("ij,ij->i", pts, pts)).mean()
         c = 1.5 / (geom.ball_volume() * (1.5 + 3.0))
         ref, _ = integrate.quad(
@@ -84,12 +109,38 @@ class TestProposals:
         lam = 2.0
         prop = SingularMatched(geom, 1.0, lam)
         rng = np.random.default_rng(2)
-        pts = prop.sample(rng, 200_000)
+        pts = prop.sample(rng, 200_000)[0].T
         r = geom.norm(pts)
         assert np.all(r <= 1.0)
         # radial cdf r^(Q-lam) = r^2
         for q in (0.3, 0.6, 0.9):
             assert np.quantile(r, q) == pytest.approx(q ** (1.0 / 2.0), rel=2e-2)
+
+    @pytest.mark.parametrize(
+        "kind,n", [("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3), ("heisenberg", 5), ("euclidean", 3)]
+    )
+    def test_returned_radii_are_the_norms(self, kind, n):
+        geom = Geometry(kind, n)
+        if kind == "heisenberg":
+            norm = lambda pts: norm_coords(pts, n)
+        else:
+            norm = lambda pts: np.linalg.norm(pts, axis=1)
+        rng = np.random.default_rng(10 + n)
+        m = 100_000
+        for prop in (
+            ParetoBall(geom, 1.0, 1.5),
+            ParetoBall(geom, 2.0, 1.5),
+            SingularMatched(geom, 1.0, 2.0),
+            SingularMatched(geom, 1.0, geom.Q - 0.5),
+        ):
+            pts, r = prop.sample(rng, m)
+            assert pts.shape == (geom.dim, m) and r.shape == (m,)
+            np.testing.assert_allclose(norm(pts.T), r, rtol=1e-14, atol=0.0)
+            if isinstance(prop, ParetoBall):
+                # Pareto-tail radii far above r0 are in the sample
+                assert r.max() > 100.0 * prop.r0
+            else:
+                assert np.all(prop.pdf(r) > 0.0)
 
     def test_pdf_normalization_pareto(self):
         geom = Geometry("heisenberg", 1)
@@ -108,6 +159,36 @@ class TestProposals:
 
 
 class TestMcBilinearEnergy:
+    # (geometry, n, lam, workers, estimate, stderr) of f = the extremal, g
+    # below, 140,000 samples, seed 17 + n, as recorded from the row-major
+    # implementation this one replaced; other draws move an estimate by
+    # about 1e-2 relative, so a match shows the same random stream
+    RECORDED = [
+        ("heisenberg", 1, 2.0, 1, 42.14088623805611, 0.8565537336565319),
+        ("heisenberg", 1, 2.0, 3, 42.18413872091101, 0.8474949277766408),
+        ("heisenberg", 2, 3.0, 1, 61.62680309270134, 3.973403927682894),
+        ("heisenberg", 2, 3.0, 3, 59.04634869877708, 2.880922200293691),
+        ("heisenberg", 3, 2.0, 1, 96.47170674462949, 36.30136986060123),
+        ("heisenberg", 3, 2.0, 3, 65.80080371414869, 9.267758580744925),
+        ("heisenberg", 5, 5.0, 1, 5.215640164183392, 0.8245953048073289),
+        ("heisenberg", 5, 5.0, 3, 3.790361588769263, 0.5650810341904143),
+        ("euclidean", 3, 2.0, 1, 54.521567834023614, 0.5423597855962056),
+        ("euclidean", 3, 2.0, 3, 55.852643268255356, 0.5506878915036996),
+    ]
+
+    @pytest.mark.parametrize("geometry,n,lam,workers,est,se", RECORDED)
+    def test_matches_recorded_stream(self, geometry, n, lam, workers, est, se):
+        if geometry == "heisenberg":
+            f = heisenberg_extremal_callable(n, lam)
+        else:
+            f = euclidean_extremal_callable(n, lam)
+        # g is asymmetric in t, so the sign of the group product's twist shows
+        g = lambda pts: np.exp(-0.5 * np.einsum("ij,ij->i", pts, pts) - 0.3 * pts[:, -1])
+        got = mc_bilinear_energy(
+            f, g, lam, n=n, samples=140_000, seed=17 + n, workers=workers, geometry=geometry
+        )
+        np.testing.assert_allclose(got, (est, se), rtol=1e-13, atol=0.0)
+
     def test_zero_functions(self):
         zero = lambda pts: np.zeros(pts.shape[0])
         est, se = mc_bilinear_energy(zero, zero, 2.0, n=1, samples=2000, seed=0)
