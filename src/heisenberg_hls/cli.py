@@ -4,11 +4,14 @@ Each subcommand declares only the flags it reads, and every setting given
 is either used or rejected: an unknown flag or config key, and a flag of
 the mode not taken (`evaluate` with or without `--mc`, `classify` with or
 without `--inputs`), exit 2.  Defaults live in the library (`GridSpec`,
-`IterationControls`, the generator families) except the Monte Carlo ones.
+`IterationControls`, the generator families) except the Monte Carlo ones
+(`MC_DEFAULTS`) and the generator choice, length and seed of `classify`
+(`CLASSIFY_DEFAULTS`).  The library also owns every rule it enforces, such
+as the n = 1 limit of the deterministic path; its ValueError exits 2.
 
-Every command validates its parameters before any computation starts and
-writes output files only after the computation finishes, so a validation
-failure never leaves partial files.  Exit codes: 0 success, 2 validation
+Every command checks its flags before any computation starts and writes
+output files only after the computation finishes, so a validation failure
+never leaves partial files.  Exit codes: 0 success, 2 validation
 failure, 3 I/O failure.  JSON output carries a schema_version field and is
 emitted with sorted keys; CSV floats use 17 significant digits with a '.'
 decimal separator regardless of locale.
@@ -32,8 +35,14 @@ from .extremal import (
     maximize,
     perturbed_H,
 )
-from .grids import GridSpec, ball_indicator, empty_grid_function, lp_norm
+from .grids import CylGridFunction, GridSpec, ball_indicator, empty_grid_function, lp_norm
 from .group import ball_volume
+from .montecarlo import (
+    ball_indicator_callable,
+    gaussian_callable,
+    heisenberg_extremal_callable,
+    mc_bilinear_energy,
+)
 from .quadrature import bilinear_energy, hls_quotient
 
 SCHEMA_VERSION = 1
@@ -46,6 +55,16 @@ GRID_FLAGS = {"grid_rho": "n_rho", "grid_t": "n_t", "rho_min": "rho_min",
               "rho_max": "rho_max", "t_max": "t_max"}
 MC_DEFAULTS = {"samples": 1_000_000, "seed": 0, "workers": 1}
 CLASSIFY_DEFAULTS = {"generator": "spread", "length": 10, "seed": 0}
+
+# evaluate --preset and maximize --init name -> (grid builder (spec, lam),
+# point builder (n, lam) for evaluate --mc, or None)
+PROFILES = {
+    "H": (lambda spec, lam: extremal_H(spec.n, lam, spec), heisenberg_extremal_callable),
+    "ball": (lambda spec, lam: ball_indicator(spec), lambda n, lam: ball_indicator_callable(n)),
+    "gauss": (lambda spec, lam: gaussian_profile(spec), lambda n, lam: gaussian_callable(n)),
+    "hperturb": (lambda spec, lam: perturbed_H(spec.n, lam, spec), None),
+    "zero": (lambda spec, lam: empty_grid_function(spec), None),
+}
 
 
 def _fmt(x: float) -> str:
@@ -250,36 +269,6 @@ def cmd_constants(args) -> int:
 # evaluate
 
 
-def _preset_function(name: str, spec: GridSpec, lam: float):
-    if name == "H":
-        return extremal_H(spec.n, lam, spec)
-    if name == "ball":
-        return ball_indicator(spec)
-    if name == "gauss":
-        return gaussian_profile(spec)
-    return empty_grid_function(spec)  # "zero"
-
-
-def _preset_callable(name: str, n: int, lam: float):
-    from .montecarlo import (
-        ball_indicator_callable,
-        heisenberg_extremal_callable,
-    )
-
-    if name == "H":
-        return heisenberg_extremal_callable(n, lam)
-    if name == "ball":
-        return ball_indicator_callable(n)
-    if name == "gauss":
-
-        def gauss(pts):
-            zsq = np.einsum("ij,ij->i", pts[:, : 2 * n], pts[:, : 2 * n])
-            return np.exp(-zsq - pts[:, 2 * n] ** 2)
-
-        return gauss
-    _fail(EXIT_VALIDATION, f"preset {name!r} has no Monte Carlo form (H, ball, gauss)")
-
-
 def _load_grid_file(path: str, spec_n: int):
     try:
         data = np.load(path)
@@ -290,8 +279,6 @@ def _load_grid_file(path: str, spec_n: int):
     for key in ("rho_nodes", "t_nodes", "values"):
         if key not in data:
             _fail(EXIT_IO, f"grid file {path} missing array {key!r}")
-    from .grids import CylGridFunction
-
     rho = data["rho_nodes"]
     t = data["t_nodes"]
     if rho.ndim != 1 or t.ndim != 1 or min(rho.size, t.size) < 4:
@@ -331,12 +318,16 @@ def cmd_evaluate(args) -> int:
         _fail(EXIT_VALIDATION, "--refine must be >= 0")
     if args.ladder_out is not None and refine < 1:
         _fail(EXIT_VALIDATION, "--ladder-out needs --refine 1 or more")
+    if args.input and refine > 0:
+        _fail(EXIT_VALIDATION, "--refine works with presets, not --input")
     if args.mc:
         # Monte Carlo path: the only deterministic-free route for n >= 2
-        from .montecarlo import mc_bilinear_energy
-
         mc = {**MC_DEFAULTS, **_given(args, MC_DEFAULTS)}
-        func = _preset_callable(args.preset, args.n, args.lam)
+        point_form = PROFILES[args.preset][1]
+        if point_form is None:
+            with_mc = ", ".join(name for name, (_, pf) in PROFILES.items() if pf)
+            _fail(EXIT_VALIDATION, f"preset {args.preset!r} has no Monte Carlo form ({with_mc})")
+        func = point_form(args.n, args.lam)
         est, se = mc_bilinear_energy(func, func, args.lam, n=args.n, **mc)
         _emit_json(
             {
@@ -349,8 +340,6 @@ def cmd_evaluate(args) -> int:
             args.out,
         )
         return 0
-    if args.n != 1:
-        _fail(EXIT_VALIDATION, "deterministic evaluation requires --n 1; use --mc for n >= 2")
     params = _resolve_params(args)
     spec = _grid_spec(args)
 
@@ -358,7 +347,7 @@ def cmd_evaluate(args) -> int:
         if args.input:
             f = _load_grid_file(args.input, args.n)
         else:
-            f = _preset_function(args.preset, spec_level, args.lam)
+            f = PROFILES[args.preset][0](spec_level, args.lam)
         if not np.any(f.values != 0.0):
             _fail(EXIT_VALIDATION, "input function is identically zero")
         energy = bilinear_energy(f, f, args.lam)
@@ -387,8 +376,6 @@ def cmd_evaluate(args) -> int:
         "result": result,
     }
     if refine > 0:
-        if args.input:
-            _fail(EXIT_VALIDATION, "--refine works with presets, not --input")
         ladder = [{"level": 0, "n_rho": spec.n_rho, "n_t": spec.n_t, **result}]
         level_spec = spec
         for level in range(1, refine + 1):
@@ -422,17 +409,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    if args.n != 1:
-        _fail(EXIT_VALIDATION, "the search requires --n 1 (deterministic quadrature)")
     params = _resolve_params(args)
     spec = _grid_spec(args)
-    if args.init == "H":
-        f0 = extremal_H(args.n, args.lam, spec)
-    elif args.init == "hperturb":
-        f0 = perturbed_H(args.n, args.lam, spec)
-    else:
-        f0 = gaussian_profile(spec)
     opts = IterationControls(**_given(args, ("max_iter", "rtol")))
+    f0 = PROFILES[args.init][0](spec, args.lam)
     f_star, quotient, trace = maximize(params, f0, opts)
 
     h_ref = extremal_H(args.n, args.lam, spec)

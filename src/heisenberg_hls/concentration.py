@@ -61,12 +61,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def normalized(self) -> "DiscreteMeasure":
-        tot = self.total_mass
-        if tot <= 0.0:
-            raise ValueError("cannot normalize a zero measure")
-        return DiscreteMeasure(self.n, self.points, self.masses / tot)
-
     def translated(self, u: GroupPoint) -> "DiscreteMeasure":
         """Left translation: atoms move to u * atom."""
         if u.n != self.n:
@@ -298,16 +292,13 @@ def spread_family(
     Q(R) decays like (R / (3 j))^Q down to the single-atom floor
     1/n_atoms, so by the tail of a length-10 sequence the mass in any
     probe-sized ball is negligible."""
-    base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
+    geom = Geometry("heisenberg", n)
+    base = geom.uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
-    out = []
-    for j in range(1, length + 1):
-        d = 3.0 * j
-        pts = base.copy()
-        pts[:, : 2 * n] *= d
-        pts[:, 2 * n] *= d * d
-        out.append(DiscreteMeasure(n, pts, masses.copy()))
-    return out
+    return [
+        DiscreteMeasure(n, geom.dilate(3.0 * j, base.copy().T).T, masses.copy())
+        for j in range(1, length + 1)
+    ]
 
 
 def translate_family(

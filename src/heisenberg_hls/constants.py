@@ -9,6 +9,9 @@ in log space:
 * Euclidean R^N reference: the diagonal sharp constant
   `lieb_diagonal_constant` and the upper bound `lieb_loss_upper_bound`.
 
+Both upper bounds are one volume bound.  The named profiles `h_profile`
+and `gaussian` take (|z|^2, t), so grids and coordinate rows share them.
+
 Exponents: the operator form sup_{|f|_p=1} |I_lam f|_q is governed by
 
     1/q = 1/p - (Q - lam)/Q,      1 < p < Q/(Q - lam),
@@ -23,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln
 
-from .group import check_n, homogeneous_dimension
+from .group import ball_volume, check_n, homogeneous_dimension
 
 #: Margin of the admissible p range and tolerance of the bilinear relation
 #: 1/r + 1/s + lam/Q = 2.  Inputs violating them are rejected, never projected.
@@ -42,6 +46,23 @@ def log_gamma(x: float) -> float:
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return float(gammaln(x))
+
+
+def unit_sphere_area(N: int) -> float:
+    """Area omega_{N-1} = 2 pi^(N/2) / Gamma(N/2) of the unit sphere in R^N."""
+    return 2.0 * math.exp(0.5 * N * math.log(math.pi) - log_gamma(N / 2.0))
+
+
+def h_profile(n: int, lam: float, zsq, t):
+    """The diagonal maximizer H = ((1 + |z|^2)^2 + t^2)^(-(2Q-lam)/4) of
+    Frank and Lieb, at |z|^2 = zsq and t (arrays or scalars)."""
+    Q = homogeneous_dimension(n)
+    return ((1.0 + zsq) ** 2 + t ** 2) ** (-(2.0 * Q - lam) / 4.0)
+
+
+def gaussian(zsq, t):
+    """The Gaussian exp(-|z|^2 - t^2) at |z|^2 = zsq and t."""
+    return np.exp(-zsq - t ** 2)
 
 
 def check_lambda(lam: float, Q: float, label: str = "Q"):
@@ -131,31 +152,31 @@ def frank_lieb_constant(n: int, lam: float) -> float:
     return math.exp(lg)
 
 
-def _check_bilinear(dim_label: str, dim: float, lam: float, r: float, s: float):
-    check_lambda(lam, dim, dim_label)
+def _volume_bound(dim_label: str, D: float, ball: float, lam: float, r: float, s: float) -> float:
+    """theorem2_upper_bound's form in (homogeneous) dimension D, for a unit
+    ball of volume `ball`; dim_label names D in error messages."""
+    check_lambda(lam, D, dim_label)
     if not (1.0 < r < math.inf and 1.0 < s < math.inf):
         raise ValueError("r and s must lie in (1, infinity)")
-    bilinear = 1.0 / r + 1.0 / s + lam / dim
+    bilinear = 1.0 / r + 1.0 / s + lam / D
     if abs(bilinear - 2.0) > ADMISSIBILITY_TOL:
         raise ValueError(f"bilinear condition 1/r+1/s+lambda/{dim_label} = 2 violated: {bilinear}")
+    a = lam / D
+    pref = D * ball ** a / (r * s * (D - lam))
+    return pref * ((a / (1.0 - 1.0 / r)) ** a + (a / (1.0 - 1.0 / s)) ** a)
 
 
 def theorem2_upper_bound(n: int, lam: float, r: float, s: float) -> float:
-    """Upper bound for the Heisenberg HLS constant at general (r, s):
+    """Upper bound for the Heisenberg HLS constant at general (r, s), with
+    |B_1| the volume of the unit ball of H^n:
 
         Q |B_1|^(lam/Q) / (r s (Q-lam)) *
             [ ((lam/Q)/(1-1/r))^(lam/Q) + ((lam/Q)/(1-1/s))^(lam/Q) ]
 
     Not sharp; diverges as lam -> Q.
     """
-    from .group import ball_volume
-
     n = check_n(n)
-    Q = homogeneous_dimension(n)
-    _check_bilinear("Q", Q, lam, r, s)
-    a = lam / Q
-    pref = Q * ball_volume(n) ** a / (r * s * (Q - lam))
-    return pref * ((a / (1.0 - 1.0 / r)) ** a + (a / (1.0 - 1.0 / s)) ** a)
+    return _volume_bound("Q", homogeneous_dimension(n), ball_volume(n), lam, r, s)
 
 
 def lieb_diagonal_constant(N: int, lam: float, variant: str = DEFAULT_LIEB_VARIANT) -> float:
@@ -187,16 +208,9 @@ def lieb_diagonal_constant(N: int, lam: float, variant: str = DEFAULT_LIEB_VARIA
 
 
 def lieb_loss_upper_bound(N: int, lam: float, r: float, s: float) -> float:
-    """Upper bound for the Euclidean HLS constant at general (r, s):
-
-        N / (r s (N-lam)) * (omega_{N-1}/N)^(lam/N) *
-            [ ((lam/N)/(1-1/r))^(lam/N) + ((lam/N)/(1-1/s))^(lam/N) ]
-
-    with omega_{N-1} = 2 pi^(N/2) / Gamma(N/2) the area of the unit sphere.
+    """Upper bound for the Euclidean HLS constant at general (r, s): the
+    volume bound of `theorem2_upper_bound` with Q = N and |B_1| = omega_{N-1}/N
+    the volume of the unit ball of R^N (omega_{N-1} = `unit_sphere_area`).
     """
     N = check_n(N, "N")
-    _check_bilinear("N", float(N), lam, r, s)
-    a = lam / N
-    omega = 2.0 * math.exp(0.5 * N * math.log(math.pi) - log_gamma(N / 2.0))
-    pref = N / (r * s * (N - lam)) * (omega / N) ** a
-    return pref * ((a / (1.0 - 1.0 / r)) ** a + (a / (1.0 - 1.0 / s)) ** a)
+    return _volume_bound("N", float(N), unit_sphere_area(N) / N, lam, r, s)

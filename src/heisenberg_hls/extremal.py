@@ -13,7 +13,7 @@ continuum, so the gauge fixing costs nothing while preventing mass from
 drifting off the grid.  A damped safeguard makes the ascent monotone by
 construction.
 
-The known diagonal maximizer
+The known diagonal maximizer (`constants.h_profile` at |z|^2 = rho^2)
 
     H(rho, t) = ((1 + rho^2)^2 + t^2)^(-(2Q-lam)/4)
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HlsParams, check_lambda
+from .constants import HlsParams, check_lambda, gaussian, h_profile
 from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from .group import homogeneous_dimension
 from .quadrature import fractional_integral_grid, hls_quotient
@@ -42,13 +42,12 @@ def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
     check_lambda(lam, Q)
     if spec.n != n:
         raise ValueError("grid spec dimension does not match n")
-    expo = (2.0 * Q - lam) / 4.0
-    return sample(lambda R, T: ((1.0 + R ** 2) ** 2 + T ** 2) ** (-expo), spec)
+    return sample(lambda R, T: h_profile(n, lam, R ** 2, T), spec)
 
 
 def gaussian_profile(spec: GridSpec) -> CylGridFunction:
     """Default search initialization exp(-rho^2 - t^2), far from H."""
-    return sample(lambda R, T: np.exp(-(R ** 2) - T ** 2), spec)
+    return sample(lambda R, T: gaussian(R ** 2, T), spec)
 
 
 PERTURB_AMPLITUDE = 0.3
@@ -95,8 +94,18 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class IterationControls:
+    """Stopping rules of `maximize`: an iteration cap max_iter (an integer
+    >= 0) and a stall tolerance rtol >= 0, relative to the quotient."""
+
     max_iter: int = 500
     rtol: float = 1e-7
+
+    def __post_init__(self):
+        if not (self.max_iter >= 0 and float(self.max_iter).is_integer()):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter}")
+        if not self.rtol >= 0.0:
+            raise ValueError(f"rtol must be >= 0, got {self.rtol}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 STALL_WINDOW = 10  # iterations over which the quotient must gain rtol

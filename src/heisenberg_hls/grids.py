@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import check_n, homogeneous_dimension
-from .constants import log_gamma
+from .constants import unit_sphere_area
 
 
 def sphere_area(n: int) -> float:
     """Area omega_{2n-1} = 2 pi^n / (n-1)! of the unit sphere in R^(2n)."""
-    return 2.0 * math.exp(n * math.log(math.pi) - log_gamma(float(n)))
+    return unit_sphere_area(2 * n)
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,6 @@ class CylGridFunction:
 
     def with_values(self, values: np.ndarray) -> "CylGridFunction":
         return CylGridFunction(self.spec, values)
-
-    def copy(self) -> "CylGridFunction":
-        return self.with_values(self.values.copy())
 
 
 def empty_grid_function(spec: GridSpec) -> CylGridFunction:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .group import ball_volume as heis_ball_volume
 from .group import check_n, norm_coords
-from .constants import check_lambda, log_gamma
+from .constants import check_lambda, gaussian, h_profile, unit_sphere_area
 
 # proposal shapes: the near-diagonal w component lives on (0, R0], both
 # Pareto components decay with tail exponent ALPHA, and the u proposal's
@@ -79,7 +79,7 @@ class Geometry:
     def ball_volume(self) -> float:
         if self.kind == "heisenberg":
             return heis_ball_volume(self.n)
-        return math.exp(0.5 * self.n * math.log(math.pi) - log_gamma(self.n / 2.0 + 1.0))
+        return unit_sphere_area(self.n) / self.n
 
     def norm(self, pts: np.ndarray) -> np.ndarray:
         if self.kind == "heisenberg":
@@ -233,17 +233,19 @@ def mc_bilinear_energy(
     return mean, math.sqrt(var / samples)
 
 
+def _zsq_t(pts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|z|^2, t) of (x, y, t) coordinate rows."""
+    return np.einsum("ij,ij->i", pts[:, : 2 * n], pts[:, : 2 * n]), pts[:, 2 * n]
+
+
 def heisenberg_extremal_callable(n: int, lam: float):
     """The closed-form diagonal extremal profile as a coordinate callable."""
-    Q = 2 * n + 2
-    expo = (2 * Q - lam) / 4.0
+    return lambda pts: h_profile(n, lam, *_zsq_t(pts, n))
 
-    def H(pts: np.ndarray) -> np.ndarray:
-        zsq = np.einsum("ij,ij->i", pts[:, : 2 * n], pts[:, : 2 * n])
-        t = pts[:, 2 * n]
-        return ((1.0 + zsq) ** 2 + t * t) ** (-expo)
 
-    return H
+def gaussian_callable(n: int):
+    """The Gaussian exp(-|z|^2 - t^2) as a coordinate callable."""
+    return lambda pts: gaussian(*_zsq_t(pts, n))
 
 
 def euclidean_extremal_callable(N: int, lam: float):

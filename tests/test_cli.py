@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisenberg_hls import cli
+from heisenberg_hls import cli, extremal, grids, montecarlo
 from heisenberg_hls.constants import derive_conjugates, theorem2_upper_bound
 
 PKG = [sys.executable, "-m", "heisenberg_hls"]
@@ -162,7 +162,7 @@ class TestEvaluateCommand:
         out = tmp_path / "never.json"
         proc = run_cli("evaluate", "--n", "2", "--out", str(out), check=False)
         assert proc.returncode == 2
-        assert "deterministic evaluation requires --n 1" in proc.stderr
+        assert "deterministic path requires n = 1" in proc.stderr
         assert not out.exists()
 
     def test_mc_mode_general_n(self):
@@ -174,6 +174,20 @@ class TestEvaluateCommand:
         assert doc["mode"] == "monte-carlo"
         assert doc["result"]["energy"] > 0
         assert doc["result"]["stderr"] > 0
+
+    def test_mc_zero_preset_exit_2(self, tmp_path, capsys):
+        assert exits_2(["evaluate", "--mc", "--preset", "zero"], tmp_path / "never.json")
+        assert "preset 'zero' has no Monte Carlo form (H, ball, gauss)" in capsys.readouterr().err
+
+    def test_input_with_refine_rejected_before_evaluation(self, tmp_path, monkeypatch):
+        def never(*_args):
+            raise AssertionError("evaluated before the flags were checked")
+
+        monkeypatch.setattr(cli, "bilinear_energy", never)
+        f = extremal.extremal_H(1, 2.0, grids.GridSpec(n_rho=8, n_t=8))
+        path = tmp_path / "f.npz"
+        np.savez(path, rho_nodes=f.rho_nodes, t_nodes=f.t_nodes, values=f.values)
+        assert exits_2(["evaluate", "--input", str(path), "--refine", "1"], tmp_path / "never.json")
 
     def test_mc_more_workers_than_samples_exit_2(self):
         proc = run_cli(
@@ -249,11 +263,17 @@ class TestMaximizeCommand:
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv", [["--max-iter", "-5"], ["--rtol", "-1"], ["--rtol", "nan"]], ids=" ".join
+    )
+    def test_bad_search_controls_exit_2(self, tmp_path, argv):
+        assert exits_2(["maximize", *SMALL_GRID, *argv], tmp_path / "never.json")
+
     def test_search_needs_n_1(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run_cli("maximize", "--n", "2", "--out", str(out), check=False)
         assert proc.returncode == 2
-        assert "the search requires --n 1" in proc.stderr
+        assert "deterministic path requires n = 1" in proc.stderr
         assert not out.exists()
 
 
@@ -451,6 +471,39 @@ class TestEverySettingIsRead:
         doc = json.loads(out.read_text())
         assert doc["verdict"]["kind"] == "compactness"
         assert {len(c) for c in doc["verdict"]["centers"]} == {5}
+
+
+def test_profile_names_build_the_library_profiles():
+    """Each --preset and --init name builds its library profile, on the
+    grid and, where it has one, as a point callable."""
+    parser = cli.build_parser()
+    for command, flag, names in (
+        ("evaluate", "--preset", ("H", "ball", "gauss", "zero")),
+        ("maximize", "--init", ("H", "hperturb", "gauss")),
+    ):
+        for name in names:
+            assert name in cli.PROFILES
+            parser.parse_args([command, flag, name])
+    spec = grids.GridSpec(n=2, n_rho=8, n_t=10)
+    grid = {
+        "H": extremal.extremal_H(2, 3.0, spec),
+        "ball": grids.ball_indicator(spec),
+        "gauss": extremal.gaussian_profile(spec),
+        "hperturb": extremal.perturbed_H(2, 3.0, spec),
+        "zero": grids.empty_grid_function(spec),
+    }
+    pts = np.random.default_rng(0).standard_normal((50, 5))
+    point = {
+        "H": montecarlo.heisenberg_extremal_callable(2, 3.0)(pts),
+        "ball": montecarlo.ball_indicator_callable(2)(pts),
+        "gauss": np.exp(-np.sum(pts * pts, axis=1)),
+    }
+    for name, (grid_form, point_form) in cli.PROFILES.items():
+        assert np.array_equal(grid_form(spec, 3.0).values, grid[name].values), name
+        if name in point:
+            np.testing.assert_allclose(point_form(2, 3.0)(pts), point[name], rtol=1e-13, err_msg=name)
+        else:
+            assert point_form is None, name
 
 
 def test_readme_command_lines_parse():

@@ -14,6 +14,7 @@ from heisenberg_hls.constants import (
     lieb_loss_upper_bound,
     log_gamma,
     theorem2_upper_bound,
+    unit_sphere_area,
 )
 
 
@@ -40,6 +41,12 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(ValueError):
             log_gamma(-1.5)
+
+
+def test_unit_sphere_area():
+    # 2 points, the circle, the 2-sphere, and omega_3 = 2 pi^2
+    for N, area in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi), (4, 2.0 * math.pi ** 2)):
+        assert unit_sphere_area(N) == pytest.approx(area, rel=1e-15)
 
 
 class TestDeriveConjugates:

@@ -26,6 +26,7 @@ from heisenberg_hls.extremal import (
     renormalize_concentration,
 )
 from heisenberg_hls.grids import GridSpec, lp_norm, normalized, sample
+from heisenberg_hls.montecarlo import gaussian_callable, heisenberg_extremal_callable
 from heisenberg_hls.quadrature import hls_quotient
 
 SMALL = GridSpec(n=1, n_rho=28, rho_min=5e-3, rho_max=25.0, n_t=56, t_max=25.0)
@@ -58,6 +59,20 @@ class TestExtremalH:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             extremal_H(1, 4.5, SMALL)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0])
+    def test_grid_and_point_forms_agree_bitwise(self, n, lam):
+        """extremal_H and gaussian_profile equal, bit for bit, the point
+        callables of montecarlo at the grid nodes (rho, 0, ..., 0, t)."""
+        spec = GridSpec(n=n, n_rho=12, rho_min=1e-2, rho_max=20.0, n_t=14, t_max=20.0)
+        R, T = np.meshgrid(spec.rho_nodes(), spec.t_nodes(), indexing="ij")
+        pts = np.zeros((R.size, 2 * n + 1))
+        pts[:, 0], pts[:, 2 * n] = R.ravel(), T.ravel()
+        h = extremal_H(n, lam, spec).values
+        assert np.array_equal(h.ravel(), heisenberg_extremal_callable(n, lam)(pts))
+        g = gaussian_profile(spec).values
+        assert np.array_equal(g.ravel(), gaussian_callable(n)(pts))
 
 
 class TestEulerLagrangeStep:
@@ -239,6 +254,20 @@ class TestMaximize:
         _, _, trace = maximize(PARAMS, gaussian_profile(SMALL), IterationControls(max_iter=2))
         assert trace.stop_reason == "max_iter"
         assert trace.iterations == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "controls",
+        [{"max_iter": -5}, {"max_iter": 2.5}, {"max_iter": math.inf},
+         {"rtol": -1.0}, {"rtol": math.nan}],
+        ids=str,
+    )
+    def test_bad_controls_rejected(self, controls):
+        with pytest.raises(ValueError):
+            IterationControls(**controls)
+
+    def test_zero_max_iter_keeps_the_start(self):
+        _, _, trace = maximize(PARAMS, gaussian_profile(SMALL), IterationControls(max_iter=0))
+        assert (trace.iterations, trace.stop_reason) == ([0], "max_iter")
 
     def test_stop_stall(self):
         # every step ascends, the gains halving from 0.127 to 2e-6, so the
