@@ -219,6 +219,11 @@ def cmd_constants(args) -> int:
             "params": {"n": n, "lambda": lam, "r": params.r, "s": params.s},
             "value": sc.theorem2_upper_bound(n, lam, params.r, params.s),
         },
+        {
+            "name": "h_quotient",
+            "params": {"n": n, "lambda": lam, "p": params.p, "q": params.q},
+            "value": sc.h_quotient(n, lam, params.p),
+        },
     ]
     dominance = [
         {
@@ -544,8 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--samples", type=int, help="Monte Carlo sample count (default 10^6)")
     p_eval.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
     p_eval.add_argument("--workers", type=int,
-                        help="Monte Carlo streams the samples are split into (default 1); they run "
-                             "one after another in one thread, so the count changes the draws, not the speed")
+                        help="Monte Carlo streams the samples are split into (default 1); the count "
+                             "changes the draws, not the speed: the chunks of every stream run on one "
+                             "thread per available CPU, up to four, with the same result at any "
+                             "thread count")
 
     p_max = command("maximize", cmd_maximize, "extremal search for the HLS quotient")
     p_max.add_argument("--init", choices=("H", "hperturb", "gauss"), default="gauss",

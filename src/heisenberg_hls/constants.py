@@ -4,8 +4,10 @@ Two families of closed forms are implemented, all as Gamma-ratios evaluated
 in log space:
 
 * Heisenberg group H^n (homogeneous dimension Q = 2n + 2): the diagonal
-  sharp constant `frank_lieb_constant` and the volume-based upper bound
-  `theorem2_upper_bound` valid for all admissible (r, s).
+  sharp constant `frank_lieb_constant`, the volume-based upper bound
+  `theorem2_upper_bound` valid for all admissible (r, s), and the quotient
+  `h_quotient` of the diagonal maximizer H at any admissible p, a lower
+  bound on the sharp constant there.
 * Euclidean R^N reference: the diagonal sharp constant
   `lieb_diagonal_constant` and the upper bound `lieb_loss_upper_bound`.
 
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 from .group import ball_volume, check_n, homogeneous_dimension
 
@@ -150,6 +152,37 @@ def frank_lieb_constant(n: int, lam: float) -> float:
         - 2.0 * log_gamma((2.0 * Q - lam) / 4.0)
     )
     return math.exp(lg)
+
+
+def _log_cayley_integral(n: int, A: float) -> float:
+    """ln of the integral over H^n of |1 + s|^(-A), s = |z|^2 - it, A > n + 1:
+
+        int ((1 + |z|^2)^2 + t^2)^(-A/2) dz dt
+            = omega_{2n-1} / 2 * B(1/2, (A - 1)/2) * B(n, A - 1 - n)
+
+    (t first, then |z| in polar form; omega_{2n-1} = `unit_sphere_area`(2n)).
+    """
+    return math.log(0.5 * unit_sphere_area(2 * n)) + betaln(0.5, (A - 1.0) / 2.0) + betaln(n, A - 1.0 - n)
+
+
+def h_quotient(n: int, lam: float, p: float) -> float:
+    """|I_lam H|_q / |H|_p for the diagonal maximizer H = |1 + s|^(-(2Q-lam)/2)
+    at the exponent tuple of (n, lam, p); a lower bound on the sharp
+    constant there, equal to `frank_lieb_constant` on the diagonal.
+
+    I_lam H = c |1 + s|^(-lam/2) with c = C_FL |H|_r^(2-r) at the diagonal r,
+    so both norms are integrals of powers of |1 + s| (`_log_cayley_integral`
+    with A = lam q / 2, (2Q - lam) p / 2 and, for |H|_r^r, Q).
+    """
+    params = HlsParams(n, lam, p)
+    n, Q, q = params.n, params.Q, params.q
+    r = diagonal_params(n, lam).r
+    log_c = math.log(frank_lieb_constant(n, lam)) + (2.0 - r) / r * _log_cayley_integral(n, Q)
+    return math.exp(
+        log_c
+        + _log_cayley_integral(n, lam * q / 2.0) / q
+        - _log_cayley_integral(n, (2.0 * Q - lam) * p / 2.0) / p
+    )
 
 
 def _volume_bound(dim_label: str, D: float, ball: float, lam: float, r: float, s: float) -> float:

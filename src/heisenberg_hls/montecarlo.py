@@ -20,21 +20,30 @@ delta_r(direction).  The cone measure is sampled exactly from Gaussians
 at any n.  Each proposal also returns the radii it drew; they give the
 kernel and both densities, so no norm is recomputed.
 
-Each stream is drawn and evaluated in chunks of CHUNK samples held
-component-major, (dim, m) arrays with one contiguous row per coordinate, so
-the sphere, the in-place dilations and the group product are row operations.
+The samples are split into ``workers`` streams spawned from the seed by
+SeedSequence, and each stream into chunks of at most CHUNK samples; each
+chunk draws from its own SeedSequence child of its stream.  A chunk is
+drawn and evaluated component-major, (dim, m) arrays with one contiguous
+row per coordinate, so the sphere, the in-place dilations and the group
+product are row operations, and it returns only its (sum, sum of squares).
 
-``workers`` only splits the samples into streams spawned from the seed by
-SeedSequence; the streams run one after another in the calling thread, so a
-fixed (seed, workers) pair gives bitwise the same result.  No thread is
-used: drawing chunk k + 1 in a second thread while chunk k is evaluated was
-no faster (0.442 s against 0.438 s for H at n = 1, 2, 3 and the R^3
-extremal, 2.5 * 10^5 samples each, medians of 12; 2 cores, numpy 2.4.6).
+The chunks run on a thread pool with one thread per CPU the process may
+use (at most MAX_THREADS, and at most one per chunk), and their partial
+sums are added in chunk order, so the result depends on (seed, workers,
+samples) alone: bitwise the same at any thread count.  No partial sum
+goes through BLAS, whose own threads could reorder it.  Working memory is
+O(threads * CHUNK * dim) whatever the sample count.  Threads that each
+run whole chunks scale about 1.8x on 2
+cores (H at n = 1, 2, 3 and the R^3 extremal, 2.5 * 10^5 samples each;
+numpy 2.4.6), while one thread drawing chunk k + 1 as another evaluated
+chunk k gained nothing (0.442 s against 0.438 s for the same four calls).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +58,13 @@ from .constants import check_lambda, gaussian, h_profile, unit_sphere_area
 R0 = 1.0
 ALPHA = 1.5
 U_SCALE = 2.0
-# samples drawn and evaluated at once per stream: working memory is
-# O(CHUNK * dim) (20 MiB traced at n = 3) whatever the sample count; the
-# generator calls' shapes follow CHUNK, so changing it changes the draws
-CHUNK = 2 ** 16
+# samples drawn and evaluated at once per chunk: working memory is
+# O(threads * CHUNK * dim); the chunk boundaries and the generator calls'
+# shapes follow CHUNK, so changing it changes the draws
+CHUNK = 2 ** 15
+# each thread holds one chunk, about 6 MiB at n = 3: four keep one call
+# under 32 MiB on a host of any size
+MAX_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -183,6 +195,14 @@ class SingularMatched:
         return np.where(r <= self.r0, val, 0.0)
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def mc_bilinear_energy(
     f, g, lam: float, n: int, samples: int, seed: int,
     workers: int = 1, geometry: str = "heisenberg",
@@ -192,6 +212,8 @@ def mc_bilinear_energy(
     f and g are vectorized callables on coordinate arrays of shape
     (m, dim): (x, y, t) rows for the Heisenberg geometry, plain x rows for
     the Euclidean one (transposed views of the component-major chunks).
+    Chunks are evaluated on several threads, so f and g may be called from
+    several threads at once and must not share mutable state between calls.
     """
     if samples < 1000:
         raise ValueError("samples must be at least 10^3")
@@ -206,27 +228,40 @@ def mc_bilinear_energy(
     w_broad = ParetoBall(geom, R0, ALPHA)
     w_near = SingularMatched(geom, R0, lam)
 
+    def chunk_sums(seq: np.random.SeedSequence, m: int) -> tuple[float, float]:
+        rng = np.random.default_rng(seq)
+        u, r_u = u_prop.sample(rng, m)
+        # w from the equal mixture: a Binomial(m, 1/2) count of near draws,
+        # then the broad ones, in one array; u is i.i.d. and independent of
+        # w, so the pairs have the law of i.i.d. labels
+        m_near = int(rng.binomial(m, 0.5))
+        w, r_w = np.empty((geom.dim, m)), np.empty(m)
+        w[:, :m_near], r_w[:m_near] = w_near.sample(rng, m_near)
+        w[:, m_near:], r_w[m_near:] = w_broad.sample(rng, m - m_near)
+        # the drawn radii give the kernel and both radial densities
+        p_w = 0.5 * w_near.pdf(r_w) + 0.5 * w_broad.pdf(r_w)
+        vals = f(u.T) * g(geom.shift(u, w).T) * r_w ** (-lam) / (u_prop.pdf(r_u) * p_w)
+        # einsum, not np.dot: BLAS may split a long dot product over its
+        # own threads, and so change its bits with the CPU set
+        return float(vals.sum()), float(np.einsum("i,i->", vals, vals))
+
     streams = np.random.SeedSequence(seed).spawn(workers)
     counts = [samples // workers + (i < samples % workers) for i in range(workers)]
-
-    total = total_sq = 0.0
+    # the seed and size of every chunk, in chunk order: one child of its
+    # stream per chunk
+    seeds, sizes = [], []
     for stream, count in zip(streams, counts):
-        rng = np.random.default_rng(stream)
-        for start in range(0, count, CHUNK):
-            m = min(CHUNK, count - start)
-            u, r_u = u_prop.sample(rng, m)
-            # w from the equal mixture: a Binomial(m, 1/2) count of near
-            # draws, then the broad ones, in one array; u is i.i.d. and
-            # independent of w, so the pairs have the law of i.i.d. labels
-            m_near = int(rng.binomial(m, 0.5))
-            w, r_w = np.empty((geom.dim, m)), np.empty(m)
-            w[:, :m_near], r_w[:m_near] = w_near.sample(rng, m_near)
-            w[:, m_near:], r_w[m_near:] = w_broad.sample(rng, m - m_near)
-            # the drawn radii give the kernel and both radial densities
-            p_w = 0.5 * w_near.pdf(r_w) + 0.5 * w_broad.pdf(r_w)
-            vals = f(u.T) * g(geom.shift(u, w).T) * r_w ** (-lam) / (u_prop.pdf(r_u) * p_w)
-            total += float(vals.sum())
-            total_sq += float(np.dot(vals, vals))
+        seeds += stream.spawn(-(-count // CHUNK))
+        sizes += [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+    threads = min(_cpu_count(), MAX_THREADS, len(sizes))
+
+    # added left to right (sum() of floats compensates on newer Pythons,
+    # which would change the bits with the interpreter)
+    total = total_sq = 0.0
+    with ThreadPoolExecutor(threads) as pool:
+        for part_sum, part_sq in pool.map(chunk_sums, seeds, sizes):
+            total += part_sum
+            total_sq += part_sq
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)

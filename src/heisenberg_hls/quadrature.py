@@ -370,13 +370,14 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
     """Bilinear HLS energy int int f(u) g(v) |u^-1 v|^(-lam) du dv.
 
     Computed as the symmetrized pairing (<g, I f> + <f, I g>)/2 so that the
-    discrete form is exactly symmetric in (f, g).
+    discrete form is exactly symmetric in (f, g); for g is f the two
+    pairings are one, and the table is applied once.
     """
     if not f.same_grid(g):
         raise ValueError("f and g must live on the same grid")
     table = kernel_table(f.spec, lam)
     If = table.apply(f.values)
-    Ig = table.apply(g.values)
+    Ig = If if g is f else table.apply(g.values)
     e1 = float(np.sum(f.weights * g.values * If))
     e2 = float(np.sum(f.weights * f.values * Ig))
     return 0.5 * (e1 + e2)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisenberg_hls import cli, extremal, grids, montecarlo
-from heisenberg_hls.constants import derive_conjugates, theorem2_upper_bound
+from heisenberg_hls import cli, extremal, grids, montecarlo, quadrature
+from heisenberg_hls.constants import derive_conjugates, h_quotient, theorem2_upper_bound
 
 PKG = [sys.executable, "-m", "heisenberg_hls"]
 
@@ -46,6 +46,15 @@ class TestConstantsCommand:
         assert values["ball_volume"] == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
         assert values["theorem2_upper_bound"] == pytest.approx(9 * math.pi / 4, rel=1e-12)
         assert all(item["dominates"] for item in doc["dominance"])
+
+    def test_h_quotient_reported_at_the_exponents(self):
+        # the diagonal default and an off-diagonal --p, below the Theorem-2 bound
+        for extra, p in (([], 4.0 / 3.0), (["--p", "1.6"], 1.6)):
+            doc = json.loads(run_cli("constants", "--n", "1", "--lambda", "2", *extra).stdout)
+            recs = {r["name"]: r for r in doc["records"]}
+            assert recs["h_quotient"]["params"]["p"] == pytest.approx(p, rel=1e-15)
+            assert recs["h_quotient"]["value"] == h_quotient(1, 2.0, p)
+            assert recs["h_quotient"]["value"] < recs["theorem2_upper_bound"]["value"]
 
     def test_lambda_validation_exit_2(self):
         proc = run_cli("constants", "--n", "1", "--lambda", "5", check=False)
@@ -225,6 +234,22 @@ class TestEvaluateCommand:
         errs = [float(r["quotient_error"]) for r in rows]
         assert len(errs) == 2
         assert errs[1] < errs[0]  # refinement reduces the error
+
+    def test_two_table_applies_per_grid_level(self, monkeypatch, tmp_path):
+        # one for the energy of f with itself, one for the quotient
+        calls = []
+        apply = quadrature.KernelTable.apply
+
+        def counted(table, values):
+            calls.append(values.shape)
+            return apply(table, values)
+
+        monkeypatch.setattr(quadrature.KernelTable, "apply", counted)
+        argv = ["evaluate", "--n", "1", "--lambda", "2", *SMALL_GRID, "--out", str(tmp_path / "e.json")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 2
+        assert cli.main([*argv, "--refine", "1"]) == 0
+        assert len(calls) == 2 + 4
 
 
 class TestMaximizeCommand:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from heisenberg_hls.constants import (
     DEFAULT_LIEB_VARIANT,
@@ -10,6 +11,7 @@ from heisenberg_hls.constants import (
     derive_conjugates,
     diagonal_params,
     frank_lieb_constant,
+    h_quotient,
     lieb_diagonal_constant,
     lieb_loss_upper_bound,
     log_gamma,
@@ -181,6 +183,52 @@ class TestTheorem2UpperBound:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             theorem2_upper_bound(1, 2.0, 4.0 / 3.0, 1.5)  # bilinear relation violated
+
+
+class TestHQuotient:
+    @staticmethod
+    def _cayley_integral(n, A):
+        # int over H^n of ((1 + |z|^2)^2 + t^2)^(-A/2): t = (1 + |z|^2) u
+        # leaves (1 + |z|^2)^(1-A) times an integral over u, then |z| polar
+        quad = lambda fn, a: integrate.quad(fn, a, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        t_part = 2.0 * quad(lambda u: (1.0 + u * u) ** (-A / 2.0), 0.0)
+        z_part = quad(lambda rho: rho ** (2 * n - 1) * (1.0 + rho * rho) ** (1.0 - A), 0.0)
+        return t_part * unit_sphere_area(2 * n) * z_part
+
+    @pytest.mark.parametrize("n,lam,p", [(1, 2.0, 1.3), (1, 2.0, 1.85), (2, 3.0, 1.4)])
+    def test_matches_numerical_integrals(self, n, lam, p):
+        # I_lam H = C_FL |H|_r^(2-r) |1+s|^(-lam/2) and H = |1+s|^(-(2Q-lam)/2)
+        prm = derive_conjugates(n, lam, p)
+        Q, q = prm.Q, prm.q
+        r = 2.0 * Q / (2.0 * Q - lam)
+        c = frank_lieb_constant(n, lam) * self._cayley_integral(n, Q) ** ((2.0 - r) / r)
+        norm_I = c * self._cayley_integral(n, lam * q / 2.0) ** (1.0 / q)
+        norm_H = self._cayley_integral(n, (2.0 * Q - lam) * p / 2.0) ** (1.0 / p)
+        assert h_quotient(n, lam, p) == pytest.approx(norm_I / norm_H, rel=1e-8)
+
+    @pytest.mark.parametrize("n,lam", [(1, 0.7), (1, 2.0), (2, 2.0), (2, 5.0), (3, 3.0)])
+    def test_equals_frank_lieb_on_the_diagonal(self, n, lam):
+        p = diagonal_params(n, lam).p
+        assert h_quotient(n, lam, p) == pytest.approx(frank_lieb_constant(n, lam), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.3, 1.6])
+    def test_default_grid_quotient_of_H_is_close(self, p):
+        from heisenberg_hls.extremal import extremal_H
+        from heisenberg_hls.grids import GridSpec
+        from heisenberg_hls.quadrature import hls_quotient
+
+        got = hls_quotient(extremal_H(1, 2.0, GridSpec()), derive_conjugates(1, 2.0, p))
+        assert got == pytest.approx(h_quotient(1, 2.0, p), rel=1e-2)
+
+    def test_below_theorem2_bound_off_the_diagonal(self):
+        # H is admissible, so Q_H(p) <= C(r, s) <= the Theorem-2 bound
+        for p in (1.05, 1.15, 1.3, 1.6, 1.85):
+            prm = derive_conjugates(1, 2.0, p)
+            assert h_quotient(1, 2.0, p) < theorem2_upper_bound(1, 2.0, prm.r, prm.s)
+
+    def test_inadmissible_rejected(self):
+        with pytest.raises(ValueError):
+            h_quotient(1, 2.0, 2.0)  # p = Q / (Q - lam): q infinite
 
 
 class TestLiebDiagonalConstant:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import beta
 
+from heisenberg_hls import montecarlo
 from heisenberg_hls.constants import lieb_diagonal_constant
 from heisenberg_hls.group import norm_coords
 from heisenberg_hls.montecarlo import (
@@ -160,34 +163,79 @@ class TestProposals:
 
 class TestMcBilinearEnergy:
     # (geometry, n, lam, workers, estimate, stderr) of f = the extremal, g
-    # below, 140,000 samples, seed 17 + n, as recorded from the row-major
-    # implementation this one replaced; other draws move an estimate by
-    # about 1e-2 relative, so a match shows the same random stream
+    # below, 140,000 samples, seed 17 + n, as recorded from the chunked
+    # implementation with one SeedSequence child per chunk; other draws move
+    # an estimate by about 1e-2 relative, so a match shows the same stream
     RECORDED = [
-        ("heisenberg", 1, 2.0, 1, 42.14088623805611, 0.8565537336565319),
-        ("heisenberg", 1, 2.0, 3, 42.18413872091101, 0.8474949277766408),
-        ("heisenberg", 2, 3.0, 1, 61.62680309270134, 3.973403927682894),
-        ("heisenberg", 2, 3.0, 3, 59.04634869877708, 2.880922200293691),
-        ("heisenberg", 3, 2.0, 1, 96.47170674462949, 36.30136986060123),
-        ("heisenberg", 3, 2.0, 3, 65.80080371414869, 9.267758580744925),
-        ("heisenberg", 5, 5.0, 1, 5.215640164183392, 0.8245953048073289),
-        ("heisenberg", 5, 5.0, 3, 3.790361588769263, 0.5650810341904143),
-        ("euclidean", 3, 2.0, 1, 54.521567834023614, 0.5423597855962056),
-        ("euclidean", 3, 2.0, 3, 55.852643268255356, 0.5506878915036996),
+        ("heisenberg", 1, 2.0, 1, 41.25689443323798, 0.8410189101033719),
+        ("heisenberg", 1, 2.0, 3, 42.27004131117987, 0.8333489703750326),
+        ("heisenberg", 2, 3.0, 1, 55.672150035110015, 2.8460575448931937),
+        ("heisenberg", 2, 3.0, 3, 57.699514985011064, 3.170235025711253),
+        ("heisenberg", 3, 2.0, 1, 71.34461719403296, 15.030195222466793),
+        ("heisenberg", 3, 2.0, 3, 74.12295856515755, 13.35954924539993),
+        ("heisenberg", 5, 5.0, 1, 3.4645875019301737, 0.36929635234503344),
+        ("heisenberg", 5, 5.0, 3, 4.431078911568534, 0.923527805173652),
+        ("euclidean", 3, 2.0, 1, 55.466505773600005, 0.5315674855263017),
+        ("euclidean", 3, 2.0, 3, 54.45523189178444, 0.501217692385227),
     ]
 
-    @pytest.mark.parametrize("geometry,n,lam,workers,est,se", RECORDED)
-    def test_matches_recorded_stream(self, geometry, n, lam, workers, est, se):
+    @staticmethod
+    def _recorded_pair(geometry, n, lam):
         if geometry == "heisenberg":
             f = heisenberg_extremal_callable(n, lam)
         else:
             f = euclidean_extremal_callable(n, lam)
         # g is asymmetric in t, so the sign of the group product's twist shows
         g = lambda pts: np.exp(-0.5 * np.einsum("ij,ij->i", pts, pts) - 0.3 * pts[:, -1])
+        return f, g
+
+    @pytest.mark.parametrize(
+        "geometry,n,lam,workers,est,se", RECORDED, ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in RECORDED]
+    )
+    def test_matches_recorded_stream(self, geometry, n, lam, workers, est, se):
+        f, g = self._recorded_pair(geometry, n, lam)
         got = mc_bilinear_energy(
             f, g, lam, n=n, samples=140_000, seed=17 + n, workers=workers, geometry=geometry
         )
         np.testing.assert_allclose(got, (est, se), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_result_independent_of_thread_count(self, monkeypatch, workers):
+        # 3 * CHUNK + 17 samples: four or more chunks, so up to four threads
+        # share the work; the partial sums are reduced in chunk order.  A
+        # short switch interval makes the threads interleave as often as
+        # they can.
+        f, g = self._recorded_pair("heisenberg", 2, 3.0)
+        results, threads = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(
+                    montecarlo.os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False
+                )
+                seen = set()
+
+                def f_seen(pts):
+                    seen.add(threading.get_ident())
+                    return f(pts)
+
+                results.append(
+                    mc_bilinear_energy(f_seen, g, 3.0, n=2, samples=3 * CHUNK + 17, seed=4, workers=workers)
+                )
+                threads.append(len(seen))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+        # submitted together, the chunks start a thread each up to the pool size
+        assert threads[0] == 1 and 1 < threads[1] <= 2 and 1 < threads[2] <= 4
+
+    def test_callable_error_reaches_the_caller(self):
+        def broken(pts):
+            raise RuntimeError("broken callable")
+
+        with pytest.raises(RuntimeError, match="broken callable"):
+            mc_bilinear_energy(broken, broken, 2.0, n=1, samples=3 * CHUNK, seed=0)
 
     def test_zero_functions(self):
         zero = lambda pts: np.zeros(pts.shape[0])
@@ -208,6 +256,19 @@ class TestMcBilinearEnergy:
         assert a == b and a[1] > 0
 
     def test_working_memory_is_bounded_by_the_chunk(self):
+        H = heisenberg_extremal_callable(3, 2.0)
+        tracemalloc.start()
+        try:
+            mc_bilinear_energy(H, H, 2.0, n=3, samples=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_working_memory_on_many_cpus(self, monkeypatch):
+        # one chunk in flight per thread, and at most MAX_THREADS threads: the
+        # bound above must also hold on a 64-CPU host
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         H = heisenberg_extremal_callable(3, 2.0)
         tracemalloc.start()
         try:

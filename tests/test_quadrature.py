@@ -244,6 +244,22 @@ class TestBilinearEnergy:
         with pytest.raises(ValueError):
             bilinear_energy(f, g, 2.0)
 
+    def test_self_energy_applies_the_table_once(self, monkeypatch):
+        calls = []
+        apply = quadrature.KernelTable.apply
+
+        def counted(table, values):
+            calls.append(values)
+            return apply(table, values)
+
+        monkeypatch.setattr(quadrature.KernelTable, "apply", counted)
+        f = H_profile(SMALL)
+        e = bilinear_energy(f, f, 2.0)
+        assert len(calls) == 1
+        # an equal copy is not f, so it takes both pairings: the same bits
+        assert e == bilinear_energy(f, f.with_values(f.values.copy()), 2.0)
+        assert len(calls) == 3
+
     def test_extremal_energy_close_to_sharp(self):
         # E[H, H] -> C |H|_r^2 with C = 4; coarse grid gives a few percent
         f = H_profile(SMALL)
