@@ -394,8 +394,8 @@ def cmd_evaluate(args) -> int:
                 }
             )
         reference = None
-        if args.preset == "H" and params.is_diagonal:
-            reference = sc.frank_lieb_constant(args.n, args.lam)
+        if args.preset == "H":
+            reference = sc.h_quotient(args.n, args.lam, params.p)
             for row in ladder:
                 row["quotient_error"] = abs(row["quotient"] - reference)
         payload["refinement_reference"] = reference

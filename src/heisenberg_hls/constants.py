@@ -115,10 +115,6 @@ class HlsParams:
     def s(self) -> float:
         return self.p
 
-    @property
-    def is_diagonal(self) -> bool:
-        return abs(self.r - self.s) <= 1e-12
-
 
 def derive_conjugates(n: int, lam: float, p: float) -> HlsParams:
     """The exponent tuple of (n, lambda, p); see HlsParams."""

@@ -353,10 +353,10 @@ def maximize(
 
     p = params.p
     f = normalized(init, p)
-    f, _, _ = renormalize_concentration(f, params)
+    f, d_used, a_used = renormalize_concentration(f, params)
     quotient = hls_quotient(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
-    trace.record(0, quotient, levy_concentration_grid(f, p), 1.0, 0.0, True)
+    trace.record(0, quotient, levy_concentration_grid(f, p), d_used, a_used, True)
 
     for it in range(1, opts.max_iter + 1):
         proposal = euler_lagrange_step(f, params)

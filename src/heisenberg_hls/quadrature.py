@@ -47,9 +47,9 @@ tau >= 0 and mirrors it, bit for bit what the full lattice would give at
 half the work.
 
 The sum over j' is a correlation along t, so the table is applied in
-Fourier space: it caches the rfft of A along k, and an apply costs one
-rfft of the values, one batched matmul over the frequencies and one irfft
-instead of a loop over i.
+Fourier space: the table keeps only the rfft of A along k, and an apply
+costs one rfft of the values, one batched matmul over the frequencies and
+one irfft instead of a loop over i.
 """
 
 from __future__ import annotations
@@ -213,39 +213,29 @@ def _cell_integrals(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
 
 @dataclass
 class KernelTable:
-    """Product-integration tensor for (I_lam f) on a fixed grid, n = 1.
-
-    A[i, i', k] is the quadrature weight of node (i', j') in the evaluation
-    of I_lam f at node (i, j), with k = j' - j + (n_t - 1).  Tables are
-    built from a GridSpec (build_kernel_table) and cached per (spec, lam)
-    (kernel_table).
+    """Product-integration operator for (I_lam f) on a fixed grid, n = 1,
+    built from a GridSpec (build_kernel_table, which defines its weights A)
+    and cached per (spec, lam) (kernel_table).
 
     The sum over j' is a correlation along t, so apply multiplies in
-    Fourier space.  The table keeps the rfft of A along k at the even
-    length 2 n_t, frequency-major so that each frequency's (i, i') block is
-    contiguous; it takes about as many bytes as A.
+    Fourier space.  The table keeps only A_hat, the rfft of A along k at
+    the even length 2 n_t, frequency-major so that each frequency's
+    (i, i') block is contiguous.
     """
 
-    A: np.ndarray
-
-    def __post_init__(self):
-        n_rho, _, L = self.A.shape
-        self._nfft = L + 1
-        # filled one row at a time: no full-size temporary beside A and A_hat
-        self._A_hat = np.empty((self._nfft // 2 + 1, n_rho, n_rho), dtype=complex)
-        for i in range(n_rho):
-            self._A_hat[:, i, :] = np.fft.rfft(self.A[i], self._nfft).T
+    A_hat: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """I_lam f at every node, for the values of f on the table's grid:
         one rfft, one batched matmul over the frequencies, one irfft."""
         n_t = values.shape[1]
+        nfft = 2 * (self.A_hat.shape[0] - 1)
         # with v_rev[m] = values[n_t - 1 - m], out[:, j] is the convolution
         # A * v_rev at lag K = 2 n_t - 2 - j; for those lags K - m stays in
         # [0, 2 n_t - 2], so a circular convolution of any length >= the
         # 2 n_t - 1 entries of A has no wrap-around there
-        v_hat = np.fft.rfft(values[:, ::-1], self._nfft)
-        conv = np.fft.irfft((self._A_hat @ v_hat.T[:, :, None])[:, :, 0].T, self._nfft)
+        v_hat = np.fft.rfft(values[:, ::-1], nfft)
+        conv = np.fft.irfft((self.A_hat @ v_hat.T[:, :, None])[:, :, 0].T, nfft)
         return conv[:, n_t - 1 : 2 * n_t - 1][:, ::-1]
 
 
@@ -315,21 +305,29 @@ def _check_deterministic(n: int, lam: float):
 
 
 def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
-    """A[i, i', k] for the spec's grid: row i is the product rule of the
-    point (rho[i], 0) on the tau lattice (k - (n_t - 1)) dt, which by
-    translation invariance in t serves every evaluation height.  The kernel
-    is even in tau and the lattice exactly antisymmetric, so each row is
-    assembled on tau >= 0 (the centre cell whole) and mirrored; the mirrored
-    cells would give the same bits."""
+    """The kernel table of the spec's grid.  Its weights are
+
+        A[i, i', k] = the quadrature weight of node (i', j') in the
+                      evaluation of I_lam f at node (i, j),
+
+    with k = j' - j + (n_t - 1): row i is the product rule of the point
+    (rho[i], 0) on the tau lattice (k - (n_t - 1)) dt, which by translation
+    invariance in t serves every evaluation height.  The kernel is even in
+    tau and the lattice exactly antisymmetric, so each row is assembled on
+    tau >= 0 (the centre cell whole) and mirrored; the mirrored cells would
+    give the same bits.  Each row goes straight into its rfft, so A itself
+    is never held whole."""
     _check_deterministic(spec.n, lam)
     rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
     tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
     mid = n_t - 1
-    A = np.empty((rho.size, rho.size, tau.size))
+    A_hat = np.empty((n_t + 1, rho.size, rho.size), dtype=complex)
+    row = np.empty((rho.size, tau.size))
     for i in range(rho.size):
-        A[i, :, mid:] = _row_weights(lam, rho[i], tau[mid:], rho, dt)
-        A[i, :, :mid] = A[i, :, mid + 1 :][:, ::-1]
-    return KernelTable(A)
+        row[:, mid:] = _row_weights(lam, rho[i], tau[mid:], rho, dt)
+        row[:, :mid] = row[:, mid + 1 :][:, ::-1]
+        A_hat[:, i, :] = np.fft.rfft(row, 2 * n_t).T
+    return KernelTable(A_hat)
 
 
 @functools.lru_cache(maxsize=8)

@@ -235,6 +235,18 @@ class TestEvaluateCommand:
         assert len(errs) == 2
         assert errs[1] < errs[0]  # refinement reduces the error
 
+    def test_refinement_reference_off_the_diagonal(self, tmp_path):
+        # preset H has the closed-form quotient as its reference at every p
+        out = tmp_path / "e.json"
+        argv = ["evaluate", "--n", "1", "--lambda", "2", "--p", "1.6", "--refine", "1"]
+        assert cli.main([*argv, "--grid-rho", "32", "--grid-t", "64", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        reference = h_quotient(1, 2.0, 1.6)
+        assert doc["refinement_reference"] == reference
+        assert len(doc["ladder"]) == 2
+        for row in doc["ladder"]:
+            assert row["quotient_error"] == abs(row["quotient"] - reference)
+
     def test_two_table_applies_per_grid_level(self, monkeypatch, tmp_path):
         # one for the energy of f with itself, one for the quotient
         calls = []

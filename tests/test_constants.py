@@ -92,7 +92,7 @@ class TestDeriveConjugates:
         tup = diagonal_params(1, 2.0)
         assert tup.p == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert tup.q == pytest.approx(4.0, rel=1e-14)
-        assert tup.is_diagonal
+        assert abs(tup.r - tup.s) <= 1e-12
 
 
 class TestHlsParams:

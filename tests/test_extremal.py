@@ -269,6 +269,14 @@ class TestMaximize:
         _, _, trace = maximize(PARAMS, gaussian_profile(SMALL), IterationControls(max_iter=0))
         assert (trace.iterations, trace.stop_reason) == ([0], "max_iter")
 
+    def test_row_0_records_the_start_gauge(self):
+        # the start is renormalized too; row 0 holds the (d, a) applied to it
+        start = gaussian_profile(SMALL)
+        _, d, a = renormalize_concentration(normalized(start, PARAMS.p), PARAMS)
+        _, _, trace = maximize(PARAMS, start, IterationControls(max_iter=0))
+        assert (trace.dilations[0], trace.t_shifts[0]) == (d, a)
+        assert d != 1.0
+
     def test_stop_stall(self):
         # every step ascends, the gains halving from 0.127 to 2e-6, so the
         # gain over the window falls below rtol = 1 at iteration 10

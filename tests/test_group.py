@@ -247,6 +247,23 @@ class TestCoordHelpers:
         for row, v in zip(pts, vals):
             assert v == pytest.approx(norm(GroupPoint(1, row[:2], row[2])), rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_products_match_multiply(self, n):
+        # multiply_coords (rows) and the Monte Carlo product Geometry.shift
+        # (columns, in place) against the scalar group law; H, the Gaussian
+        # and the ball are invariant under (z, t) -> (conj z, t), so no
+        # energy would show a flipped twist sign
+        rng = np.random.default_rng(n)
+        u = 3.0 * rng.standard_normal((50, 2 * n + 1))
+        v = 3.0 * rng.standard_normal((50, 2 * n + 1))
+        expected = np.array([
+            multiply(GroupPoint(n, a[:-1], a[-1]), GroupPoint(n, b[:-1], b[-1])).coords()
+            for a, b in zip(u, v)
+        ])
+        np.testing.assert_allclose(multiply_coords(u, v, n), expected, rtol=1e-12, atol=0.0)
+        cols = Geometry("heisenberg", n).shift(u.T.copy(), v.T.copy())
+        np.testing.assert_allclose(cols.T, expected, rtol=1e-12, atol=0.0)
+
     def test_from_polar(self):
         u = from_polar(1, 2.0, 1.5, phi=math.pi / 2)
         assert u.z[0] == pytest.approx(0.0, abs=1e-15)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from heisenberg_hls.grids import (
 )
 from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
 from heisenberg_hls.quadrature import (
+    KernelTable,
     angular_average_kernel,
     bilinear_energy,
     build_kernel_table,
@@ -389,10 +392,11 @@ def correlate_by_windows(A, values):
 )
 def test_apply_matches_window_correlation(spec, lam):
     table = kernel_table(spec, lam)
-    n_rho, n_tau = table.A.shape[1:]
+    A = full_lattice_weights(spec, lam)
+    n_rho, n_tau = A.shape[1:]
     values = np.random.default_rng(n_rho).random((n_rho, (n_tau + 1) // 2))
     np.testing.assert_allclose(
-        table.apply(values), correlate_by_windows(table.A, values), rtol=1e-13, atol=0.0
+        table.apply(values), correlate_by_windows(A, values), rtol=1e-13, atol=0.0
     )
 
 
@@ -405,7 +409,20 @@ def test_kernel_table_cache():
     quadrature.clear_table_cache()
     rebuilt = kernel_table(spec, 2.0)
     assert rebuilt is not table
-    assert np.array_equal(rebuilt.A, table.A)
+    assert np.array_equal(rebuilt.A_hat, table.A_hat)
+
+
+def test_table_keeps_one_copy():
+    # the table is its Fourier transform alone: once built, nothing else of
+    # its size is held (the real-space weights are never held whole)
+    assert [f.name for f in dataclasses.fields(KernelTable)] == ["A_hat"]
+    tracemalloc.start()
+    try:
+        table = build_kernel_table(GridSpec(), 2.0)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= 1.05 * table.A_hat.nbytes
 
 
 def full_lattice_weights(spec, lam):
@@ -432,8 +449,11 @@ class TestTableMirror:
         ids=["16x32", "28x56", "9x7", "16x33"],
     )
     def test_table_equals_full_lattice_bitwise(self, spec, lam):
-        A = build_kernel_table(spec, lam).A
-        assert np.array_equal(A, full_lattice_weights(spec, lam))
+        # the table keeps only the rfft of A, frequency-major; the mirrored
+        # rows must enter it bit for bit as the full lattice's rows would
+        A = full_lattice_weights(spec, lam)
+        A_hat = np.fft.rfft(A, 2 * spec.n_t).transpose(2, 0, 1)
+        assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat)
         assert np.array_equal(A, A[:, :, ::-1])
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
@@ -461,9 +481,10 @@ class TestWeightsRow:
         # at a lattice node the point row and the table row are one product
         # rule; cells exactly 3 dt away sit on the exact-zone edge, where the
         # table's tau (k - j) dt and the row's t' - t0 round differently
+        # (the table's rows: TestTableMirror checks that it transforms them)
         spec = COLD
         f = H_profile(spec, lam)
-        A = kernel_table(spec, lam).A
+        A = full_lattice_weights(spec, lam)
         n_t = spec.n_t
         for i, rho0 in enumerate(f.rho_nodes):
             for j in (0, n_t // 2, n_t - 4):
