@@ -17,6 +17,7 @@ maximizing sequences of the HLS quotient.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,8 @@ def _d4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     two factor products."""
     P = A @ B.transpose(0, 2, 1)
     P *= P
-    return P[0] + P[1]
+    P[0] += P[1]
+    return P[0]
 
 
 def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
@@ -96,20 +98,50 @@ def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
     Each pair of atoms is compared once, d^4 against R^4: the atoms are cut
     into blocks of BLOCK, only blocks on or above the diagonal are formed,
     and an off-diagonal block adds to the balls of both its row atoms and
-    its column atoms.  Memory is O(len(R_grid) BLOCK^2) besides the result."""
-    R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
+    its column atoms.  The smallest and largest d^4 of a block cut the
+    ascending radii into a window: the radii below it hold no pair of the
+    block and are skipped, the radii above it hold every pair and share the
+    gemv of one all-ones slab, and only the radii inside it are compared.
+    Every ball gets the same additions as with every radius compared, so
+    the masses are bitwise those of the plain kernel.  Memory is
+    O(len(R_grid) BLOCK^2) besides the result."""
+    R = np.asarray(R_grid, dtype=float)
+    if not np.all(np.diff(R, prepend=0.0) >= 0.0):
+        raise ValueError("R_grid must be nonnegative and ascending")
+    R4 = R[:, None, None] ** 4
+    bounds = R4.ravel().tolist()
+    K = len(bounds)
     A, B = _factors(mu.points, mu.n)
     w = mu.masses
     m = w.size
-    out = np.zeros((R4.shape[0], m))
+    out = np.zeros((K, m))
+    slabs = np.empty(K * BLOCK * BLOCK)
     for a in range(0, m, BLOCK):
         rows = slice(a, a + BLOCK)
         for b in range(a, m, BLOCK):
             cols = slice(b, b + BLOCK)
-            inside = (_d4(A[:, rows], B[:, cols]) < R4).astype(float)
-            out[:, rows] += inside @ w[cols]
+            d4 = _d4(A[:, rows], B[:, cols])
+            # the radii below k0 hold no pair of the block, the radii from k1
+            # on hold every pair; with one radius left its compare costs what
+            # the max would
+            k0 = bisect.bisect_right(bounds, d4.min())
+            if k0 == K:
+                continue
+            k1 = bisect.bisect_right(bounds, d4.max(), k0) if k0 < K - 1 else K
+            full = k1 < K
+            inside = slabs[: (k1 - k0 + full) * d4.size].reshape(-1, *d4.shape)
+            np.less(d4, R4[k0:k1], out=inside[: k1 - k0], casting="unsafe")
+            if full:
+                inside[-1] = 1.0
+            row_sums = inside @ w[cols]
+            out[k0 : k1 + 1, rows] += row_sums
+            if full:
+                out[k1 + 1 :, rows] += row_sums[-1]
             if b != a:
-                out[:, cols] += w[rows] @ inside
+                col_sums = w[rows] @ inside
+                out[k0 : k1 + 1, cols] += col_sums
+                if full:
+                    out[k1 + 1 :, cols] += col_sums[-1]
     return out
 
 

@@ -277,6 +277,9 @@ def renormalize_concentration(
 
     @functools.cache
     def q1_of(d: float) -> float:
+        tq = t / (d * d)
+        if np.all((tq < t[0]) | (tq > t[-1])):
+            return 0.0  # _resample zeroes every t-row: the dilate vanishes
         density = work.weights * np.abs(_resample(work.values, rho, t, d)) ** p
         total = float(np.sum(density))
         return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0

@@ -24,6 +24,7 @@ from heisenberg_hls.concentration import (
 )
 from heisenberg_hls.grids import GridSpec, sample
 from heisenberg_hls.group import GroupPoint, distance, norm
+from heisenberg_hls.montecarlo import Geometry
 
 
 def point_mass(coords, mass=1.0):
@@ -99,8 +100,14 @@ def reference_d4(a, b, n):
     return zsq * zsq + t * t
 
 
-def reference_ball_masses(mu, R_grid):
-    """_ball_masses with reference_d4, in the same blocks and summation order."""
+def gram_d4(a, b, n):
+    """d^4 between the rows of a and of b as _ball_masses forms it."""
+    return _d4(_factors(a, n)[0], _factors(b, n)[1])
+
+
+def reference_ball_masses(mu, R_grid, d4=reference_d4):
+    """_ball_masses with every radius compared in every block, in the same
+    blocks and summation order, with d4 (reference_d4 by default)."""
     R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
     pts, w, m = mu.points, mu.masses, mu.masses.size
     out = np.zeros((R4.shape[0], m))
@@ -108,7 +115,7 @@ def reference_ball_masses(mu, R_grid):
         rows = slice(a, a + BLOCK)
         for b in range(a, m, BLOCK):
             cols = slice(b, b + BLOCK)
-            inside = (reference_d4(pts[rows], pts[cols], mu.n) < R4).astype(float)
+            inside = (d4(pts[rows], pts[cols], mu.n) < R4).astype(float)
             out[:, rows] += inside @ w[cols]
             if b != a:
                 out[:, cols] += w[rows] @ inside
@@ -185,6 +192,89 @@ class TestBallMassKernel:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+def assert_equals_reference(mu, R_grid, d4=reference_d4):
+    want = reference_ball_masses(mu, R_grid, d4)
+    np.testing.assert_array_equal(_ball_masses(mu, R_grid), want)
+    np.testing.assert_array_equal(_profile(mu, R_grid)[1], np.argmax(want, axis=1))
+
+
+def block_d4(mu, i, j):
+    """d^4 of block pair (i, j) of _ball_masses."""
+    A, B = _factors(mu.points, mu.n)
+    return _d4(A[:, i * BLOCK : (i + 1) * BLOCK], B[:, j * BLOCK : (j + 1) * BLOCK])
+
+
+class TestRadiusWindow:
+    """Blocks whose d^4 skip radii, fill them or meet them exactly give the
+    masses of the kernel that compares every radius, bit for bit."""
+
+    def test_far_clusters_skip_whole_blocks(self):
+        rng = np.random.default_rng(0)
+        geom = Geometry("heisenberg", 1)
+        near, far = geom.uniform_ball(rng, 2 * BLOCK), geom.uniform_ball(rng, 2 * BLOCK)
+        far[:, 0] += 100.0
+        mu = DiscreteMeasure(1, np.vstack([near, far]), rng.uniform(0.1, 1.0, 4 * BLOCK))
+        assert block_d4(mu, 0, 2).min() > R_GRID[-1] ** 4
+        assert_equals_reference(mu, R_GRID)
+
+    def test_tight_cluster_fills_every_radius(self):
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-0.05, 0.05, (3 * BLOCK + 5, 3))
+        mu = DiscreteMeasure(1, pts, rng.uniform(0.1, 1.0, pts.shape[0]))
+        assert max(block_d4(mu, i, j).max() for i in range(4) for j in range(i, 4)) < R_GRID[0] ** 4
+        assert_equals_reference(mu, R_GRID)
+
+    def test_window_edges_at_exact_radius(self):
+        # block 0 at (1, 0, 0); block 1 at distance 2 (d^4 = 16, twice
+        # through the twist term) and beyond, block 2 at distance 2 and
+        # within: the smallest d^4 of block pair (0, 1) and the largest of
+        # (0, 2) equal R^4 = 16 at R = 2, where the open ball excludes them
+        rng = np.random.default_rng(2)
+        at_two = [[1.0, 0.0, 4.0], [3.0, 0.0, 0.0], [1.0, 2.0, -4.0], [1.0, -2.0, 4.0]]
+        beyond = [[1.0, 0.0, 8.0], [4.0, 0.0, 0.0]]
+        within = [[1.0, 0.0, 1.0], [2.0, 0.0, 0.0]]
+        pts = np.vstack([
+            np.resize([1.0, 0.0, 0.0], (BLOCK, 3)),
+            np.resize(at_two + beyond, (BLOCK, 3)),
+            np.resize(at_two + within, (BLOCK, 3)),
+        ])
+        mu = DiscreteMeasure(1, pts, rng.uniform(0.1, 1.0, pts.shape[0]))
+        assert block_d4(mu, 0, 1).min() == 16.0
+        assert block_d4(mu, 0, 2).max() == 16.0
+        for R_grid in ([1.0, 2.0, 3.0], [2.0], [0.5, 2.0], [2.0, 2.0, 4.0]):
+            assert_equals_reference(mu, R_grid)
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_one_radius_grid(self, family):
+        mu = GENERATORS[family](10, 3, n_atoms=600)[-1]
+        for R in R_GRID:
+            assert_equals_reference(mu, [R])
+
+    def test_grid_node_measure(self):
+        # atoms ring by ring at the nodes of a cylindrical grid, massed by a
+        # profile on it: the measures a search's maximizing sequence gives.
+        # Its symmetric pairs put some d^4 within rounding of an R^4, where
+        # the Gram form and coordinate differences can disagree, so the
+        # reference compares every radius with the kernel's own d^4
+        rho = np.linspace(0.2, 3.0, 10)
+        t = np.linspace(-4.0, 4.0, 21)
+        pts, masses = [], []
+        for r in rho:
+            phi = np.linspace(0.0, 2.0 * np.pi, int(4 * r) + 4, endpoint=False)
+            for tk in t:
+                pts.extend([r * np.cos(p), r * np.sin(p), tk] for p in phi)
+                masses.extend([r * np.exp(-r * r - abs(tk)) / phi.size] * phi.size)
+        masses = np.array(masses)
+        mu = DiscreteMeasure(1, np.array(pts), masses / masses.sum())
+        assert 1800 <= masses.size <= 2200
+        assert_equals_reference(mu, R_GRID, gram_d4)
+
+    @pytest.mark.parametrize("R_grid", [[2.0, 1.0], [0.5, 3.0, 2.0], [-1.0, 1.0], [1.0, np.nan]])
+    def test_rejects_radii_not_ascending(self, R_grid):
+        with pytest.raises(ValueError, match="ascending"):
+            _ball_masses(translate_family(3, 0, n_atoms=40)[-1], np.array(R_grid))
 
 
 class TestDichotomySplit:
