@@ -365,7 +365,15 @@ def cmd_evaluate(args) -> int:
         out["energy_over_norm_r_sq"] = energy / out["norm_r"] ** 2
         return out
 
-    result = evaluate_on(spec)
+    level0 = evaluate_on(spec)
+    # preset H has the closed-form quotient as its reference at every p
+    reference = None
+    if args.preset == "H" and not args.input:
+        reference = sc.h_quotient(args.n, args.lam, params.p)
+    result = dict(level0)
+    if reference is not None:
+        result["h_quotient"] = reference
+        result["quotient_error"] = abs(result["quotient"] - reference)
     payload = {
         "command": "evaluate",
         "preset": args.preset if not args.input else None,
@@ -381,7 +389,7 @@ def cmd_evaluate(args) -> int:
         "result": result,
     }
     if refine > 0:
-        ladder = [{"level": 0, "n_rho": spec.n_rho, "n_t": spec.n_t, **result}]
+        ladder = [{"level": 0, "n_rho": spec.n_rho, "n_t": spec.n_t, **level0}]
         level_spec = spec
         for level in range(1, refine + 1):
             level_spec = level_spec.refined()
@@ -393,9 +401,7 @@ def cmd_evaluate(args) -> int:
                     **evaluate_on(level_spec),
                 }
             )
-        reference = None
-        if args.preset == "H":
-            reference = sc.h_quotient(args.n, args.lam, params.p)
+        if reference is not None:
             for row in ladder:
                 row["quotient_error"] = abs(row["quotient"] - reference)
         payload["refinement_reference"] = reference

@@ -142,9 +142,10 @@ def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunctio
 # concentration renormalization
 
 
-def _ball_band(rho: np.ndarray, t: np.ndarray, R: float):
+@functools.lru_cache(maxsize=16)
+def _ball_band(spec: GridSpec, R: float):
     """Overlap table of the balls {(z,t): |z|^4 + (t-a)^2 < R^4} centered on
-    the t axis at the grid-aligned heights a, for the nodes (rho, t).
+    the t axis at the grid-aligned heights a, for the nodes of spec.
 
     Balls centered on the t axis are cylindrically symmetric, so a ball's
     mass is a windowed sum over t per rho row.  Boundary t-cells enter with
@@ -154,8 +155,9 @@ def _ball_band(rho: np.ndarray, t: np.ndarray, R: float):
     j - a, so one banded table per row serves every center.  Returns
     (inside, windows): the rows with rho < R, and windows[i, s, j], the
     share of t-cell j in row inside[i] covered by the ball centered at
-    t[n_t - 1 - s].
+    t[n_t - 1 - s].  Built once per (spec, R) and read-only.
     """
+    rho, t = spec.rho_nodes(), spec.t_nodes()
     inside = rho ** 4 < R ** 4
     h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
     dt = t[1] - t[0]
@@ -164,6 +166,7 @@ def _ball_band(rho: np.ndarray, t: np.ndarray, R: float):
     lo = np.maximum(offset - 0.5 * dt, -h)
     hi = np.minimum(offset + 0.5 * dt, h)
     band = np.clip(hi - lo, 0.0, None) / dt
+    inside.flags.writeable = band.flags.writeable = False
     return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
 
 
@@ -176,7 +179,7 @@ def _band_masses(band, density: np.ndarray) -> np.ndarray:
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
     """sup over grid-aligned t-axis centers of the |f|^p mass in B_R."""
     density = f.weights * np.abs(f.values) ** p
-    return float(_band_masses(_ball_band(f.rho_nodes, f.t_nodes, R), density).max())
+    return float(_band_masses(_ball_band(f.spec, R), density).max())
 
 
 def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
@@ -190,17 +193,27 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
     return i, 1.0 - w1, w1, w
 
 
-def _resample(
-    values: np.ndarray, rho: np.ndarray, t: np.ndarray, d: float, t_shift: float = 0.0
-) -> np.ndarray:
-    """f(delta_{1/d}(z, t - t_shift)) at the nodes (rho, t) of f's values.
+# The probed d come from a fixed lattice (the walk's powers of 2, geometric
+# means of lattice points, the 81-point ladder): one round of the
+# benchmark's four 28x56 searches asks for 230 distinct d (175 with a
+# t-query on the lattice), and every later round repeats them.  An LRU
+# cache smaller than a round's set would miss on every call, hence the
+# headroom.
+STENCIL_CACHE = 512
 
-    Bilinear interpolation in (log rho, t); values beyond the outer edges
-    are taken as zero, values inside the first rho node are held constant
-    (profiles of interest are flat at the axis).  The query points form a
-    tensor grid, so the interpolation is one 1-D stencil per axis, applied
-    along rho and then along t.  No amplitude factor is applied.
+
+@functools.lru_cache(maxsize=STENCIL_CACHE)
+def _stencil(spec: GridSpec, d: float, t_shift: float):
+    """The two 1-D stencils of _resample on spec's nodes, built once per
+    (spec, d, t_shift) and read-only: (li, r0, r1, ti, c0, c1, vanishes).
+
+    Row i of the result mixes value rows li[i] and li[i] + 1 with weights
+    r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and ti[j] + 1 with
+    c0[j] and c1[j].  Queries beyond the outer rho node and outside the t
+    lattice get zero weights; vanishes says that every t-query is outside,
+    so the resampled values are all zero.
     """
+    rho, t = spec.rho_nodes(), spec.t_nodes()
     logr = np.log(rho)
     li, r0, r1, wl = _axis_stencil(logr, logr - math.log(d))
     beyond = wl > 1.0
@@ -209,7 +222,26 @@ def _resample(
     ti, c0, c1, _ = _axis_stencil(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
-    rows = values[li] * r0[:, None] + values[li + 1] * r1[:, None]
+    for a in (li, r0, r1, ti, c0, c1):
+        a.flags.writeable = False
+    return li, r0[:, None], r1[:, None], ti, c0, c1, bool(np.all(off))
+
+
+def _resample(
+    values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
+) -> np.ndarray:
+    """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
+    there.
+
+    Bilinear interpolation in (log rho, t); values beyond the outer edges
+    are taken as zero, values inside the first rho node are held constant
+    (profiles of interest are flat at the axis).  The query points form a
+    tensor grid, so the interpolation is one 1-D stencil per axis, applied
+    along rho and then along t; the stencils come from the _stencil cache.
+    No amplitude factor is applied.
+    """
+    li, r0, r1, ti, c0, c1, _ = _stencil(spec, d, t_shift)
+    rows = values[li] * r0 + values[li + 1] * r1
     return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
@@ -223,7 +255,7 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunct
     if d <= 0.0:
         raise ValueError("dilation factor must be positive")
     old_norm = lp_norm(f, p)
-    vals = _resample(f.values, f.rho_nodes, f.t_nodes, d)
+    vals = _resample(f.values, f.spec, d)
     out = f.with_values(vals * d ** (-f.Q / p))
     new_norm = lp_norm(out, p)
     if new_norm > 0.0 and old_norm > 0.0:
@@ -247,13 +279,20 @@ def renormalize_concentration(
     Each probe of Q(1) at a trial d resamples the values (_resample) and
     divides the largest unit-ball mass by the total mass: the factor
     d^(-Q/p) and the norm restore of dilate_grid_function cancel in that
-    ratio, and the ball overlap table is built once per call.  No d is
-    probed twice, and only the final d builds a grid function.
+    ratio.  The stencils of a probe and the ball overlap table come from
+    caches keyed by the grid (_stencil per d, _ball_band per R), so a
+    probe builds neither.  No d is probed twice, and only the final d
+    builds a grid function.  When the recentering shifted nothing, the
+    d = 1 probe is the recentering's own masses: at d = 1 every stencil
+    weight is 0 or 1, so that resample would return the values bit for bit.
     """
     p = params.p
-    work = normalized(f, p)
-    rho, t = work.rho_nodes, work.t_nodes
-    band = _ball_band(rho, t, 1.0)
+    norm = lp_norm(f, p)
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero function")
+    work = f.with_values(f.values / norm)
+    spec, t = work.spec, work.t_nodes
+    band = _ball_band(spec, 1.0)
 
     # grid-aligned t-recentering: roll is exact, no interpolation
     density = work.weights * np.abs(work.values) ** p
@@ -275,14 +314,20 @@ def renormalize_concentration(
             raise ValueError("vanishing-type failure: mass lost under recentering")
         work.values /= renorm
 
-    @functools.cache
-    def q1_of(d: float) -> float:
-        tq = t / (d * d)
-        if np.all((tq < t[0]) | (tq > t[-1])):
-            return 0.0  # _resample zeroes every t-row: the dilate vanishes
-        density = work.weights * np.abs(_resample(work.values, rho, t, d)) ** p
+    def q1_from(density: np.ndarray, masses: np.ndarray) -> float:
         total = float(np.sum(density))
-        return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
+        return float(masses.max()) / total if total > 0.0 else 0.0
+
+    q1_at = {1.0: q1_from(density, masses)} if shift_nodes == 0 else {}
+
+    def q1_of(d: float) -> float:
+        if d not in q1_at:
+            if _stencil(spec, d, 0.0)[-1]:
+                q1_at[d] = 0.0  # every t-query is off the lattice: the dilate vanishes
+            else:
+                density = work.weights * np.abs(_resample(work.values, spec, d)) ** p
+                q1_at[d] = q1_from(density, _band_masses(band, density))
+        return q1_at[d]
 
     # walk from d = 1 by factors of 2 in the direction Q(1) says (larger d
     # spreads mass) until Q(1) reaches 1/2; the last two steps bracket it
@@ -331,7 +376,7 @@ def renormalize_concentration(
             d_hi = d_mid
     d = math.sqrt(d_lo * d_hi)
     out = dilate_grid_function(work, d, p)
-    out.values *= lp_norm(f, p) / lp_norm(out, p)
+    out.values *= norm / lp_norm(out, p)
     return out, d, a
 
 
@@ -402,7 +447,7 @@ def align(
     ghat = normalized(g, p)
 
     def residual(d, a):
-        moved = ghat.with_values(_resample(ghat.values, ghat.rho_nodes, ghat.t_nodes, d, a))
+        moved = ghat.with_values(_resample(ghat.values, ghat.spec, d, a))
         moved.values /= lp_norm(moved, p)
         return lp_norm(fhat.with_values(fhat.values - moved.values), p)
 

@@ -247,6 +247,30 @@ class TestEvaluateCommand:
         for row in doc["ladder"]:
             assert row["quotient_error"] == abs(row["quotient"] - reference)
 
+    def test_quotient_error_without_refine(self, tmp_path):
+        # at p = 1.05 the box loses a large share of |I H|^q; the result
+        # itself must say how far the grid value is from the exact one
+        out = tmp_path / "e.json"
+        argv = ["evaluate", "--n", "1", "--lambda", "2", "--p", "1.05", *SMALL_GRID]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["h_quotient"] == h_quotient(1, 2.0, 1.05)
+        assert result["quotient_error"] == abs(result["quotient"] - result["h_quotient"])
+        assert result["quotient_error"] > 0.1 * result["h_quotient"]
+
+    def test_no_reference_without_preset_H(self, tmp_path):
+        # --input leaves --preset at its default H, but the profile is the file's
+        path = tmp_path / "f.npz"
+        rho = np.geomspace(5e-3, 25.0, 24)
+        t = np.linspace(-25.0, 25.0, 48)
+        np.savez(path, rho_nodes=rho, t_nodes=t, values=np.exp(-np.add.outer(rho ** 2, t ** 2)))
+        for source in (["--preset", "gauss"], ["--input", str(path)]):
+            out = tmp_path / "e.json"
+            argv = ["evaluate", "--n", "1", "--lambda", "2", *source, *SMALL_GRID]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            result = json.loads(out.read_text())["result"]
+            assert "h_quotient" not in result and "quotient_error" not in result
+
     def test_two_table_applies_per_grid_level(self, monkeypatch, tmp_path):
         # one for the energy of f with itself, one for the quotient
         calls = []

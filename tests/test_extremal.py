@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from heisenberg_hls.extremal import (
     perturbed_H,
     renormalize_concentration,
 )
-from heisenberg_hls.grids import GridSpec, lp_norm, normalized, sample
+from heisenberg_hls.grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from heisenberg_hls.montecarlo import gaussian_callable, heisenberg_extremal_callable
 from heisenberg_hls.quadrature import hls_quotient
 
@@ -153,7 +154,7 @@ def test_axis_ball_masses_match_overlap_loop(spec, R):
     density = np.random.default_rng(spec.n_rho * spec.n_t).random(g.values.shape)
     ref = loop_ball_masses(density, g, R)
     assert np.any(ref > 0.0)
-    masses = _band_masses(_ball_band(g.rho_nodes, g.t_nodes, R), density)
+    masses = _band_masses(_ball_band(spec, R), density)
     np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0.0)
 
 
@@ -349,14 +350,16 @@ def test_search_results_pinned(p, q_found, n_records):
 def probes_at_p185():
     """The trial d of every Q(1) probe, and the d returned, of each
     renormalization in the p = 1.85 search (a _resample call is one probe,
-    less the final dilation at the returned d)."""
+    less the final dilation at the returned d; a d = 1 probe served from
+    the recentering masses and a probe whose dilate vanishes resample
+    nothing and are not recorded)."""
     calls = []
     runs = []
     resample, renormalize = extremal._resample, extremal.renormalize_concentration
 
-    def recording_resample(values, rho, t, d):
+    def recording_resample(values, spec, d, t_shift=0.0):
         calls.append(d)
-        return resample(values, rho, t, d)
+        return resample(values, spec, d, t_shift)
 
     def recording_renormalize(f, params):
         before = len(calls)
@@ -385,6 +388,216 @@ def test_no_renormalization_probes_a_dilation_twice(probes_at_p185):
     for ds, _ in probes_at_p185:
         assert len(set(ds)) == len(ds)
 
+
+def reference_resample(values, rho, t, d):
+    """_resample with its stencils rebuilt on every call."""
+    def axis(nodes, query):
+        i = np.clip(np.searchsorted(nodes, query) - 1, 0, nodes.size - 2)
+        w = (query - nodes[i]) / (nodes[i + 1] - nodes[i])
+        w1 = np.clip(w, 0.0, 1.0)
+        return i, 1.0 - w1, w1, w
+
+    logr = np.log(rho)
+    li, r0, r1, wl = axis(logr, logr - math.log(d))
+    r0[wl > 1.0] = r1[wl > 1.0] = 0.0
+    tq = t / (d * d)
+    ti, c0, c1, _ = axis(t, tq)
+    off = (tq < t[0]) | (tq > t[-1])
+    c0[off] = c1[off] = 0.0
+    rows = values[li] * r0[:, None] + values[li + 1] * r1[:, None]
+    return rows[:, ti] * c0 + rows[:, ti + 1] * c1
+
+
+def reference_ball_band(rho, t, R):
+    """_ball_band rebuilt on every call."""
+    inside = rho ** 4 < R ** 4
+    h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
+    dt = t[1] - t[0]
+    offset = np.arange(1 - t.size, t.size) * dt
+    lo = np.maximum(offset - 0.5 * dt, -h)
+    hi = np.minimum(offset + 0.5 * dt, h)
+    band = np.clip(hi - lo, 0.0, None) / dt
+    return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+
+
+def reference_renormalize(f, params):
+    """renormalize_concentration without caches: the ball table is built
+    per call, every probe (d = 1 included) rebuilds its stencils and
+    resamples, and the final norm restore recomputes |f|_p."""
+    p = params.p
+    work = normalized(f, p)
+    rho, t = work.rho_nodes, work.t_nodes
+    band = reference_ball_band(rho, t, 1.0)
+    density = work.weights * np.abs(work.values) ** p
+    masses = _band_masses(band, density)
+    best = np.flatnonzero(masses >= masses.max() * (1.0 - extremal.TIE_RTOL))
+    center_idx = best[np.argmin(np.abs(t[best]))]
+    mid_idx = int(np.argmin(np.abs(t)))
+    shift_nodes = center_idx - mid_idx
+    a = float(t[center_idx] - t[mid_idx])
+    if shift_nodes != 0:
+        rolled = np.zeros_like(work.values)
+        if shift_nodes > 0:
+            rolled[:, : -shift_nodes or None] = work.values[:, shift_nodes:]
+        else:
+            rolled[:, -shift_nodes :] = work.values[:, :shift_nodes]
+        work = work.with_values(rolled)
+        work.values /= lp_norm(work, p)
+
+    @functools.cache
+    def q1_of(d):
+        tq = t / (d * d)
+        if np.all((tq < t[0]) | (tq > t[-1])):
+            return 0.0
+        density = work.weights * np.abs(reference_resample(work.values, rho, t, d)) ** p
+        total = float(np.sum(density))
+        return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
+
+    target = 0.5
+    d = d_prev = 1.0
+    q = q1_of(d)
+    up = q > target
+    bracketed = True
+    while q > target if up else q < target:
+        d_prev, d = d, d * (2.0 if up else 0.5)
+        if not 1e-8 <= d <= 1e8:
+            bracketed = False
+            break
+        q = q1_of(d)
+    d_lo, d_hi = (d_prev, d) if up else (d, d_prev)
+    if not bracketed:
+        ladder = np.geomspace(1e-4, 1e4, 81)
+        qs = np.array([q1_of(float(d)) for d in ladder])
+        sign = np.sign(qs - target)
+        crossings = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+        if crossings.size:
+            j = crossings[np.argmin(np.abs(np.log(ladder[crossings])))]
+            d_lo, d_hi = float(ladder[j]), float(ladder[j + 1])
+            if qs[j] < target:
+                d_lo, d_hi = d_hi, d_lo
+        else:
+            best = int(np.argmin(np.abs(qs - target)))
+            if abs(qs[best] - target) > 0.25:
+                raise ValueError("vanishing-type failure: no dilation reaches Q(1) = 1/2")
+            d_lo = d_hi = float(ladder[best])
+    while d_lo != d_hi:
+        d_mid = math.sqrt(d_lo * d_hi)
+        if d_mid == d_lo or d_mid == d_hi:
+            break
+        q_mid = q1_of(d_mid)
+        if abs(q_mid - target) <= extremal.Q1_TOL:
+            d_lo = d_hi = d_mid
+            break
+        if q_mid > target:
+            d_lo = d_mid
+        else:
+            d_hi = d_mid
+    d = math.sqrt(d_lo * d_hi)
+    old_norm = lp_norm(work, p)
+    out = work.with_values(reference_resample(work.values, rho, t, d) * d ** (-work.Q / p))
+    new_norm = lp_norm(out, p)
+    if new_norm > 0.0 and old_norm > 0.0:
+        out.values *= old_norm / new_norm
+    out.values *= lp_norm(f, p) / lp_norm(out, p)
+    return out, d, a
+
+
+def assert_same_renormalization(got, want):
+    assert np.array_equal(got[0].values, want[0].values)
+    assert (got[1], got[2]) == (want[1], want[2])
+
+
+def search_params(p):
+    return PARAMS if p == 4.0 / 3.0 else derive_conjugates(1, 2.0, p)
+
+
+SEARCH_P = [4.0 / 3.0, 1.15, 1.6, 1.85]
+
+
+class TestCachedProbes:
+    """The cached stencils and ball tables give the uncached probe's bits."""
+
+    @pytest.mark.parametrize("p", SEARCH_P)
+    def test_search_renormalizations_match_reference(self, p, monkeypatch):
+        seen = []
+        renormalize = extremal.renormalize_concentration
+
+        def checked(f, params):
+            out = renormalize(f, params)
+            assert_same_renormalization(out, reference_renormalize(f, params))
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(extremal, "renormalize_concentration", checked)
+        maximize(search_params(p), gaussian_profile(SMALL))
+        assert len(seen) >= 4
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL, GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=50.0, n_t=127, t_max=50.0)],
+        ids=["28x56", "64x127"],
+    )
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 1.85])
+    def test_random_profiles_match_reference(self, spec, p):
+        # bumps of random width and height, off the axis and off t = 0 or
+        # on them, times nonnegative noise; some need a t-recentering
+        params = search_params(p)
+        rng = np.random.default_rng(spec.n_t + int(100 * p))
+        R, T = np.meshgrid(spec.rho_nodes(), spec.t_nodes(), indexing="ij")
+        shifts = 0
+        for k in range(25):
+            width = 10.0 ** rng.uniform(-1.5, 1.0)
+            t0 = 0.0 if k % 3 == 0 else rng.uniform(-5.0, 5.0)
+            bump = np.exp(-((R / width) ** 2) - ((T - t0) / width) ** 2)
+            f = CylGridFunction(spec, bump * rng.random(R.shape))
+            got, want = renormalize_concentration(f, params), reference_renormalize(f, params)
+            assert_same_renormalization(got, want)
+            shifts += got[2] != 0.0
+        assert 0 < shifts < 25
+
+    def test_recentering_that_drops_mass_reprobes_d_1(self):
+        # recentering on the bump at t = 3 rolls the slab in the bottom
+        # t-rows off the grid, so the d = 1 probe must resample the rolled
+        # values, not reuse the masses from before the roll
+        R, T = np.meshgrid(SMALL.rho_nodes(), SMALL.t_nodes(), indexing="ij")
+        slab = np.where((T < -23.0) & (R > 2.0) & (R < 10.0), 0.01, 0.0)
+        f = CylGridFunction(SMALL, np.exp(-(R ** 2) - (T - 3.0) ** 2) + slab)
+        got = renormalize_concentration(f, PARAMS)
+        assert got[2] > 0.0
+        assert_same_renormalization(got, reference_renormalize(f, PARAMS))
+
+    def test_search_bits_independent_of_cache_history(self):
+        # the p = 1.85 search from cold caches, after the other three
+        # searches and after align has filled the stencil cache
+        def search():
+            f, q, trace = maximize(search_params(1.85), gaussian_profile(SMALL))
+            return f.values.tobytes(), q, list(trace.rows()), trace.stop_reason
+
+        extremal._stencil.cache_clear()
+        extremal._ball_band.cache_clear()
+        cold = search()
+        for p in SEARCH_P[:3]:
+            maximize(search_params(p), gaussian_profile(SMALL))
+        assert search() == cold
+        align(unit_H(), gaussian_profile(SMALL), PARAMS.p)
+        assert extremal._stencil.cache_info().currsize == extremal.STENCIL_CACHE
+        assert search() == cold
+
+    def test_cached_arrays_are_read_only(self):
+        # every cached array, and every array a cached view is taken of
+        def with_bases(a):
+            while a is not None:
+                if isinstance(a, np.ndarray):
+                    yield a
+                a = getattr(a, "base", None)
+
+        cached = [*extremal._stencil(SMALL, 1.5, 0.25)[:-1], *_ball_band(SMALL, 1.0)]
+        arrays = [b for a in cached for b in with_bases(a)]
+        assert len(arrays) > len(cached)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
 
 class TestAlign:
     def test_self_alignment(self):
