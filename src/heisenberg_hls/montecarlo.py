@@ -27,14 +27,14 @@ drawn and evaluated component-major, (dim, m) arrays with one contiguous
 row per coordinate, so the sphere, the in-place dilations and the group
 product are row operations, and it returns only its (sum, sum of squares).
 
-The chunks run on a thread pool with one thread per CPU the process may
-use (at most MAX_THREADS, and at most one per chunk), and their partial
-sums are added in chunk order, so the result depends on (seed, workers,
-samples) alone: bitwise the same at any thread count.  No partial sum
-goes through BLAS, whose own threads could reorder it.  Working memory is
-O(threads * CHUNK * dim) whatever the sample count.  Threads that each
-run whole chunks scale about 1.8x on 2
-cores (H at n = 1, 2, 3 and the R^3 extremal, 2.5 * 10^5 samples each;
+The chunks run on a thread pool sized by parallel.pool_size (one thread
+per CPU the process may use, at most four, at most one per chunk), and
+their partial sums are added in chunk order, so the result depends on
+(seed, workers, samples) alone: bitwise the same at any thread count.  No
+partial sum goes through BLAS, whose own threads could reorder it.
+Working memory is O(threads * CHUNK * dim) whatever the sample count.
+Threads that each run whole chunks scale about 1.8x on 2 cores
+(H at n = 1, 2, 3 and the R^3 extremal, 2.5 * 10^5 samples each;
 numpy 2.4.6), while one thread drawing chunk k + 1 as another evaluated
 chunk k gained nothing (0.442 s against 0.438 s for the same four calls).
 """
@@ -42,7 +42,6 @@ chunk k gained nothing (0.442 s against 0.438 s for the same four calls).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +50,7 @@ import numpy as np
 from .group import ball_volume as heis_ball_volume
 from .group import check_n, norm_coords
 from .constants import check_lambda, gaussian, h_profile, unit_sphere_area
+from .parallel import pool_size
 
 # proposal shapes: the near-diagonal w component lives on (0, R0], both
 # Pareto components decay with tail exponent ALPHA, and the u proposal's
@@ -62,9 +62,6 @@ U_SCALE = 2.0
 # O(threads * CHUNK * dim); the chunk boundaries and the generator calls'
 # shapes follow CHUNK, so changing it changes the draws
 CHUNK = 2 ** 15
-# each thread holds one chunk, about 6 MiB at n = 3: four keep one call
-# under 32 MiB on a host of any size
-MAX_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -195,14 +192,6 @@ class SingularMatched:
         return np.where(r <= self.r0, val, 0.0)
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def mc_bilinear_energy(
     f, g, lam: float, n: int, samples: int, seed: int,
     workers: int = 1, geometry: str = "heisenberg",
@@ -253,7 +242,7 @@ def mc_bilinear_energy(
     for stream, count in zip(streams, counts):
         seeds += stream.spawn(-(-count // CHUNK))
         sizes += [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
-    threads = min(_cpu_count(), MAX_THREADS, len(sizes))
+    threads = pool_size(len(sizes))
 
     # added left to right (sum() of floats compensates on newer Pythons,
     # which would change the bits with the interpreter)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
-from heisenberg_hls import quadrature
+from heisenberg_hls import parallel, quadrature
 from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
 from heisenberg_hls.extremal import extremal_H
 from heisenberg_hls.grids import (
@@ -328,14 +331,52 @@ class TestNonFiniteWeights:
         with pytest.raises(ValueError, match=r"lambda = 3\.99, rho0 = 0\.317"):
             fractional_integral(f, 3.99, GroupPoint(1, np.array([0.317, 0.0]), 0.968))
 
-    def test_lambda_near_Q_table_raises(self):
-        with pytest.raises(ValueError, match="lambda = 3.99.*lambda too close to Q"):
-            build_kernel_table(COLD, 3.99)
+    # the table's rows run on a thread pool; whatever the thread count, the
+    # build raises the error of the first failing row in row order, the one
+    # a serial loop over the rows meets first
+    @staticmethod
+    def first_row_error(spec, lam):
+        rho, tau = spec.rho_nodes(), np.arange(spec.n_t) * spec.dt
+        for r in rho:
+            try:
+                quadrature._row_weights(lam, r, tau, rho, spec.dt)
+            except ValueError as err:
+                return str(err)
+        raise AssertionError("no row fails")
 
-    def test_tiny_rho_min_table_raises(self):
+    def assert_table_raises(self, monkeypatch, spec, lam, match):
+        expected = self.first_row_error(spec, lam)
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpu_count", lambda cpus=cpus: cpus)
+            with pytest.raises(ValueError, match=match) as err:
+                build_kernel_table(spec, lam)
+            assert str(err.value) == expected, cpus
+
+    def test_lambda_near_Q_table_raises(self, monkeypatch):
+        self.assert_table_raises(monkeypatch, COLD, 3.99, "lambda = 3.99.*lambda too close to Q")
+
+    def test_tiny_rho_min_table_raises(self, monkeypatch):
         spec = GridSpec(n=1, n_rho=16, rho_min=1e-100, rho_max=20.0, n_t=32, t_max=20.0)
-        with pytest.raises(ValueError, match="lambda = 2.0.*rho_min too small"):
-            build_kernel_table(spec, 2.0)
+        self.assert_table_raises(monkeypatch, spec, 2.0, "lambda = 2.0.*rho_min too small")
+
+    def test_failed_table_cancels_queued_rows(self, monkeypatch):
+        # row 0 fails at once and every other row takes 50 ms: once row 0's
+        # error is out, the rows still queued must not start
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        row_weights, rho0 = quadrature._row_weights, COLD.rho_nodes()[0]
+        started = []
+
+        def slow_rows(lam, r, *args):
+            started.append(r)
+            if r == rho0:
+                raise ValueError("row 0 fails")
+            time.sleep(0.05)
+            return row_weights(lam, r, *args)
+
+        monkeypatch.setattr(quadrature, "_row_weights", slow_rows)
+        with pytest.raises(ValueError, match="row 0 fails"):
+            build_kernel_table(COLD, 2.0)
+        assert len(started) <= 4 < COLD.n_rho
 
 
 def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
@@ -448,31 +489,51 @@ class TestTableMirror:
         ],
         ids=["16x32", "28x56", "9x7", "16x33"],
     )
-    def test_table_equals_full_lattice_bitwise(self, spec, lam):
+    def test_table_equals_full_lattice_bitwise(self, monkeypatch, spec, lam):
         # the table keeps only the rfft of A, frequency-major; the mirrored
-        # rows must enter it bit for bit as the full lattice's rows would
+        # rows must enter it bit for bit as the full lattice's rows would, on
+        # any number of row threads.  A short switch interval makes the
+        # threads interleave as often as they can.
         A = full_lattice_weights(spec, lam)
         A_hat = np.fft.rfft(A, 2 * spec.n_t).transpose(2, 0, 1)
-        assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat)
         assert np.array_equal(A, A[:, :, ::-1])
+        row_weights = quadrature._row_weights
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(parallel, "cpu_count", lambda cpus=cpus: cpus)
+                seen = set()
+
+                def row_seen(*args):
+                    seen.add(threading.get_ident())
+                    return row_weights(*args)
+
+                monkeypatch.setattr(quadrature, "_row_weights", row_seen)
+                assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat), cpus
+                assert (len(seen) == 1) if cpus == 1 else (1 < len(seen) <= cpus)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
         # a work count, not a time: the cell rule and the nodal rows look
-        # kbar_many up at call time, so the wrapper sees every point
-        points = [0]
+        # kbar_many up at call time, so the wrapper sees every point.  The
+        # table's rows call it from several threads, where a shared += could
+        # lose counts; list.append does not
+        sizes = []
         kbar = quadrature.kbar_many
 
         def counting(rho, delta, tau, lam):
             out = kbar(rho, delta, tau, lam)
-            points[0] += out.size
+            sizes.append(out.size)
             return out
 
         monkeypatch.setattr(quadrature, "kbar_many", counting)
         build_kernel_table(COLD, 2.0)
-        mirrored = points[0]
-        points[0] = 0
+        mirrored = sum(sizes)
+        sizes.clear()
         full_lattice_weights(COLD, 2.0)
-        assert mirrored <= 0.6 * points[0]
+        assert mirrored <= 0.6 * sum(sizes)
 
 
 class TestWeightsRow:
