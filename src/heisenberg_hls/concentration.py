@@ -316,6 +316,11 @@ def strict_subadditivity_gap(k: float, p: float, q: float) -> float:
 # synthetic generator families with analytically known verdicts
 
 
+def _check_atoms(n_atoms: int, least: int) -> None:
+    if n_atoms < least:
+        raise ValueError(f"n_atoms must be at least {least}, got {n_atoms}")
+
+
 def spread_family(
     length: int, seed: int, n: int = 1, n_atoms: int = 256
 ) -> list[DiscreteMeasure]:
@@ -324,6 +329,7 @@ def spread_family(
     Q(R) decays like (R / (3 j))^Q down to the single-atom floor
     1/n_atoms, so by the tail of a length-10 sequence the mass in any
     probe-sized ball is negligible."""
+    _check_atoms(n_atoms, 1)
     geom = Geometry("heisenberg", n)
     base = geom.uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
@@ -338,6 +344,7 @@ def translate_family(
 ) -> list[DiscreteMeasure]:
     """A fixed cloud left-translated by wandering centers (x = 4 j,
     t = j / 2); compactness."""
+    _check_atoms(n_atoms, 1)
     base = Geometry("heisenberg", n).uniform_ball(np.random.default_rng(seed), n_atoms)
     masses = np.full(n_atoms, 1.0 / n_atoms)
     mu0 = DiscreteMeasure(n, base, masses)
@@ -362,10 +369,11 @@ def split_family(
     The mass-k cluster is tight (radius 0.4) and sits at the origin; the
     other is wide (radius 2.5) and escapes along x (centre 6 (j + 2)), so
     the densest cluster, the one the classifier tracks, carries exactly the
-    labeled k.
+    labeled k; each cluster needs an atom, so n_atoms >= 2.
     """
     if not (0.0 < k < 1.0):
         raise ValueError("k must lie in (0, 1)")
+    _check_atoms(n_atoms, 2)
     rng = np.random.default_rng(seed)
     m1 = n_atoms // 2
     m2 = n_atoms - m1

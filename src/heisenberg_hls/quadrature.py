@@ -33,7 +33,11 @@ narrower than the grid spacing) every cell, the one(s) holding the
 evaluation point included, is integrated by one graded tensor Gauss rule:
 split at rho' = rho0 and tau = 0, with nodes clustered toward both on the
 kernel's own scales, and the offset raised to the power Q - lam where the
-tau integral leaves a |rho' - rho0|^(3 - lam) singularity.
+tau integral leaves a |rho' - rho0|^(3 - lam) singularity.  The rule takes
+9 x 14 nodes per sub-cell on the zone cells the ridge |rho'^2 - rho0^2| =
+|tau| crosses and 5 x 7 on the others (81% of the zone on the default
+grid), whose integrand is smooth; that halves the kernel evaluations of a
+table (3.43M -> 1.84M on 64x128).
 
 One row function, `_row_weights(lam, rho0, tau, rho, dt)`, gives these
 weights from the point's radius and its tau offsets alone, for both
@@ -52,12 +56,10 @@ most four); most of a row's time is the kernel's hyp2f1 / ellipk ufuncs,
 which release the GIL.  Each row has its own buffers and writes only its
 own slice of the table, and nothing is summed across rows, so the table
 is bitwise the same at any thread count.  On 2 cores (one BLAS thread,
-numpy 2.4.6) a 64x128 build at lam = 3 takes 0.48-0.58 s instead of
-0.94-0.97 s, and the benchmark's cold 16x32 evaluations (quadrature-cold)
-take 24% less time (round_cal medians 3.90 -> 2.94 over ten paired runs,
-every pair faster).  Each thread holds one row's exact-zone temporaries, so the
-traced peak of a cold 64x128 build rises from 15.7 MiB on one thread to
-21.5 MiB on two.
+numpy 2.4.6) a 64x128 build at lam = 3 takes 0.34 s on two threads and
+0.58 s on one.  Each thread holds one row's exact-zone temporaries, so the
+traced peak of a cold 64x128 build is 10.4 MiB on one thread and 12.1 MiB
+on two.
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: the table keeps only the rfft of A along k, and an apply
@@ -144,11 +146,16 @@ def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> f
 # exact-zone cell rule
 
 # nodes per sub-cell, in the offset delta = rho' - rho0 and, at each delta
-# node, in tau: with 9 x 14 every exact-zone cell of the default grid at
-# lam = 0.7, 2, 3 and 3.9 is within 3.2e-4 of its converged value, at about
-# the cost of 8 x 16, which reaches 1e-3
+# node, in tau.  Exact-zone cells the kernel ridge crosses take 9 x 14: every
+# such cell of the default grid at lam = 0.7, 2, 3 and 3.9 is within 3.2e-4
+# of its converged value, at about the cost of 8 x 16, which reaches 1e-3.
+# The other exact-zone cells hold a smooth integrand and take 5 x 7: against
+# a 24 x 32 rule they are within 6.0e-8 on 16x32 at lam = 0.7 ... 3.97, and
+# within 2e-9 on 28x56 and 64x128 at lam <= 3 (9 x 14 gave 7e-12 there)
 CELL_N_DELTA = 9
 CELL_N_TAU = 14
+FAR_N_DELTA = 5
+FAR_N_TAU = 7
 
 
 @functools.cache
@@ -171,9 +178,13 @@ def _sinh_rule(lo, hi, scale, k):
     return sc * np.sinh(xi), sc * np.cosh(xi) * half * gw
 
 
-def _cell_integrals(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
+def _cell_integrals(
+    lam, rho0, d_lo, d_hi, tau_lo, tau_hi, n_delta=CELL_N_DELTA, n_tau=CELL_N_TAU
+):
     """Integral of 2 pi rho' Kbar(rho0, rho', tau) over each cell
-    delta = rho' - rho0 in [d_lo, d_hi], tau in [tau_lo, tau_hi].
+    delta = rho' - rho0 in [d_lo, d_hi], tau in [tau_lo, tau_hi], with
+    n_delta x n_tau nodes per sub-cell (9 x 14 by default; _row_weights
+    passes 5 x 7 for the cells the ridge does not cross).
 
     The tau ridge of the kernel runs along |rho'^2 - rho0^2| = |tau|, at the
     offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0.  Each cell is split at
@@ -211,12 +222,12 @@ def _cell_integrals(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
 
     nu = np.where(c > 0.0, 1.0, min(1.0, 4.0 - lam))
     s = np.where(c > 0.0, ridge(c), 1e-9 * (b - a))
-    x, dx = _sinh_rule(a ** nu, b ** nu, s ** nu, CELL_N_DELTA)
+    x, dx = _sinh_rule(a ** nu, b ** nu, s ** nu, n_delta)
     ad = x ** (1.0 / nu[:, None])
     delta = sign[:, None] * ad
     wd = dx * ad / (nu[:, None] * x) * (_TWO_PI * (rho0 + delta))
     w = ad * (2.0 * rho0 + delta)
-    tau, dtau = _sinh_rule(c[:, None], e[:, None], w, CELL_N_TAU)
+    tau, dtau = _sinh_rule(c[:, None], e[:, None], w, n_tau)
     kb = kbar_many(rho0, np.broadcast_to(delta[..., None], tau.shape), tau, lam)
     sub = np.einsum("mdt,mdt,md->m", kb.reshape(tau.shape), dtau, wd)
     return np.bincount(owner.astype(int), sub, minlength=np.size(d_lo))
@@ -280,13 +291,33 @@ def _exact_zone_mask(rho0, rho, drho, tau, dt):
     return in_delta[:, None] & (np.abs(tau)[None, :] <= tau_win[:, None])
 
 
+def _ridge_crossed(rho0, edges, tau, dt):
+    """Cells [edges[a], edges[a+1]] x [tau[k] -+ dt/2] that the kernel's
+    ridge |rho'^2 - rho0^2| = |tau| meets, per evaluation radius.
+
+    Interval arithmetic: the range of |rho'^2 - rho0^2| over the rho' cell
+    (from 0 when rho0 lies in it) meets the range of |tau| over the tau cell
+    (from 0 when tau = 0 lies in it).  The cell holding (rho0, 0) is always
+    crossed.  The same 1e-9 dt slack as _exact_zone_mask counts a near touch
+    as crossed, so a cell is classified alike whether its tau is k dt (a
+    table row) or t' - t0 (a point row at a lattice node).
+    """
+    g = edges * edges - rho0 * rho0
+    g_lo = np.maximum(np.maximum(g[:-1], -g[1:]), 0.0)
+    g_hi = np.maximum(g[1:], -g[:-1]) + 1e-9 * dt
+    t = np.abs(tau)
+    t_lo, t_hi = np.maximum(t - 0.5 * dt, 0.0), t + 0.5 * dt + 1e-9 * dt
+    return (g_lo[:, None] <= t_hi[None, :]) & (t_lo[None, :] <= g_hi[:, None])
+
+
 def _row_weights(lam, rho0, tau, rho, dt):
     """Product-rule weights R[i', k] of the point (rho0, t) against the cells
     centered on the nodes (rho[i'], t + tau[k]).
 
     Nodal value Kbar(rho0, rho[i'], tau[k]) times cell measure outside the
     exact zone; inside it, the cell(s) holding the point included, the
-    graded cell rule.  The nodal kernel is evaluated from the smaller radius
+    graded cell rule, with 9 x 14 nodes per sub-cell on the cells the
+    kernel's ridge crosses and 5 x 7 on the others (_ridge_crossed).  The nodal kernel is evaluated from the smaller radius
     and the offset's magnitude, so Kbar(rho0, rho') and Kbar(rho', rho0)
     come from the same bits.  A weight that is not finite (the kernel's D
     underflowed) raises ValueError.
@@ -301,10 +332,16 @@ def _row_weights(lam, rho0, tau, rho, dt):
         * (_TWO_PI * rho * drho)[a]
         * dt
     )
-    a, k = np.nonzero(zone)
-    R[a, k] = _cell_integrals(
-        lam, rho0, edges[a] - rho0, edges[a + 1] - rho0, tau[k] - 0.5 * dt, tau[k] + 0.5 * dt
-    )
+    crossed = _ridge_crossed(rho0, edges, tau, dt)
+    for cells, nodes in (
+        (zone & crossed, (CELL_N_DELTA, CELL_N_TAU)),
+        (zone & ~crossed, (FAR_N_DELTA, FAR_N_TAU)),
+    ):
+        a, k = np.nonzero(cells)
+        R[a, k] = _cell_integrals(
+            lam, rho0, edges[a] - rho0, edges[a + 1] - rho0,
+            tau[k] - 0.5 * dt, tau[k] + 0.5 * dt, *nodes,
+        )
     if not np.all(np.isfinite(R)):
         raise ValueError(
             f"non-finite quadrature weights at lambda = {lam}, rho0 = {rho0:.3g}: "

@@ -401,6 +401,29 @@ class TestClassifier:
         assert v.k == pytest.approx(0.7, abs=0.05)
 
 
+class TestGeneratorInputs:
+    # an empty cloud has no masses 1 / n_atoms, and a one-atom split family
+    # leaves its tight cluster empty
+    @pytest.mark.parametrize(
+        "family, n_atoms",
+        [(spread_family, 0), (translate_family, 0), (split_family, 0), (split_family, 1)],
+        ids=["spread-0", "translate-0", "split-0", "split-1"],
+    )
+    def test_too_few_atoms_rejected(self, family, n_atoms):
+        with pytest.raises(ValueError, match="n_atoms"):
+            family(3, 0, n_atoms=n_atoms)
+
+    @pytest.mark.parametrize(
+        "family, n_atoms",
+        [(spread_family, 1), (translate_family, 1), (split_family, 2)],
+        ids=["spread-1", "translate-1", "split-2"],
+    )
+    def test_fewest_atoms_accepted(self, family, n_atoms):
+        for mu in family(3, 0, n_atoms=n_atoms):
+            assert mu.points.shape[0] == n_atoms
+            assert mu.total_mass == pytest.approx(1.0, rel=1e-12)
+
+
 class TestBrezisLiebDefect:
     SPEC = GridSpec(n=1, n_rho=24, rho_min=1e-2, rho_max=20.0, n_t=48, t_max=20.0)
 

@@ -516,24 +516,141 @@ class TestTableMirror:
             sys.setswitchinterval(interval)
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
-        # a work count, not a time: the cell rule and the nodal rows look
-        # kbar_many up at call time, so the wrapper sees every point.  The
-        # table's rows call it from several threads, where a shared += could
-        # lose counts; list.append does not
-        sizes = []
-        kbar = quadrature.kbar_many
-
-        def counting(rho, delta, tau, lam):
-            out = kbar(rho, delta, tau, lam)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(quadrature, "kbar_many", counting)
+        sizes = count_kernel_points(monkeypatch)
         build_kernel_table(COLD, 2.0)
         mirrored = sum(sizes)
         sizes.clear()
         full_lattice_weights(COLD, 2.0)
         assert mirrored <= 0.6 * sum(sizes)
+
+    @pytest.mark.parametrize(
+        "spec, most", [(COLD, 170_000), (GridSpec(), 1_900_000)], ids=["16x32", "64x128"]
+    )
+    def test_uncrossed_cells_take_the_small_rule(self, monkeypatch, spec, most):
+        # grading every exact-zone cell with 9 x 14 made 352,024 kernel
+        # evaluations on 16x32 and 3,433,731 on 64x128; the uncrossed cells'
+        # 5 x 7 rule leaves 160,014 and 1,840,412
+        sizes = count_kernel_points(monkeypatch)
+        build_kernel_table(spec, 2.0)
+        assert sum(sizes) <= most
+
+
+def count_kernel_points(monkeypatch):
+    """A list that receives the number of points of every kbar_many call.
+
+    A work count, not a time: the cell rule and the nodal rows look
+    kbar_many up at call time, so the wrapper sees every point.  The table's
+    rows call it from several threads, where a shared += could lose counts;
+    list.append does not."""
+    sizes = []
+    kbar = quadrature.kbar_many
+
+    def counting(rho, delta, tau, lam):
+        out = kbar(rho, delta, tau, lam)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(quadrature, "kbar_many", counting)
+    return sizes
+
+
+def zone_cells(spec, rho0, tau):
+    """(edges, zone, crossed) of the point row (rho0, tau) on spec's grid."""
+    rho, dt = spec.rho_nodes(), spec.dt
+    edges = rho_cell_edges(rho)
+    zone = quadrature._exact_zone_mask(rho0, rho, np.diff(edges), tau, dt)
+    return edges, zone, quadrature._ridge_crossed(rho0, edges, tau, dt)
+
+
+def cell_rule(lam, rho0, edges, tau, dt, cells, n_delta, n_tau, chunk=256):
+    """_cell_integrals with n_delta x n_tau nodes on the (a, k) cells, in
+    chunks of `chunk` cells so that a fine rule stays small in memory."""
+    a, k = np.nonzero(cells)
+    return np.concatenate(
+        [
+            quadrature._cell_integrals(
+                lam, rho0, edges[a[s]] - rho0, edges[a[s] + 1] - rho0,
+                tau[k[s]] - 0.5 * dt, tau[k[s]] + 0.5 * dt, n_delta, n_tau,
+            )
+            for s in (slice(i, i + chunk) for i in range(0, max(a.size, 1), chunk))
+        ]
+    )
+
+
+TEST_GRIDS = [COLD, SMALL, GridSpec()]
+TEST_GRID_IDS = ["16x32", "28x56", "64x128"]
+
+
+class TestFarCells:
+    # exact-zone cells the kernel ridge |rho'^2 - rho0^2| = |tau| crosses take
+    # the 9 x 14 cell rule, the others 5 x 7
+    @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0, 3.9, 3.97])
+    @pytest.mark.parametrize("spec", [COLD, SMALL], ids=["16x32", "28x56"])
+    def test_uncrossed_cells_match_a_fine_rule(self, spec, lam):
+        # each uncrossed zone cell of every table row lies within 1e-7 of a
+        # 24 x 32 rule on the same cell; each crossed cell is bit for bit the
+        # 9 x 14 rule applied to the crossed cells alone
+        rho, dt = spec.rho_nodes(), spec.dt
+        tau = np.arange(spec.n_t) * dt
+        worst = 0.0
+        for rho0 in rho:
+            R = quadrature._row_weights(lam, rho0, tau, rho, dt)
+            edges, zone, crossed = zone_cells(spec, rho0, tau)
+            near = cell_rule(lam, rho0, edges, tau, dt, zone & crossed, 9, 14)
+            assert np.array_equal(R[zone & crossed], near), rho0
+            far = zone & ~crossed
+            fine = cell_rule(lam, rho0, edges, tau, dt, far, 24, 32)
+            worst = max(worst, np.max(np.abs(R[far] / fine - 1.0), initial=0.0))
+        assert worst <= 1e-7
+
+    @pytest.mark.parametrize("spec", TEST_GRIDS, ids=TEST_GRID_IDS)
+    def test_table_and_point_rows_classify_alike(self, spec):
+        # at a lattice node the point row's tau = t' - t0 and the table's
+        # tau = (k - j) dt round differently; every cell still gets one rule
+        rho, t, dt, n_t = spec.rho_nodes(), spec.t_nodes(), spec.dt, spec.n_t
+        lattice = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+        for rho0 in rho:
+            _, zone, crossed = zone_cells(spec, rho0, lattice)
+            for j in range(n_t):
+                window = slice(n_t - 1 - j, 2 * n_t - 1 - j)
+                _, zone_j, crossed_j = zone_cells(spec, rho0, t - t[j])
+                assert np.array_equal(zone_j, zone[:, window]), (rho0, j)
+                assert np.array_equal(crossed_j, crossed[:, window]), (rho0, j)
+
+    def test_near_touch_counts_as_crossed(self):
+        # the rho' cell [1, sqrt(1.25)] spans |rho'^2 - 1| in [0, 0.25], and
+        # the tau cell of tau = 0.5 starts at 0.25: they touch.  A tau off
+        # by rounding still touches; one off by 1e-6 dt leaves a gap
+        edges, dt = np.array([1.0, math.sqrt(1.25), 2.0]), 0.5
+        for shift, crossed in ((-1e-12, True), (0.0, True), (1e-12, True), (1e-6, False)):
+            tau = np.array([0.5 + shift * dt])
+            assert quadrature._ridge_crossed(1.0, edges, tau, dt)[0, 0] == crossed, shift
+
+    @pytest.mark.parametrize("spec", TEST_GRIDS, ids=TEST_GRID_IDS)
+    def test_ridge_cells_are_crossed(self, spec):
+        # sample the ridge densely, in rho' and in tau, from every rho node,
+        # the axis and points between nodes: every cell a sample falls in is
+        # crossed, and so is the cell holding (rho0, 0)
+        rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
+        tau = (np.arange(2 * n_t - 1) - (n_t - 1)) * dt
+        between = np.sqrt(rho[:-1] * rho[1:])
+        for rho0 in np.concatenate([[0.0], rho, between]):
+            edges, _, crossed = zone_cells(spec, rho0, tau)
+            r = np.concatenate([
+                np.geomspace(edges[0], edges[-1], 20_001),
+                np.sqrt(rho0 ** 2 + np.linspace(0.0, tau[-1] + 0.5 * dt, 20_001)),
+                np.sqrt(np.maximum(rho0 ** 2 - np.linspace(0.0, tau[-1], 20_001), 0.0)),
+            ])
+            ridge = np.abs(r * r - rho0 * rho0)
+            r, s = np.concatenate([r, r]), np.concatenate([ridge, -ridge])
+            a = np.searchsorted(edges, r, side="right") - 1
+            k = np.floor((s - tau[0]) / dt + 0.5).astype(int)
+            keep = (0 <= a) & (a < rho.size) & (0 <= k) & (k < tau.size)
+            assert keep.sum() > 20_000
+            assert np.all(crossed[a[keep], k[keep]]), rho0
+            if edges[0] <= rho0 < edges[-1]:
+                holder = np.searchsorted(edges, rho0, side="right") - 1
+                assert crossed[holder, n_t - 1], rho0
 
 
 class TestWeightsRow:
