@@ -1,13 +1,16 @@
 """Command-line surface: constants, evaluate, maximize, classify.
 
-Each subcommand declares only the flags it reads, and every setting given
-is either used or rejected: an unknown flag or config key, and a flag of
-the mode not taken (`evaluate` with or without `--mc`, `classify` with or
-without `--inputs`), exit 2.  Defaults live in the library (`GridSpec`,
-`IterationControls`, the generator families) except the Monte Carlo ones
-(`MC_DEFAULTS`) and the generator choice, length and seed of `classify`
-(`CLASSIFY_DEFAULTS`).  The library also owns every rule it enforces, such
-as the n = 1 limit of the deterministic path; its ValueError exits 2.
+Each subcommand declares only the flags it reads, one per setting: the
+exponents come from `--p` alone (s = p, and r follows from
+1/r + 1/s + lambda/Q = 2).  Every setting given is either used or
+rejected: an unknown flag or config key, and a flag of the mode not taken
+(`evaluate` with or without `--mc`, `evaluate --input` with `--preset` or
+a grid flag, `classify` with or without `--inputs`), exit 2.  Defaults
+live in the library (`GridSpec`, `IterationControls`, the generator
+families) except the Monte Carlo ones (`MC_DEFAULTS`) and the generator
+choice, length and seed of `classify` (`CLASSIFY_DEFAULTS`).  The library
+also owns every rule it enforces, such as the n = 1 limit of the
+deterministic path; its ValueError exits 2.
 
 Every command checks its flags before any computation starts and writes
 output files only after the computation finishes, so a validation failure
@@ -35,7 +38,7 @@ from .extremal import (
     maximize,
     perturbed_H,
 )
-from .grids import CylGridFunction, GridSpec, ball_indicator, empty_grid_function, lp_norm
+from .grids import CylGridFunction, GridSpec, ball_indicator, lp_norm
 from .group import ball_volume
 from .montecarlo import (
     ball_indicator_callable,
@@ -53,17 +56,16 @@ EXIT_IO = 3
 # grid flag (dest) -> GridSpec field; GridSpec holds the defaults
 GRID_FLAGS = {"grid_rho": "n_rho", "grid_t": "n_t", "rho_min": "rho_min",
               "rho_max": "rho_max", "t_max": "t_max"}
-MC_DEFAULTS = {"samples": 1_000_000, "seed": 0, "workers": 1}
+MC_DEFAULTS = {"samples": 1_000_000, "seed": 0}
 CLASSIFY_DEFAULTS = {"generator": "spread", "length": 10, "seed": 0}
 
 # evaluate --preset and maximize --init name -> (grid builder (spec, lam),
-# point builder (n, lam) for evaluate --mc, or None)
+# point builder (n, lam) for evaluate --mc, None for the --init-only hperturb)
 PROFILES = {
     "H": (lambda spec, lam: extremal_H(spec.n, lam, spec), heisenberg_extremal_callable),
     "ball": (lambda spec, lam: ball_indicator(spec), lambda n, lam: ball_indicator_callable(n)),
     "gauss": (lambda spec, lam: gaussian_profile(spec), lambda n, lam: gaussian_callable(n)),
     "hperturb": (lambda spec, lam: perturbed_H(spec.n, lam, spec), None),
-    "zero": (lambda spec, lam: empty_grid_function(spec), None),
 }
 
 
@@ -176,25 +178,11 @@ def _grid_spec(args) -> GridSpec:
 
 
 def _resolve_params(args):
-    """Exponent tuple from --p, from --r/--s via the duality identification
-    (s = p, r = conjugate of q), or the diagonal default."""
-    if args.p is not None:
-        _reject_given(args, ("r", "s"), "give --p or --r and --s, not both")
-        return sc.derive_conjugates(args.n, args.lam, args.p)
-    if args.r is not None or args.s is not None:
-        if args.r is None or args.s is None:
-            _fail(EXIT_VALIDATION, "provide both --r and --s or neither")
-        try:
-            params = sc.derive_conjugates(args.n, args.lam, args.s)
-        except ValueError as exc:
-            _fail(EXIT_VALIDATION, f"inadmissible (r, s): {exc}")
-        if abs(params.r - args.r) > 1e-9 * max(1.0, args.r):
-            _fail(
-                EXIT_VALIDATION,
-                f"(r, s) violates the bilinear relation: expected r = {params.r}",
-            )
-        return params
-    return sc.diagonal_params(args.n, args.lam)
+    """Exponent tuple from --p (s = p, r from the bilinear relation), or the
+    diagonal default."""
+    if args.p is None:
+        return sc.diagonal_params(args.n, args.lam)
+    return sc.derive_conjugates(args.n, args.lam, args.p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +303,14 @@ def _load_grid_file(path: str, spec_n: int):
 def cmd_evaluate(args) -> int:
     refine = args.refine or 0
     if args.mc:
-        grid_path = ("p", "r", "s", "input", *GRID_FLAGS, "refine", "ladder_out")
+        grid_path = ("p", "input", *GRID_FLAGS, "refine", "ladder_out")
         _reject_given(args, grid_path, "not used by --mc")
     else:
         _reject_given(args, MC_DEFAULTS, "used only with --mc")
+    if args.input:
+        _reject_given(args, ("preset", *GRID_FLAGS), "--input gives the profile and its grid")
+    elif args.preset is None:
+        args.preset = "H"
     if refine < 0:
         _fail(EXIT_VALIDATION, "--refine must be >= 0")
     if args.ladder_out is not None and refine < 1:
@@ -328,11 +320,7 @@ def cmd_evaluate(args) -> int:
     if args.mc:
         # Monte Carlo path: the only deterministic-free route for n >= 2
         mc = {**MC_DEFAULTS, **_given(args, MC_DEFAULTS)}
-        point_form = PROFILES[args.preset][1]
-        if point_form is None:
-            with_mc = ", ".join(name for name, (_, pf) in PROFILES.items() if pf)
-            _fail(EXIT_VALIDATION, f"preset {args.preset!r} has no Monte Carlo form ({with_mc})")
-        func = point_form(args.n, args.lam)
+        func = PROFILES[args.preset][1](args.n, args.lam)
         est, se = mc_bilinear_energy(func, func, args.lam, n=args.n, **mc)
         _emit_json(
             {
@@ -368,7 +356,7 @@ def cmd_evaluate(args) -> int:
     level0 = evaluate_on(spec)
     # preset H has the closed-form quotient as its reference at every p
     reference = None
-    if args.preset == "H" and not args.input:
+    if args.preset == "H":
         reference = sc.h_quotient(args.n, args.lam, params.p)
     result = dict(level0)
     if reference is not None:
@@ -376,7 +364,7 @@ def cmd_evaluate(args) -> int:
         result["quotient_error"] = abs(result["quotient"] - reference)
     payload = {
         "command": "evaluate",
-        "preset": args.preset if not args.input else None,
+        "preset": args.preset,
         "input": args.input,
         "params": {
             "n": args.n,
@@ -532,9 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         if exponents:
             p.add_argument("--n", type=int, default=1, help="complex dimension of H^n")
             p.add_argument("--lambda", dest="lam", type=float, default=2.0, help="kernel exponent")
-            p.add_argument("--p", type=float, help="operator exponent p (default: diagonal)")
-            p.add_argument("--r", type=float, help="bilinear exponent r")
-            p.add_argument("--s", type=float, help="bilinear exponent s")
+            p.add_argument("--p", type=float, help="operator exponent p = s (default: diagonal)")
         if grid:  # defaults: GridSpec
             p.add_argument("--grid-rho", type=int)
             p.add_argument("--grid-t", type=int)
@@ -547,18 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--N", type=int, help="Euclidean dimension (default 2n+1)")
 
     p_eval = command("evaluate", cmd_evaluate, "energies, norms, and the HLS quotient")
-    p_eval.add_argument("--preset", choices=("H", "ball", "gauss", "zero"), default="H")
+    p_eval.add_argument("--preset", choices=("H", "ball", "gauss"), help="default H; not with --input")
     p_eval.add_argument("--input", help="npz grid file (rho_nodes, t_nodes, values)")
     p_eval.add_argument("--refine", type=int, help="extra grid refinement levels")
     p_eval.add_argument("--ladder-out", help="CSV path for the refinement ladder")
     p_eval.add_argument("--mc", action="store_true", help="Monte Carlo energy estimate (any n)")
     p_eval.add_argument("--samples", type=int, help="Monte Carlo sample count (default 10^6)")
     p_eval.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    p_eval.add_argument("--workers", type=int,
-                        help="Monte Carlo streams the samples are split into (default 1); the count "
-                             "changes the draws, not the speed: the chunks of every stream run on one "
-                             "thread per available CPU, up to four, with the same result at any "
-                             "thread count")
 
     p_max = command("maximize", cmd_maximize, "extremal search for the HLS quotient")
     p_max.add_argument("--init", choices=("H", "hperturb", "gauss"), default="gauss",

@@ -46,6 +46,9 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_n(self.n))
+        for name in ("rho_min", "rho_max", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.rho_min < self.rho_max):
             raise ValueError("need 0 < rho_min < rho_max")
         if self.n_rho < 4 or self.n_t < 4:

@@ -14,7 +14,7 @@ import os
 
 # the most threads of one pool, whatever the host: each MC thread holds one
 # chunk (about 6 MiB at n = 3) and each table thread one row's exact-zone
-# temporaries (up to 7.5 MiB on 64x128), so a pool's working memory stays
+# temporaries (up to 1.96 MiB on 64x128), so a pool's working memory stays
 # bounded on a host of any size
 MAX_THREADS = 4
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -126,27 +127,6 @@ class TestEvaluateCommand:
         )
         assert proc.returncode == 3
 
-    def test_rs_flags_via_duality(self):
-        # diagonal (r, s) = (4/3, 4/3) maps to p = 4/3, q = 4
-        proc = run_cli(
-            "evaluate", "--n", "1", "--lambda", "2",
-            "--r", "1.3333333333333333", "--s", "1.3333333333333333", *SMALL_GRID,
-        )
-        doc = json.loads(proc.stdout)
-        assert doc["params"]["q"] == pytest.approx(4.0, rel=1e-12)
-        proc = run_cli(
-            "evaluate", "--n", "1", "--lambda", "2", "--r", "1.2", "--s",
-            "1.3333333333333333", *SMALL_GRID, check=False,
-        )
-        assert proc.returncode == 2
-
-    def test_zero_preset_rejected(self):
-        proc = run_cli(
-            "evaluate", "--n", "1", "--lambda", "2", "--preset", "zero",
-            *SMALL_GRID, check=False,
-        )
-        assert proc.returncode == 2
-
     def test_non_finite_weights_name_lambda(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run_cli(
@@ -177,16 +157,21 @@ class TestEvaluateCommand:
     def test_mc_mode_general_n(self):
         proc = run_cli(
             "evaluate", "--n", "2", "--lambda", "3", "--mc", "--preset", "H",
-            "--samples", "50000", "--seed", "1", "--workers", "2",
+            "--samples", "50000", "--seed", "1",
         )
         doc = json.loads(proc.stdout)
         assert doc["mode"] == "monte-carlo"
         assert doc["result"]["energy"] > 0
         assert doc["result"]["stderr"] > 0
 
-    def test_mc_zero_preset_exit_2(self, tmp_path, capsys):
-        assert exits_2(["evaluate", "--mc", "--preset", "zero"], tmp_path / "never.json")
-        assert "preset 'zero' has no Monte Carlo form (H, ball, gauss)" in capsys.readouterr().err
+    def test_mc_bits_are_the_single_stream_estimate(self, tmp_path):
+        out = tmp_path / "e.json"
+        argv = ["evaluate", "--mc", "--n", "2", "--lambda", "3", "--samples", "2000", "--seed", "0"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        func = montecarlo.heisenberg_extremal_callable(2, 3.0)
+        est, se = montecarlo.mc_bilinear_energy(func, func, 3.0, n=2, samples=2000, seed=0, workers=1)
+        result = json.loads(out.read_text())["result"]
+        assert (result["energy"], result["stderr"]) == (est, se)
 
     def test_input_with_refine_rejected_before_evaluation(self, tmp_path, monkeypatch):
         def never(*_args):
@@ -198,14 +183,22 @@ class TestEvaluateCommand:
         np.savez(path, rho_nodes=f.rho_nodes, t_nodes=f.t_nodes, values=f.values)
         assert exits_2(["evaluate", "--input", str(path), "--refine", "1"], tmp_path / "never.json")
 
-    def test_mc_more_workers_than_samples_exit_2(self):
-        proc = run_cli(
-            "evaluate", "--n", "1", "--lambda", "2", "--mc", "--samples", "2000",
-            "--workers", "2001", check=False,
-        )
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["evaluate", "--rho-max", "inf", "--grid-rho", "8", "--grid-t", "8"], "rho_max"),
+            (["evaluate", "--t-max", "inf"], "t_max"),
+            (["maximize", "--rho-max", "inf"], "rho_max"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_infinite_grid_bound_named(self, tmp_path, argv, field):
+        out = tmp_path / "never.json"
+        proc = run_cli(*argv, "--out", str(out), check=False)
         assert proc.returncode == 2
-        assert "workers (2001) must not exceed samples (2000)" in proc.stderr
-        assert proc.stdout == ""
+        assert f"{field} must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
 
     def test_nonconvergence_reports_false_exit_zero(self, tmp_path):
         out = tmp_path / "s.json"
@@ -259,14 +252,14 @@ class TestEvaluateCommand:
         assert result["quotient_error"] > 0.1 * result["h_quotient"]
 
     def test_no_reference_without_preset_H(self, tmp_path):
-        # --input leaves --preset at its default H, but the profile is the file's
+        # with --input there is no preset, and the profile is the file's
         path = tmp_path / "f.npz"
         rho = np.geomspace(5e-3, 25.0, 24)
         t = np.linspace(-25.0, 25.0, 48)
         np.savez(path, rho_nodes=rho, t_nodes=t, values=np.exp(-np.add.outer(rho ** 2, t ** 2)))
-        for source in (["--preset", "gauss"], ["--input", str(path)]):
+        for source in (["--preset", "gauss", *SMALL_GRID], ["--input", str(path)]):
             out = tmp_path / "e.json"
-            argv = ["evaluate", "--n", "1", "--lambda", "2", *source, *SMALL_GRID]
+            argv = ["evaluate", "--n", "1", "--lambda", "2", *source]
             assert cli.main([*argv, "--out", str(out)]) == 0
             result = json.loads(out.read_text())["result"]
             assert "h_quotient" not in result and "quotient_error" not in result
@@ -443,7 +436,7 @@ class TestConfigFile:
         assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["mode"] == "monte-carlo"
-        assert doc["params"] == {"n": 2, "lambda": 3.0, "samples": 2000, "seed": 0, "workers": 1}
+        assert doc["params"] == {"n": 2, "lambda": 3.0, "samples": 2000, "seed": 0}
         cfg.write_text("mc = false\nsamples = 2000\n")
         assert exits_2(["evaluate", "--config", str(cfg)], tmp_path / "never.json")
 
@@ -471,11 +464,38 @@ class TestEverySettingIsRead:
             ["classify", "--s", "2"],
             ["classify", "--workers", "2"],
             ["classify", "--samples", "5000"],
+            # r follows from s = p, and the MC draws from --samples and --seed
+            ["constants", "--r", "1.2"],
+            ["constants", "--s", "1.6"],
+            ["evaluate", "--r", "1.1428571428571428"],
+            ["evaluate", "--s", "1.6"],
+            ["evaluate", "--mc", "--workers", "2"],
+            ["maximize", "--r", "1.1428571428571428"],
+            ["maximize", "--s", "1.6"],
+            ["evaluate", "--preset", "zero"],
+            ["evaluate", "--mc", "--preset", "zero"],
         ],
         ids=" ".join,
     )
     def test_removed_flag_exit_2(self, tmp_path, argv):
         assert exits_2(argv, tmp_path / "never.json")
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("constants", "r = 1.2"),
+            ("constants", "s = 1.6"),
+            ("evaluate", "r = 1.1428571428571428"),
+            ("evaluate", "s = 1.6"),
+            ("evaluate", "workers = 2"),
+            ("maximize", "s = 1.6"),
+        ],
+        ids=" ".join,
+    )
+    def test_removed_config_key_exit_2(self, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert exits_2([command, "--config", str(cfg)], tmp_path / "never.json")
 
     @pytest.mark.parametrize(
         "argv",
@@ -494,6 +514,12 @@ class TestEverySettingIsRead:
             ["--refine", "0", "--ladder-out", "l.csv"],
             ["--refine", "-1"],
             ["--p", "1.6", "--r", "1.1428571428571428", "--s", "1.6"],
+            # the file gives the profile and its grid: exit 2 before the
+            # absent f.npz is opened, which would exit 3
+            ["--input", "f.npz", "--preset", "gauss"],
+            ["--input", "f.npz", "--preset", "H"],
+            ["--input", "f.npz", "--grid-rho", "99"],
+            ["--input", "f.npz", "--t-max", "25"],
         ],
         ids=" ".join,
     )
@@ -539,7 +565,7 @@ def test_profile_names_build_the_library_profiles():
     grid and, where it has one, as a point callable."""
     parser = cli.build_parser()
     for command, flag, names in (
-        ("evaluate", "--preset", ("H", "ball", "gauss", "zero")),
+        ("evaluate", "--preset", ("H", "ball", "gauss")),
         ("maximize", "--init", ("H", "hperturb", "gauss")),
     ):
         for name in names:
@@ -551,7 +577,6 @@ def test_profile_names_build_the_library_profiles():
         "ball": grids.ball_indicator(spec),
         "gauss": extremal.gaussian_profile(spec),
         "hperturb": extremal.perturbed_H(2, 3.0, spec),
-        "zero": grids.empty_grid_function(spec),
     }
     pts = np.random.default_rng(0).standard_normal((50, 5))
     point = {
@@ -579,3 +604,21 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.func is getattr(cli, f"cmd_{args.command}")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """The flags of README's Command line table, with --out, --config and,
+    where the row names them, the grid flags, are each subcommand's options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    grid_flags = re.search(r"The grid flags are `([^`]*)`", section).group(1).split()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(name for name, _ in rows) == sorted(subparsers.choices)
+    for name, cell in rows:
+        listed = {"--out", "--config", *" ".join(re.findall(r"`([^`]*)`", cell)).split()}
+        if "the grid flags" in cell:
+            listed.update(grid_flags)
+        options = {opt for a in subparsers.choices[name]._actions for opt in a.option_strings}
+        assert listed == options - {"-h", "--help"}, name

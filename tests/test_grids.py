@@ -122,6 +122,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             g.with_values(vals)
 
+    @pytest.mark.parametrize("field", ["rho_min", "rho_max", "t_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_spec_rejects_nonfinite_bounds(self, field, value):
+        # an infinite box would otherwise fail later, as non-finite weights
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GridSpec(**{field: value})
+
     def test_fields_are_spec_and_values(self):
         assert [f.name for f in dataclasses.fields(CylGridFunction)] == ["spec", "values"]
 
