@@ -24,12 +24,10 @@ from .constants import (
 )
 from .grids import CylGridFunction, GridSpec, ball_indicator, lp_norm, normalized, sample
 from .quadrature import (
-    angular_average_kernel,
     bilinear_energy,
     fractional_integral,
     fractional_integral_grid,
     hls_quotient,
-    riesz_kernel,
 )
 from .montecarlo import mc_bilinear_energy
 from .extremal import (
@@ -76,12 +74,10 @@ __all__ = [
     "lp_norm",
     "normalized",
     "sample",
-    "angular_average_kernel",
     "bilinear_energy",
     "fractional_integral",
     "fractional_integral_grid",
     "hls_quotient",
-    "riesz_kernel",
     "mc_bilinear_energy",
     "ConvergenceTrace",
     "IterationControls",

@@ -182,7 +182,7 @@ def _resolve_params(args):
     diagonal default."""
     if args.p is None:
         return sc.diagonal_params(args.n, args.lam)
-    return sc.derive_conjugates(args.n, args.lam, args.p)
+    return sc.HlsParams(args.n, args.lam, args.p)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +195,20 @@ def cmd_constants(args) -> int:
     diagonal = sc.diagonal_params(n, lam)
     N = args.N if args.N is not None else 2 * n + 1
 
+    sharp = sc.frank_lieb_constant(n, lam)
+    upper = sc.theorem2_upper_bound(n, lam, params.r, params.s)
+    # the dominance check is on the diagonal, where the sharp constant is known
+    if params != diagonal:
+        upper_diagonal = sc.theorem2_upper_bound(n, lam, diagonal.r, diagonal.s)
+    else:
+        upper_diagonal = upper
     records = [
         {"name": "ball_volume", "params": {"n": n}, "value": ball_volume(n)},
-        {
-            "name": "frank_lieb_constant",
-            "params": {"n": n, "lambda": lam},
-            "value": sc.frank_lieb_constant(n, lam),
-        },
+        {"name": "frank_lieb_constant", "params": {"n": n, "lambda": lam}, "value": sharp},
         {
             "name": "theorem2_upper_bound",
             "params": {"n": n, "lambda": lam, "r": params.r, "s": params.s},
-            "value": sc.theorem2_upper_bound(n, lam, params.r, params.s),
+            "value": upper,
         },
         {
             "name": "h_quotient",
@@ -213,45 +216,32 @@ def cmd_constants(args) -> int:
             "value": sc.h_quotient(n, lam, params.p),
         },
     ]
-    dominance = [
-        {
-            "name": "theorem2_vs_frank_lieb_diagonal",
-            "upper": sc.theorem2_upper_bound(n, lam, diagonal.r, diagonal.s),
-            "sharp": sc.frank_lieb_constant(n, lam),
-        }
-    ]
+    dominance = [("theorem2_vs_frank_lieb_diagonal", upper_diagonal, sharp)]
     if 0.0 < lam < N:
         rN = 2.0 * N / (2.0 * N - lam)
-        for variant in ("standard", "paper"):
-            records.append(
-                {
-                    "name": f"lieb_diagonal_constant[{variant}]",
-                    "params": {"N": N, "lambda": lam},
-                    "value": sc.lieb_diagonal_constant(N, lam, variant),
-                }
-            )
+        lieb = {v: sc.lieb_diagonal_constant(N, lam, v) for v in ("standard", "paper")}
+        loss = sc.lieb_loss_upper_bound(N, lam, rN, rN)
+        records += [
+            {"name": f"lieb_diagonal_constant[{v}]", "params": {"N": N, "lambda": lam}, "value": c}
+            for v, c in lieb.items()
+        ]
         records.append(
             {
                 "name": "lieb_loss_upper_bound",
                 "params": {"N": N, "lambda": lam, "r": rN, "s": rN},
-                "value": sc.lieb_loss_upper_bound(N, lam, rN, rN),
+                "value": loss,
             }
         )
-        dominance.append(
-            {
-                "name": "lieb_loss_vs_diagonal",
-                "upper": sc.lieb_loss_upper_bound(N, lam, rN, rN),
-                "sharp": sc.lieb_diagonal_constant(N, lam, sc.DEFAULT_LIEB_VARIANT),
-            }
-        )
-    for item in dominance:
-        item["dominates"] = bool(item["upper"] > item["sharp"])
+        dominance.append(("lieb_loss_vs_diagonal", loss, lieb[sc.DEFAULT_LIEB_VARIANT]))
     _emit_json(
         {
             "command": "constants",
             "default_lieb_variant": sc.DEFAULT_LIEB_VARIANT,
             "records": records,
-            "dominance": dominance,
+            "dominance": [
+                {"name": name, "upper": up, "sharp": sh, "dominates": bool(up > sh)}
+                for name, up, sh in dominance
+            ],
         },
         args.out,
     )
@@ -334,34 +324,36 @@ def cmd_evaluate(args) -> int:
         )
         return 0
     params = _resolve_params(args)
-    spec = _grid_spec(args)
-
-    def evaluate_on(spec_level):
+    specs = [_grid_spec(args)]
+    for _ in range(refine):
+        specs.append(specs[-1].refined())
+    # preset H has the closed-form quotient as its reference at every p
+    reference = sc.h_quotient(args.n, args.lam, params.p) if args.preset == "H" else None
+    ladder = []
+    for level, spec in enumerate(specs):
         if args.input:
             f = _load_grid_file(args.input, args.n)
         else:
-            f = PROFILES[args.preset][0](spec_level, args.lam)
+            f = PROFILES[args.preset][0](spec, args.lam)
         if not np.any(f.values != 0.0):
             _fail(EXIT_VALIDATION, "input function is identically zero")
         energy = bilinear_energy(f, f, args.lam)
-        out = {
+        row = {
+            "level": level,
+            "n_rho": spec.n_rho,
+            "n_t": spec.n_t,
             "norm_p": lp_norm(f, params.p),
             "norm_r": lp_norm(f, params.r),
             "energy": energy,
             "quotient": hls_quotient(f, params),
         }
-        out["energy_over_norm_r_sq"] = energy / out["norm_r"] ** 2
-        return out
-
-    level0 = evaluate_on(spec)
-    # preset H has the closed-form quotient as its reference at every p
-    reference = None
-    if args.preset == "H":
-        reference = sc.h_quotient(args.n, args.lam, params.p)
-    result = dict(level0)
+        row["energy_over_norm_r_sq"] = energy / row["norm_r"] ** 2
+        if reference is not None:
+            row["quotient_error"] = abs(row["quotient"] - reference)
+        ladder.append(row)
+    result = {k: v for k, v in ladder[0].items() if k not in ("level", "n_rho", "n_t")}
     if reference is not None:
         result["h_quotient"] = reference
-        result["quotient_error"] = abs(result["quotient"] - reference)
     payload = {
         "command": "evaluate",
         "preset": args.preset,
@@ -377,21 +369,6 @@ def cmd_evaluate(args) -> int:
         "result": result,
     }
     if refine > 0:
-        ladder = [{"level": 0, "n_rho": spec.n_rho, "n_t": spec.n_t, **level0}]
-        level_spec = spec
-        for level in range(1, refine + 1):
-            level_spec = level_spec.refined()
-            ladder.append(
-                {
-                    "level": level,
-                    "n_rho": level_spec.n_rho,
-                    "n_t": level_spec.n_t,
-                    **evaluate_on(level_spec),
-                }
-            )
-        if reference is not None:
-            for row in ladder:
-                row["quotient_error"] = abs(row["quotient"] - reference)
         payload["refinement_reference"] = reference
         if args.ladder_out:
             header = list(ladder[0].keys())

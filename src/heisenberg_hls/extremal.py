@@ -81,15 +81,14 @@ class ConvergenceTrace:
         self.accepted.append(bool(ok))
 
     def rows(self):
-        for k in range(len(self.iterations)):
-            yield (
-                self.iterations[k],
-                self.quotients[k],
-                self.q1_concentration[k],
-                self.dilations[k],
-                self.t_shifts[k],
-                self.accepted[k],
-            )
+        return zip(
+            self.iterations,
+            self.quotients,
+            self.q1_concentration,
+            self.dilations,
+            self.t_shifts,
+            self.accepted,
+        )
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,6 @@ from .group import check_n, homogeneous_dimension
 from .constants import unit_sphere_area
 
 
-def sphere_area(n: int) -> float:
-    """Area omega_{2n-1} = 2 pi^n / (n-1)! of the unit sphere in R^(2n)."""
-    return unit_sphere_area(2 * n)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Parameters of a (rho, t) tensor grid; hashable so nodes and weights
@@ -85,7 +80,7 @@ def build_weights(spec: GridSpec) -> np.ndarray:
     rho = spec.rho_nodes()
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
-    radial = sphere_area(spec.n) * rho ** (2 * spec.n - 1) * drho
+    radial = unit_sphere_area(2 * spec.n) * rho ** (2 * spec.n - 1) * drho
     return np.outer(radial, np.full(spec.n_t, spec.dt))
 
 
@@ -204,7 +199,7 @@ def ball_indicator(spec: GridSpec) -> CylGridFunction:
         lo = np.maximum(t_lo[None, :], -h[:, None])
         hi = np.minimum(t_hi[None, :], h[:, None])
         overlap = np.clip(hi - lo, 0.0, None)
-        cell_mass = sphere_area(spec.n) * np.einsum(
+        cell_mass = unit_sphere_area(2 * spec.n) * np.einsum(
             "g,g,gj->j", ww, rr ** two_n_minus_1, overlap
         )
         with np.errstate(invalid="ignore", divide="ignore"):

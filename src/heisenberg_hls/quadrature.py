@@ -79,19 +79,10 @@ from scipy.special import ellipk, hyp2f1
 
 from .constants import HlsParams, check_lambda
 from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
-from .group import GroupPoint, distance, homogeneous_dimension
+from .group import GroupPoint, homogeneous_dimension
 from .parallel import pool_size
 
 _TWO_PI = 2.0 * math.pi
-
-
-def riesz_kernel(u: GroupPoint, v: GroupPoint, lam: float) -> float:
-    """Kernel |u^-1 v|^(-lam); returns +inf at u = v (signaled, not raised)."""
-    check_lambda(lam, homogeneous_dimension(u.n))
-    d = distance(u, v)
-    if d == 0.0:
-        return math.inf
-    return d ** (-lam)
 
 
 def kbar_many(rho, delta, tau, lam):
@@ -128,18 +119,6 @@ def kbar_many(rho, delta, tau, lam):
             F = hyp2f1(alpha, 1.0 - alpha, 1.0, z)
         out = D ** (-alpha) * F
     return np.where(D < np.finfo(float).tiny, math.inf, out)
-
-
-def angular_average_kernel(rho: float, rho2: float, tau: float, lam: float) -> float:
-    """Angular average of the kernel over the phi circle (n = 1 reduction).
-
-    The exact singular point rho = rho', tau = 0 returns +inf, as do points
-    so close to it that the kernel's D is not a normal float (kbar_many).
-    """
-    check_lambda(lam, 4)
-    if rho < 0.0 or rho2 < 0.0:
-        raise ValueError("radii must be nonnegative")
-    return float(kbar_many(rho, rho2 - rho, tau, lam)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,23 @@ class TestConstantsCommand:
         assert "lieb_diagonal_constant[paper]" in names
         assert doc["default_lieb_variant"] == "standard"
 
+    @pytest.mark.parametrize("extra", [[], ["--N", "5"]])
+    def test_dominance_entries_are_the_record_values(self, tmp_path, extra):
+        out = tmp_path / "c.json"
+        assert cli.main(["constants", "--n", "1", "--lambda", "2", *extra, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        values = {rec["name"]: rec["value"] for rec in doc["records"]}
+        lieb = f"lieb_diagonal_constant[{doc['default_lieb_variant']}]"
+        expected = {
+            "theorem2_vs_frank_lieb_diagonal": ("theorem2_upper_bound", "frank_lieb_constant"),
+            "lieb_loss_vs_diagonal": ("lieb_loss_upper_bound", lieb),
+        }
+        assert [item["name"] for item in doc["dominance"]] == list(expected)
+        for item in doc["dominance"]:
+            upper, sharp = expected[item["name"]]
+            assert item["upper"] == values[upper]
+            assert item["sharp"] == values[sharp]
+
 
 class TestEvaluateCommand:
     def test_extremal_preset_quotient(self):
@@ -227,6 +244,9 @@ class TestEvaluateCommand:
         errs = [float(r["quotient_error"]) for r in rows]
         assert len(errs) == 2
         assert errs[1] < errs[0]  # refinement reduces the error
+        # row 0 is the JSON result, bit for bit, quotient_error included
+        row0 = {k: float(v) for k, v in rows[0].items() if k not in ("level", "n_rho", "n_t")}
+        assert row0 == {k: v for k, v in doc["result"].items() if k != "h_quotient"}
 
     def test_refinement_reference_off_the_diagonal(self, tmp_path):
         # preset H has the closed-form quotient as its reference at every p

@@ -14,14 +14,15 @@ from heisenberg_hls.grids import (
     normalized,
     rho_cell_edges,
     sample,
-    sphere_area,
 )
+from heisenberg_hls.constants import unit_sphere_area
 from heisenberg_hls.group import ball_volume
 
 
 def test_sphere_area_values():
-    assert sphere_area(1) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert sphere_area(2) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+    # omega_{2n-1}, the sphere factor of the grid weights on H^n
+    assert unit_sphere_area(2 * 1) == pytest.approx(2 * math.pi, rel=1e-14)
+    assert unit_sphere_area(2 * 2) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
 
 
 def test_default_spec_shape():

@@ -20,10 +20,9 @@ from heisenberg_hls.grids import (
     rho_cell_edges,
     sample,
 )
-from heisenberg_hls.group import GroupPoint, dilate, from_polar, identity
+from heisenberg_hls.group import GroupPoint, from_polar, identity
 from heisenberg_hls.quadrature import (
     KernelTable,
-    angular_average_kernel,
     bilinear_energy,
     build_kernel_table,
     fractional_integral,
@@ -31,7 +30,6 @@ from heisenberg_hls.quadrature import (
     hls_quotient,
     kbar_many,
     kernel_table,
-    riesz_kernel,
     weights_row,
 )
 
@@ -46,60 +44,28 @@ def H_profile(spec, lam=2.0):
     return sample(lambda R, T: ((1 + R ** 2) ** 2 + T ** 2) ** (-expo), spec)
 
 
-class TestRieszKernel:
-    def test_unit_distance(self):
-        u = identity(1)
-        v = from_polar(1, 1.0, 0.0)
-        assert riesz_kernel(u, v, 2.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_singular_sentinel(self):
-        u = from_polar(1, 0.7, 0.3)
-        assert riesz_kernel(u, u, 2.0) == math.inf
-
-    def test_homogeneity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            u = GroupPoint(1, rng.standard_normal(2), rng.standard_normal())
-            v = GroupPoint(1, rng.standard_normal(2), rng.standard_normal())
-            d = rng.uniform(0.2, 4.0)
-            lam = rng.uniform(0.3, 3.7)
-            k1 = riesz_kernel(dilate(d, u), dilate(d, v), lam)
-            assert k1 == pytest.approx(d ** (-lam) * riesz_kernel(u, v, lam), rel=1e-10)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            u = GroupPoint(1, rng.standard_normal(2), rng.standard_normal())
-            v = GroupPoint(1, rng.standard_normal(2), rng.standard_normal())
-            assert riesz_kernel(u, v, 1.3) == pytest.approx(riesz_kernel(v, u, 1.3), rel=1e-12)
-
-    def test_lambda_range(self):
-        with pytest.raises(ValueError):
-            riesz_kernel(identity(1), from_polar(1, 1.0, 0.0), 4.5)
-
-
 class TestAngularAverage:
     def test_axis_case_closed_form(self):
         # rho' = 0: no angular dependence
-        val = angular_average_kernel(1.5, 0.0, 0.3, 2.0)
+        val = kbar_many(1.5, -1.5, 0.3, 2.0)[0]
         assert val == pytest.approx(((1.5 ** 2) ** 2 + 0.3 ** 2) ** (-0.5), rel=1e-12)
 
     def test_tau_sign_symmetry(self):
-        a = angular_average_kernel(1.0, 1.4, 0.7, 2.5)
-        b = angular_average_kernel(1.0, 1.4, -0.7, 2.5)
+        a = kbar_many(1.0, 1.4 - 1.0, 0.7, 2.5)[0]
+        b = kbar_many(1.0, 1.4 - 1.0, -0.7, 2.5)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_frozen_reference_values(self):
         # frozen from a 2*10^6-node trapezoid evaluation
-        assert angular_average_kernel(1.0, 2.0, 0.0, 2.0) == pytest.approx(
+        assert kbar_many(1.0, 2.0 - 1.0, 0.0, 2.0)[0] == pytest.approx(
             0.25404984002426473, rel=1e-10
         )
-        assert angular_average_kernel(1.0, 1.05, 0.1, 2.0) == pytest.approx(
+        assert kbar_many(1.0, 1.05 - 1.0, 0.1, 2.0)[0] == pytest.approx(
             1.2332787495617306, rel=1e-10
         )
 
     def test_singular_point_sentinel(self):
-        assert angular_average_kernel(1.0, 1.0, 0.0, 2.0) == math.inf
+        assert kbar_many(1.0, 0.0, 0.0, 2.0)[0] == math.inf
 
     def test_near_singular_matches_asymptotic(self):
         # leading behavior B_lam d^(2-lam) / (4 pi rho rho') for lam > 2
@@ -108,7 +74,7 @@ class TestAngularAverage:
         lam, rho, d = 3.0, 1.3, 1e-5
         B = math.sqrt(math.pi) * math.exp(log_gamma(lam / 4 - 0.5) - log_gamma(lam / 4))
         asym = B * d ** (2 - lam) / (4 * math.pi * rho * rho)
-        val = angular_average_kernel(rho, rho + d, 0.0, lam)
+        val = kbar_many(rho, d, 0.0, lam)[0]
         assert val == pytest.approx(asym, rel=2e-3)
 
     def test_rho_swap_symmetric(self):
@@ -160,9 +126,9 @@ class TestAngularAverage:
     def test_subnormal_D_is_inf(self):
         # at rho = 1e-80, rho' = tau = 0 the kernel's D = rho^4 = 1e-320 is
         # subnormal, and D^(-1/2) would be 1.0000056e160; at 1e-70 D is normal
-        assert angular_average_kernel(1e-80, 0.0, 0.0, 2.0) == math.inf
-        assert angular_average_kernel(1e-150, 0.0, 0.0, 2.0) == math.inf
-        assert angular_average_kernel(1e-70, 0.0, 0.0, 2.0) == pytest.approx(1e140, rel=1e-12)
+        assert kbar_many(1e-80, -1e-80, 0.0, 2.0)[0] == math.inf
+        assert kbar_many(1e-150, -1e-150, 0.0, 2.0)[0] == math.inf
+        assert kbar_many(1e-70, -1e-70, 0.0, 2.0)[0] == pytest.approx(1e140, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.3, 2.0, 3.0, 3.9])
     def test_finite_off_the_singular_locus(self, lam):
