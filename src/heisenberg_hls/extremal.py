@@ -33,7 +33,7 @@ import numpy as np
 from .constants import HlsParams, check_lambda, gaussian, h_profile
 from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from .group import homogeneous_dimension
-from .quadrature import fractional_integral_grid, hls_quotient
+from .quadrature import fractional_integral_grid
 
 
 def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
@@ -116,17 +116,22 @@ Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
 TIE_RTOL = 1e-12
 
 
-def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunction:
+def euler_lagrange_step(
+    f: CylGridFunction, params: HlsParams, If: CylGridFunction | None = None
+) -> CylGridFunction:
     """One fixed-point ascent step, output normalized in L^p.
 
     Requires f >= 0 with unit L^p norm: the search lives on the nonnegative
-    cone, where replacing f by |f| can only increase the quotient.
+    cone, where replacing f by |f| can only increase the quotient.  If is
+    I_lam f when the caller already has it (maximize keeps it from the
+    quotient of the accepted trial); it is computed from f otherwise.
     """
     if np.any(f.values < 0.0):
         raise ValueError("euler_lagrange_step requires a nonnegative profile")
     if abs(lp_norm(f, params.p) - 1.0) > 1e-10:
         raise ValueError("euler_lagrange_step requires unit L^p norm")
-    If = fractional_integral_grid(f, params.lam)
+    if If is None:
+        If = fractional_integral_grid(f, params.lam)
     g = fractional_integral_grid(If.with_values(If.values ** (params.q - 1.0)), params.lam)
     new_vals = np.clip(g.values, 0.0, None) ** (1.0 / (params.p - 1.0))
     out = f.with_values(new_vals)
@@ -137,42 +142,67 @@ def euler_lagrange_step(f: CylGridFunction, params: HlsParams) -> CylGridFunctio
     return out
 
 
+def _quotient(f: CylGridFunction, params: HlsParams) -> tuple[float, CylGridFunction]:
+    """hls_quotient(f, params), bit for bit, and the I_lam f it is taken
+    from, for the ascent step that follows an accepted f."""
+    If = fractional_integral_grid(f, params.lam)
+    return lp_norm(If, params.q) / lp_norm(f, params.p), If
+
+
 # ---------------------------------------------------------------------------
 # concentration renormalization
 
 
-@functools.lru_cache(maxsize=16)
+# One entry per (grid, R): the library asks for R = 1 only, on the grid of
+# the running search; a few more serve a concentration profile over R.
+BALL_BAND_CACHE = 4
+
+
+@functools.lru_cache(maxsize=BALL_BAND_CACHE)
 def _ball_band(spec: GridSpec, R: float):
-    """Overlap table of the balls {(z,t): |z|^4 + (t-a)^2 < R^4} centered on
-    the t axis at the grid-aligned heights a, for the nodes of spec.
+    """Overlap table of the balls {(z,t): |z|^4 + (t-a)^2 < R^4} centered
+    on the t axis at the grid-aligned heights a, for the nodes of spec.
 
     Balls centered on the t axis are cylindrically symmetric, so a ball's
     mass is a windowed sum over t per rho row.  Boundary t-cells enter with
     their fractional overlap, which keeps the map d -> Q(1) continuous on
     coarse grids instead of jumping a whole cell at a time.  On the uniform
     t grid the overlap of cell j with the window around t_a depends only on
-    j - a, so one banded table per row serves every center.  Returns
-    (inside, windows): the rows with rho < R, and windows[i, s, j], the
-    share of t-cell j in row inside[i] covered by the ball centered at
-    t[n_t - 1 - s].  Built once per (spec, R) and read-only.
+    the offset j - a, so one band of offsets per row gives every center.
+    A row's band is a few cells wide (about 2 R^2 / dt), so the table keeps
+    only the covered cells: (cells, shares), both of shape (n_t, L), where
+    row a lists the flat indices i n_t + j of the cells (i, j) the ball
+    centered at t[a] covers, rows with rho < R first to last and j
+    ascending in each, and the covered shares; a row covering fewer than L
+    cells is padded with share 0 at cell 0.  On 64x128 at R = 1 that is
+    128 x 121 entries (248 KB), where the dense (n_t, n_t) blocks of the 41
+    rows inside would take 5.4 MB.  Built once per (spec, R) and read-only.
     """
     rho, t = spec.rho_nodes(), spec.t_nodes()
-    inside = rho ** 4 < R ** 4
-    h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
+    n_t = t.size
+    k = int(np.count_nonzero(rho ** 4 < R ** 4))  # rho ascends: rows 0 .. k - 1
+    h = np.sqrt(R ** 4 - rho[:k] ** 4)[:, None]
     dt = t[1] - t[0]
-    # band[i, m] = |cell at offset k = m - (n_t - 1) cap [-h_i, h_i]| / dt
-    offset = np.arange(1 - t.size, t.size) * dt
+    # band[i, m] = |cell at offset m - (n_t - 1) cap [-h_i, h_i]| / dt
+    offset = np.arange(1 - n_t, n_t) * dt
     lo = np.maximum(offset - 0.5 * dt, -h)
     hi = np.minimum(offset + 0.5 * dt, h)
     band = np.clip(hi - lo, 0.0, None) / dt
-    inside.flags.writeable = band.flags.writeable = False
-    return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+    i, m = np.nonzero(band)  # row by row, offsets ascending
+    j = np.arange(n_t)[:, None] + (m - (n_t - 1))  # cell of each center and offset
+    on = (j >= 0) & (j < n_t)
+    cells = np.where(on, i * n_t + j, 0)
+    shares = np.where(on, band[i, m], 0.0)
+    cells.flags.writeable = shares.flags.writeable = False
+    return cells, shares
 
 
 def _band_masses(band, density: np.ndarray) -> np.ndarray:
-    """Ball mass of density around every grid-aligned center, from _ball_band."""
-    inside, windows = band
-    return np.einsum("isj,ij->s", windows, density[inside])[::-1]
+    """Ball mass of density around every grid-aligned center, from _ball_band:
+    the covered cells gathered per center and summed against their shares
+    by one einsum, without BLAS."""
+    cells, shares = band
+    return np.einsum("al,al->a", shares, density.ravel()[cells])
 
 
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
@@ -201,16 +231,15 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
 STENCIL_CACHE = 512
 
 
-@functools.lru_cache(maxsize=STENCIL_CACHE)
-def _stencil(spec: GridSpec, d: float, t_shift: float):
-    """The two 1-D stencils of _resample on spec's nodes, built once per
-    (spec, d, t_shift) and read-only: (li, r0, r1, ti, c0, c1, vanishes).
+def _build_stencil(spec: GridSpec, d: float, t_shift: float):
+    """The two 1-D stencils of _resample on spec's nodes, read-only:
+    (li, li1, r0, r1, ti, ti1, c0, c1, vanishes).
 
-    Row i of the result mixes value rows li[i] and li[i] + 1 with weights
-    r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and ti[j] + 1 with
-    c0[j] and c1[j].  Queries beyond the outer rho node and outside the t
-    lattice get zero weights; vanishes says that every t-query is outside,
-    so the resampled values are all zero.
+    Row i of the result mixes value rows li[i] and li1[i] = li[i] + 1 with
+    weights r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and
+    ti1[j] = ti[j] + 1 with c0[j] and c1[j].  Queries beyond the outer rho
+    node and outside the t lattice get zero weights; vanishes says that
+    every t-query is outside, so the resampled values are all zero.
     """
     rho, t = spec.rho_nodes(), spec.t_nodes()
     logr = np.log(rho)
@@ -221,16 +250,39 @@ def _stencil(spec: GridSpec, d: float, t_shift: float):
     ti, c0, c1, _ = _axis_stencil(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
-    for a in (li, r0, r1, ti, c0, c1):
+    li1, ti1 = li + 1, ti + 1
+    for a in (li, li1, r0, r1, ti, ti1, c0, c1):
         a.flags.writeable = False
-    return li, r0[:, None], r1[:, None], ti, c0, c1, bool(np.all(off))
+    return li, li1, r0[:, None], r1[:, None], ti, ti1, c0, c1, bool(np.all(off))
+
+
+# _build_stencil once per (spec, d, t_shift), for the gauge fix's probes
+_stencil = functools.lru_cache(maxsize=STENCIL_CACHE)(_build_stencil)
+
+
+def _interpolate(values: np.ndarray, stencil) -> np.ndarray:
+    """Apply a stencil of _build_stencil to values, along rho and then
+    along t: values[li] * r0 + values[li1] * r1, then the same per column,
+    each product and sum formed in place in the array a take made."""
+    li, li1, r0, r1, ti, ti1, c0, c1, _ = stencil
+    rows = values.take(li, axis=0)
+    rows *= r0
+    part = values.take(li1, axis=0)
+    part *= r1
+    rows += part
+    out = rows.take(ti, axis=1)
+    out *= c0
+    part = rows.take(ti1, axis=1)
+    part *= c1
+    out += part
+    return out
 
 
 def _resample(
     values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
 ) -> np.ndarray:
     """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
-    there.
+    there, as a fresh array.
 
     Bilinear interpolation in (log rho, t); values beyond the outer edges
     are taken as zero, values inside the first rho node are held constant
@@ -239,9 +291,7 @@ def _resample(
     along rho and then along t; the stencils come from the _stencil cache.
     No amplitude factor is applied.
     """
-    li, r0, r1, ti, c0, c1, _ = _stencil(spec, d, t_shift)
-    rows = values[li] * r0 + values[li + 1] * r1
-    return rows[:, ti] * c0 + rows[:, ti + 1] * c1
+    return _interpolate(values, _stencil(spec, d, t_shift))
 
 
 def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunction:
@@ -255,7 +305,8 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunct
         raise ValueError("dilation factor must be positive")
     old_norm = lp_norm(f, p)
     vals = _resample(f.values, f.spec, d)
-    out = f.with_values(vals * d ** (-f.Q / p))
+    vals *= d ** (-f.Q / p)
+    out = f.with_values(vals)
     new_norm = lp_norm(out, p)
     if new_norm > 0.0 and old_norm > 0.0:
         out.values *= old_norm / new_norm
@@ -275,15 +326,18 @@ def renormalize_concentration(
     Q(1) is within Q1_TOL of 1/2 or the bracket has closed to adjacent
     doubles.  Returns (profile, d, a) with the L^p norm preserved exactly.
 
-    Each probe of Q(1) at a trial d resamples the values (_resample) and
-    divides the largest unit-ball mass by the total mass: the factor
+    Each probe of Q(1) at a trial d resamples the values (_resample),
+    turns the resampled array into the density weights * |.|^p in place,
+    and divides the largest unit-ball mass by the total mass: the factor
     d^(-Q/p) and the norm restore of dilate_grid_function cancel in that
     ratio.  The stencils of a probe and the ball overlap table come from
     caches keyed by the grid (_stencil per d, _ball_band per R), so a
-    probe builds neither.  No d is probed twice, and only the final d
-    builds a grid function.  When the recentering shifted nothing, the
-    d = 1 probe is the recentering's own masses: at d = 1 every stencil
-    weight is 0 or 1, so that resample would return the values bit for bit.
+    probe builds neither, and the unit-ball masses of every center are one
+    gather and one einsum over the covered cells (_band_masses).  No d is
+    probed twice, and only the final d builds a grid function.  When the
+    recentering shifted nothing, the d = 1 probe is the recentering's own
+    masses: at d = 1 every stencil weight is 0 or 1, so that resample would
+    return the values bit for bit.
     """
     p = params.p
     norm = lp_norm(f, p)
@@ -324,7 +378,10 @@ def renormalize_concentration(
             if _stencil(spec, d, 0.0)[-1]:
                 q1_at[d] = 0.0  # every t-query is off the lattice: the dilate vanishes
             else:
-                density = work.weights * np.abs(_resample(work.values, spec, d)) ** p
+                density = _resample(work.values, spec, d)
+                np.abs(density, out=density)
+                density **= p
+                density *= work.weights
                 q1_at[d] = q1_from(density, _band_masses(band, density))
         return q1_at[d]
 
@@ -392,6 +449,10 @@ def maximize(
     (the next one would repeat it exactly), when the quotient improves by
     less than rtol over STALL_WINDOW iterations, or at max_iter;
     trace.stop_reason says which ("no_ascent", "stall", "max_iter").
+
+    The quotient of each trial is taken from I_lam of the trial; the one of
+    the accepted trial (or of the start) is handed to the next ascent step,
+    so the kernel table is applied once per trial and once more per step.
     """
     if not np.any(init.values != 0.0):
         raise ValueError("initialization must be nonzero")
@@ -401,21 +462,21 @@ def maximize(
     p = params.p
     f = normalized(init, p)
     f, d_used, a_used = renormalize_concentration(f, params)
-    quotient = hls_quotient(f, params)
+    quotient, If = _quotient(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
     trace.record(0, quotient, levy_concentration_grid(f, p), d_used, a_used, True)
 
     for it in range(1, opts.max_iter + 1):
-        proposal = euler_lagrange_step(f, params)
+        proposal = euler_lagrange_step(f, params, If)
         theta = 1.0
         accepted = False
         while theta >= THETA_MIN:
             mix = f.with_values((1.0 - theta) * f.values + theta * proposal.values)
             mix.values /= lp_norm(mix, p)
             mix, d_used, a_used = renormalize_concentration(mix, params)
-            mix_q = hls_quotient(mix, params)
+            mix_q, mix_If = _quotient(mix, params)
             if mix_q >= quotient:
-                f, quotient, accepted = mix, mix_q, True
+                f, quotient, If, accepted = mix, mix_q, mix_If, True
                 break
             theta *= 0.5
         trace.record(
@@ -445,8 +506,11 @@ def align(
     fhat = normalized(f, p)
     ghat = normalized(g, p)
 
+    # the probed (d, a) hardly repeat (6 of 669 on 64x128), so the stencils
+    # are built here, outside the _stencil cache, whose entries a following
+    # search on the same grid would reuse
     def residual(d, a):
-        moved = ghat.with_values(_resample(ghat.values, ghat.spec, d, a))
+        moved = ghat.with_values(_interpolate(ghat.values, _build_stencil(ghat.spec, d, a)))
         moved.values /= lp_norm(moved, p)
         return lp_norm(fhat.with_values(fhat.values - moved.values), p)
 

@@ -2,10 +2,13 @@
 
 Two loops run their independent tasks on a ThreadPoolExecutor: the Monte
 Carlo chunks (montecarlo.mc_bilinear_energy) and the kernel-table rows
-(quadrature.build_kernel_table).  Their work is numpy and scipy native
-code that releases the GIL, and each task writes only its own output, so
-neither result depends on the number of threads; both pools are sized
-here.
+(quadrature.build_kernel_table).  Their work is native code, and each
+task writes only its own output, so neither result depends on the number
+of threads; both pools are sized here.  Threads overlap only where that
+code releases the GIL: numpy's ufuncs do, but on the kernel table's
+arguments scipy 1.17.1's hyp2f1 and ellipk ran no faster on two threads
+than on one, so the table pool overlaps only the numpy part of a row
+(see quadrature).
 """
 
 from __future__ import annotations

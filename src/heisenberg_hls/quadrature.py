@@ -52,14 +52,18 @@ half the work.
 
 The table's rows are independent, so they are built on a thread pool
 sized by parallel.pool_size (one thread per CPU the process may use, at
-most four); most of a row's time is the kernel's hyp2f1 / ellipk ufuncs,
-which release the GIL.  Each row has its own buffers and writes only its
-own slice of the table, and nothing is summed across rows, so the table
-is bitwise the same at any thread count.  On 2 cores (one BLAS thread,
-numpy 2.4.6) a 64x128 build at lam = 3 takes 0.34 s on two threads and
-0.58 s on one.  Each thread holds one row's exact-zone temporaries, so the
-traced peak of a cold 64x128 build is 10.4 MiB on one thread and 12.1 MiB
-on two.
+most four).  Only the numpy part of a row (the cell geometry and the
+quadrature sums) runs on two threads at once: on the table's own
+arguments, scipy 1.17.1's hyp2f1 and ellipk ran no faster on two threads
+than on one (0.99x and 0.98x, 28x56 rows at lam = 3 and 2), so the kernel
+calls take turns.  On 2 cores (one BLAS thread, numpy 2.4.6) a 64x128
+build at lam = 2, where ellipk is 40% of a one-thread build, takes 0.16 s
+on two threads and 0.23 s on one; at lam = 3, where hyp2f1 is 73% of it,
+0.59 s on both.  Each row has its own buffers and writes only its own
+slice of the table, and nothing is summed across rows, so the table is
+bitwise the same at any thread count.  Each thread holds one row's
+exact-zone temporaries, so the traced peak of a cold 64x128 build is
+10.4 MiB on one thread and 12.1 MiB on two.
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: the table keeps only the rfft of A along k, and an apply

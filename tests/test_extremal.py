@@ -28,6 +28,7 @@ from heisenberg_hls.extremal import (
 )
 from heisenberg_hls.grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from heisenberg_hls.montecarlo import gaussian_callable, heisenberg_extremal_callable
+from heisenberg_hls import quadrature
 from heisenberg_hls.quadrature import hls_quotient
 
 SMALL = GridSpec(n=1, n_rho=28, rho_min=5e-3, rho_max=25.0, n_t=56, t_max=25.0)
@@ -156,6 +157,32 @@ def test_axis_ball_masses_match_overlap_loop(spec, R):
     assert np.any(ref > 0.0)
     masses = _band_masses(_ball_band(spec, R), density)
     np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SMALL, GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=50.0, n_t=127, t_max=50.0)],
+    ids=["28x56", "64x127"],
+)
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_band_masses_match_window_einsum(spec, R):
+    # the einsum over the covered cells sums in another order than the
+    # einsum over the windows: the two agree to 4 ulp of the total mass
+    density = np.random.default_rng(spec.n_t + int(10 * R)).random((spec.n_rho, spec.n_t))
+    band = window_ball_band(spec.rho_nodes(), spec.t_nodes(), R)
+    ref = window_band_masses(band, density)
+    masses = _band_masses(_ball_band(spec, R), density)
+    tol = 4.0 * np.spacing(float(np.sum(density[band[0]])))
+    assert np.max(np.abs(masses - ref)) <= tol
+
+
+def test_ball_band_keeps_only_covered_cells():
+    # on 64x128 at R = 1 each center lists 121 cells, 15,408 of all 128 x 121
+    # covered, where the 41 rows inside hold 41 x 128 cells each
+    cells, shares = _ball_band(GridSpec(), 1.0)
+    assert cells.shape == shares.shape == (128, 121)
+    assert np.count_nonzero(shares) == 15408
+    assert np.all(cells[shares == 0.0] == 0)
 
 
 class TestRenormalizeConcentration:
@@ -389,7 +416,7 @@ def test_no_renormalization_probes_a_dilation_twice(probes_at_p185):
         assert len(set(ds)) == len(ds)
 
 
-def reference_resample(values, rho, t, d):
+def reference_resample(values, rho, t, d, t_shift=0.0):
     """_resample with its stencils rebuilt on every call."""
     def axis(nodes, query):
         i = np.clip(np.searchsorted(nodes, query) - 1, 0, nodes.size - 2)
@@ -400,7 +427,7 @@ def reference_resample(values, rho, t, d):
     logr = np.log(rho)
     li, r0, r1, wl = axis(logr, logr - math.log(d))
     r0[wl > 1.0] = r1[wl > 1.0] = 0.0
-    tq = t / (d * d)
+    tq = (t - t_shift) / (d * d)
     ti, c0, c1, _ = axis(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
@@ -408,8 +435,10 @@ def reference_resample(values, rho, t, d):
     return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
-def reference_ball_band(rho, t, R):
-    """_ball_band rebuilt on every call."""
+def window_ball_band(rho, t, R):
+    """The ball overlap table as sliding windows over one band per row:
+    (inside, windows), windows[i, s, j] the share of t-cell j in row
+    inside[i] covered by the ball centered at t[n_t - 1 - s]."""
     inside = rho ** 4 < R ** 4
     h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
     dt = t[1] - t[0]
@@ -420,6 +449,12 @@ def reference_ball_band(rho, t, R):
     return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
 
 
+def window_band_masses(band, density):
+    """Ball masses from window_ball_band: one einsum over the windows."""
+    inside, windows = band
+    return np.einsum("isj,ij->s", windows, density[inside])[::-1]
+
+
 def reference_renormalize(f, params):
     """renormalize_concentration without caches: the ball table is built
     per call, every probe (d = 1 included) rebuilds its stencils and
@@ -427,7 +462,7 @@ def reference_renormalize(f, params):
     p = params.p
     work = normalized(f, p)
     rho, t = work.rho_nodes, work.t_nodes
-    band = reference_ball_band(rho, t, 1.0)
+    band = extremal._ball_band.__wrapped__(work.spec, 1.0)
     density = work.weights * np.abs(work.values) ** p
     masses = _band_masses(band, density)
     best = np.flatnonzero(masses >= masses.max() * (1.0 - extremal.TIE_RTOL))
@@ -568,7 +603,7 @@ class TestCachedProbes:
 
     def test_search_bits_independent_of_cache_history(self):
         # the p = 1.85 search from cold caches, after the other three
-        # searches and after align has filled the stencil cache
+        # searches and after other stencils have filled the stencil cache
         def search():
             f, q, trace = maximize(search_params(1.85), gaussian_profile(SMALL))
             return f.values.tobytes(), q, list(trace.rows()), trace.stop_reason
@@ -579,9 +614,40 @@ class TestCachedProbes:
         for p in SEARCH_P[:3]:
             maximize(search_params(p), gaussian_profile(SMALL))
         assert search() == cold
-        align(unit_H(), gaussian_profile(SMALL), PARAMS.p)
+        for d in np.geomspace(0.3, 3.0, extremal.STENCIL_CACHE):
+            extremal._stencil(SMALL, float(d), 0.5)
         assert extremal._stencil.cache_info().currsize == extremal.STENCIL_CACHE
         assert search() == cold
+
+    @pytest.mark.parametrize("p", SEARCH_P)
+    def test_search_matches_window_einsum_masses(self, p):
+        self.check_against_window_masses(SMALL, search_params(p))
+
+    def test_64x127_search_matches_window_einsum_masses(self):
+        spec = GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=50.0, n_t=127, t_max=50.0)
+        self.check_against_window_masses(spec, search_params(1.85))
+
+    @staticmethod
+    def check_against_window_masses(spec, params):
+        """A search with every ball mass from the einsum over the windows
+        (window_band_masses) reaches the same profile, quotients, gauges,
+        accept flags and stop as the covered-cell table, bit for bit; its
+        Q(1) trace agrees to 4 ulp."""
+        f, q, trace = maximize(params, gaussian_profile(spec))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                extremal,
+                "_ball_band",
+                functools.cache(lambda s, R: window_ball_band(s.rho_nodes(), s.t_nodes(), R)),
+            )
+            mp.setattr(extremal, "_band_masses", window_band_masses)
+            f_ref, q_ref, ref = maximize(params, gaussian_profile(spec))
+        assert np.array_equal(f.values, f_ref.values)
+        assert q == q_ref == hls_quotient(f, params)
+        for field in ("quotients", "dilations", "t_shifts", "accepted", "stop_reason"):
+            assert getattr(trace, field) == getattr(ref, field), field
+        q1, q1_ref = np.array(trace.q1_concentration), np.array(ref.q1_concentration)
+        assert np.all(np.abs(q1 - q1_ref) <= 4.0 * np.spacing(q1_ref))
 
     def test_cached_arrays_are_read_only(self):
         # every cached array, and every array a cached view is taken of
@@ -599,7 +665,45 @@ class TestCachedProbes:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
 
+def test_search_round_kernel_applies(monkeypatch):
+    # the four searches of the benchmark's round: 20 ascent steps take I_lam f
+    # from the quotient of the accepted trial (or the start) instead of
+    # applying the table to the same values again
+    calls = []
+    apply = quadrature.KernelTable.apply
+
+    def counted(table, values):
+        calls.append(values.shape)
+        return apply(table, values)
+
+    monkeypatch.setattr(quadrature.KernelTable, "apply", counted)
+    for p in SEARCH_P:
+        maximize(search_params(p), gaussian_profile(SMALL))
+    assert len(calls) == 119
+
+
 class TestAlign:
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL, GridSpec(n=1, n_rho=32, rho_min=1e-3, rho_max=30.0, n_t=64, t_max=30.0)],
+        ids=["28x56", "32x64"],
+    )
+    def test_stencil_cache_untouched_and_bits_kept(self, spec, monkeypatch):
+        # align builds its stencils outside the _stencil cache, which keeps
+        # its entries and counts; every residual has the bits of the
+        # uncached reference resample
+        f, g = normalized(extremal_H(1, 2.0, spec), PARAMS.p), gaussian_profile(spec)
+        maximize(PARAMS, g, IterationControls(max_iter=1))
+        before = extremal._stencil.cache_info()
+        got = align(f, g, PARAMS.p)
+        assert extremal._stencil.cache_info() == before
+        rho, t = spec.rho_nodes(), spec.t_nodes()
+        monkeypatch.setattr(extremal, "_build_stencil", lambda s, d, a: (d, a))
+        monkeypatch.setattr(
+            extremal, "_interpolate", lambda v, da: reference_resample(v, rho, t, *da)
+        )
+        assert got == align(f, g, PARAMS.p)
+
     def test_self_alignment(self):
         f = unit_H()
         d, a, rel = align(f, f, PARAMS.p)
