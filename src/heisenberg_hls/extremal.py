@@ -207,6 +207,8 @@ def _band_masses(band, density: np.ndarray) -> np.ndarray:
 
 def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
     """sup over grid-aligned t-axis centers of the |f|^p mass in B_R."""
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValueError(f"R must be positive and finite, got {R}")
     density = f.weights * np.abs(f.values) ** p
     return float(_band_masses(_ball_band(f.spec, R), density).max())
 
@@ -295,21 +297,19 @@ def _resample(
 
 
 def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunction:
-    """Resample u -> d^(-Q/p) f(delta_{1/d} u) on f's own grid.
+    """Resample u -> f(delta_{1/d} u) on f's own grid, at f's L^p norm.
 
-    The resampling is bilinear (_resample).  The L^p norm is restored
-    exactly afterwards, matching the exact invariance of the continuum
-    transform.
+    The resampling is bilinear (_resample).  The continuum dilate
+    d^(-Q/p) f(delta_{1/d} u) has the norm of f; on the grid the resampled
+    values are scaled to |f|_p exactly, which fixes that amplitude.
     """
-    if d <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    old_norm = lp_norm(f, p)
-    vals = _resample(f.values, f.spec, d)
-    vals *= d ** (-f.Q / p)
-    out = f.with_values(vals)
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"dilation factor must be positive and finite, got {d}")
+    out = f.with_values(_resample(f.values, f.spec, d))
     new_norm = lp_norm(out, p)
-    if new_norm > 0.0 and old_norm > 0.0:
-        out.values *= old_norm / new_norm
+    if new_norm == 0.0:
+        raise ValueError(f"dilation by d = {d} leaves no nonzero node on the grid")
+    out.values *= lp_norm(f, p) / new_norm
     return out
 
 
@@ -324,31 +324,27 @@ def renormalize_concentration(
     the unit ball the discrete map can wiggle, and a log-ladder scan then
     locates the crossing nearest d = 1 first.  The bisection stops once
     Q(1) is within Q1_TOL of 1/2 or the bracket has closed to adjacent
-    doubles.  Returns (profile, d, a) with the L^p norm preserved exactly.
+    doubles.  No d is probed twice.
 
-    Each probe of Q(1) at a trial d resamples the values (_resample),
-    turns the resampled array into the density weights * |.|^p in place,
-    and divides the largest unit-ball mass by the total mass: the factor
-    d^(-Q/p) and the norm restore of dilate_grid_function cancel in that
-    ratio.  The stencils of a probe and the ball overlap table come from
-    caches keyed by the grid (_stencil per d, _ball_band per R), so a
-    probe builds neither, and the unit-ball masses of every center are one
-    gather and one einsum over the covered cells (_band_masses).  No d is
-    probed twice, and only the final d builds a grid function.  When the
-    recentering shifted nothing, the d = 1 probe is the recentering's own
-    masses: at d = 1 every stencil weight is 0 or 1, so that resample would
-    return the values bit for bit.
+    The search works on f's own values, rolled if the recentering moves
+    them.  Q(1) is a ratio of masses, so a probe at a trial d needs no
+    norm: it resamples the values (_resample, stencils from the _stencil
+    cache), forms the density weights * |.|^p in place and divides its
+    largest unit-ball mass (_band_masses over the cached _ball_band) by
+    its total.  With no recentering the d = 1 probe reuses the
+    recentering's masses: at d = 1 the resample is the identity bit for
+    bit.  Returns (profile, d, a), the profile being the values resampled
+    at d divided by their L^p norm, the one norm taken: unit L^p norm
+    whatever the norm of f.
     """
     p = params.p
-    norm = lp_norm(f, p)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero function")
-    work = f.with_values(f.values / norm)
-    spec, t = work.spec, work.t_nodes
+    values, spec, t = f.values, f.spec, f.t_nodes
     band = _ball_band(spec, 1.0)
 
     # grid-aligned t-recentering: roll is exact, no interpolation
-    density = work.weights * np.abs(work.values) ** p
+    density = f.weights * np.abs(values) ** p
+    if not np.any(density):
+        raise ValueError("cannot gauge-fix the zero function")
     masses = _band_masses(band, density)
     best = np.flatnonzero(masses >= masses.max() * (1.0 - TIE_RTOL))
     center_idx = best[np.argmin(np.abs(t[best]))]
@@ -356,16 +352,12 @@ def renormalize_concentration(
     shift_nodes = center_idx - mid_idx
     a = float(t[center_idx] - t[mid_idx])
     if shift_nodes != 0:
-        rolled = np.zeros_like(work.values)
+        rolled = np.zeros_like(values)
         if shift_nodes > 0:
-            rolled[:, : -shift_nodes or None] = work.values[:, shift_nodes:]
+            rolled[:, : -shift_nodes or None] = values[:, shift_nodes:]
         else:
-            rolled[:, -shift_nodes :] = work.values[:, :shift_nodes]
-        work = work.with_values(rolled)
-        renorm = lp_norm(work, p)
-        if renorm == 0.0:
-            raise ValueError("vanishing-type failure: mass lost under recentering")
-        work.values /= renorm
+            rolled[:, -shift_nodes :] = values[:, :shift_nodes]
+        values = rolled
 
     def q1_from(density: np.ndarray, masses: np.ndarray) -> float:
         total = float(np.sum(density))
@@ -378,10 +370,10 @@ def renormalize_concentration(
             if _stencil(spec, d, 0.0)[-1]:
                 q1_at[d] = 0.0  # every t-query is off the lattice: the dilate vanishes
             else:
-                density = _resample(work.values, spec, d)
+                density = _resample(values, spec, d)
                 np.abs(density, out=density)
                 density **= p
-                density *= work.weights
+                density *= f.weights
                 q1_at[d] = q1_from(density, _band_masses(band, density))
         return q1_at[d]
 
@@ -431,9 +423,7 @@ def renormalize_concentration(
         else:
             d_hi = d_mid
     d = math.sqrt(d_lo * d_hi)
-    out = dilate_grid_function(work, d, p)
-    out.values *= norm / lp_norm(out, p)
-    return out, d, a
+    return normalized(f.with_values(_resample(values, spec, d)), p), d, a
 
 
 def maximize(
@@ -453,15 +443,14 @@ def maximize(
     The quotient of each trial is taken from I_lam of the trial; the one of
     the accepted trial (or of the start) is handed to the next ascent step,
     so the kernel table is applied once per trial and once more per step.
+    The start and each damped mixture go to renormalize_concentration as
+    they are; it returns them at the unit L^p norm the ascent step needs.
     """
-    if not np.any(init.values != 0.0):
-        raise ValueError("initialization must be nonzero")
     if np.any(init.values < 0.0):
         raise ValueError("initialization must be nonnegative")
 
     p = params.p
-    f = normalized(init, p)
-    f, d_used, a_used = renormalize_concentration(f, params)
+    f, d_used, a_used = renormalize_concentration(init, params)
     quotient, If = _quotient(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
     trace.record(0, quotient, levy_concentration_grid(f, p), d_used, a_used, True)
@@ -472,7 +461,6 @@ def maximize(
         accepted = False
         while theta >= THETA_MIN:
             mix = f.with_values((1.0 - theta) * f.values + theta * proposal.values)
-            mix.values /= lp_norm(mix, p)
             mix, d_used, a_used = renormalize_concentration(mix, params)
             mix_q, mix_If = _quotient(mix, params)
             if mix_q >= quotient:

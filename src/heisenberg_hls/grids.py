@@ -46,8 +46,11 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.rho_min < self.rho_max):
             raise ValueError("need 0 < rho_min < rho_max")
-        if self.n_rho < 4 or self.n_t < 4:
-            raise ValueError("need at least 4 nodes per direction")
+        for name in ("n_rho", "n_t"):
+            count = getattr(self, name)
+            if not (count >= 4 and float(count).is_integer()):
+                raise ValueError(f"{name} must be an integer >= 4, got {count}")
+            object.__setattr__(self, name, int(count))
         if not self.t_max > 0.0:
             raise ValueError("t_max must be positive")
 

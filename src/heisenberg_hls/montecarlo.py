@@ -204,6 +204,10 @@ def mc_bilinear_energy(
     Chunks are evaluated on several threads, so f and g may be called from
     several threads at once and must not share mutable state between calls.
     """
+    for name, count in (("samples", samples), ("workers", workers)):
+        if not float(count).is_integer():
+            raise ValueError(f"{name} must be an integer, got {count}")
+    samples, workers = int(samples), int(workers)
     if samples < 1000:
         raise ValueError("samples must be at least 10^3")
     if workers < 1:

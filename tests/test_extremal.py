@@ -10,7 +10,7 @@ from heisenberg_hls.constants import (
     diagonal_params,
     theorem2_upper_bound,
 )
-from heisenberg_hls import extremal
+from heisenberg_hls import extremal, grids
 from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
@@ -143,6 +143,13 @@ def loop_ball_masses(density, g, R):
     return out
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
+def test_levy_concentration_grid_rejects_bad_radius(R):
+    # only R^4 enters the ball table, so R = -1 would pass for R = 1
+    with pytest.raises(ValueError, match=f"R must be positive and finite, got {R}"):
+        levy_concentration_grid(unit_H(), PARAMS.p, R)
+
+
 @pytest.mark.parametrize(
     "spec",
     [SMALL, GridSpec(), GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0)],
@@ -218,9 +225,31 @@ class TestRenormalizeConcentration:
         assert a == pytest.approx(5.0, abs=2 * spec.dt)
 
     def test_norm_preserved_exactly(self):
-        f = normalized(gaussian_profile(SMALL), PARAMS.p)
-        out, _, _ = renormalize_concentration(f, PARAMS)
-        assert lp_norm(out, PARAMS.p) == pytest.approx(1.0, rel=1e-12)
+        # Q(1) is a ratio of masses: the input's scale moves neither d nor a
+        f = gaussian_profile(SMALL)
+        _, d, a = renormalize_concentration(f, PARAMS)
+        for scale in (1e-3, 1.0, 1e3):
+            out, d_s, a_s = renormalize_concentration(f.with_values(scale * f.values), PARAMS)
+            assert lp_norm(out, PARAMS.p) == pytest.approx(1.0, rel=1e-12)
+            assert (d_s, a_s) == (d, a)
+
+    def test_one_norm_per_call(self, monkeypatch):
+        # the returned profile is divided by its L^p norm, and no other
+        # norm is taken, with a t-recentering (the second profile) or without
+        calls = []
+        counted = lambda f, p: calls.append(p) or lp_norm(f, p)  # noqa: E731
+        monkeypatch.setattr(extremal, "lp_norm", counted)
+        monkeypatch.setattr(grids, "lp_norm", counted)
+        bump = sample(lambda R, T: np.exp(-(R ** 2) - (T - 5.0) ** 2), SMALL)
+        for f in (gaussian_profile(SMALL), bump):
+            calls.clear()
+            _, _, a = renormalize_concentration(f, PARAMS)
+            assert calls == [PARAMS.p]
+        assert a != 0.0
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="zero function"):
+            renormalize_concentration(sample(lambda R, T: 0.0 * R, SMALL), PARAMS)
 
 
 class TestDilateGridFunction:
@@ -233,6 +262,23 @@ class TestDilateGridFunction:
         f = unit_H()
         g = dilate_grid_function(f, 1.0, PARAMS.p)
         assert np.allclose(g.values, f.values, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [0.0, -1.5, math.inf, math.nan])
+    def test_rejects_bad_factor(self, d):
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {d}"):
+            dilate_grid_function(unit_H(), d, PARAMS.p)
+
+    def test_huge_factor_keeps_the_norm(self):
+        # at d = 1e300 every node reads f near (rho_min, 0), and no
+        # amplitude factor underflows to the zero function
+        g = dilate_grid_function(unit_H(), 1e300, PARAMS.p)
+        assert lp_norm(g, PARAMS.p) == pytest.approx(1.0, rel=1e-12)
+
+    def test_rejects_a_dilate_with_no_nonzero_node(self):
+        # at d = 1e-5 every rho query lies beyond rho_max and every t query
+        # off the lattice
+        with pytest.raises(ValueError, match="no nonzero node"):
+            dilate_grid_function(unit_H(), 1e-5, PARAMS.p)
 
     def test_dilation_matches_analytic(self):
         # fine t grid keeps the bilinear resampling error below the tolerance
@@ -458,12 +504,12 @@ def window_band_masses(band, density):
 def reference_renormalize(f, params):
     """renormalize_concentration without caches: the ball table is built
     per call, every probe (d = 1 included) rebuilds its stencils and
-    resamples, and the final norm restore recomputes |f|_p."""
+    resamples f's values (rolled if recentered), and the values resampled
+    at the chosen d are divided by their L^p norm."""
     p = params.p
-    work = normalized(f, p)
-    rho, t = work.rho_nodes, work.t_nodes
-    band = extremal._ball_band.__wrapped__(work.spec, 1.0)
-    density = work.weights * np.abs(work.values) ** p
+    values, rho, t = f.values, f.rho_nodes, f.t_nodes
+    band = extremal._ball_band.__wrapped__(f.spec, 1.0)
+    density = f.weights * np.abs(values) ** p
     masses = _band_masses(band, density)
     best = np.flatnonzero(masses >= masses.max() * (1.0 - extremal.TIE_RTOL))
     center_idx = best[np.argmin(np.abs(t[best]))]
@@ -471,20 +517,19 @@ def reference_renormalize(f, params):
     shift_nodes = center_idx - mid_idx
     a = float(t[center_idx] - t[mid_idx])
     if shift_nodes != 0:
-        rolled = np.zeros_like(work.values)
+        rolled = np.zeros_like(values)
         if shift_nodes > 0:
-            rolled[:, : -shift_nodes or None] = work.values[:, shift_nodes:]
+            rolled[:, : -shift_nodes or None] = values[:, shift_nodes:]
         else:
-            rolled[:, -shift_nodes :] = work.values[:, :shift_nodes]
-        work = work.with_values(rolled)
-        work.values /= lp_norm(work, p)
+            rolled[:, -shift_nodes :] = values[:, :shift_nodes]
+        values = rolled
 
     @functools.cache
     def q1_of(d):
         tq = t / (d * d)
         if np.all((tq < t[0]) | (tq > t[-1])):
             return 0.0
-        density = work.weights * np.abs(reference_resample(work.values, rho, t, d)) ** p
+        density = f.weights * np.abs(reference_resample(values, rho, t, d)) ** p
         total = float(np.sum(density))
         return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
 
@@ -528,12 +573,8 @@ def reference_renormalize(f, params):
         else:
             d_hi = d_mid
     d = math.sqrt(d_lo * d_hi)
-    old_norm = lp_norm(work, p)
-    out = work.with_values(reference_resample(work.values, rho, t, d) * d ** (-work.Q / p))
-    new_norm = lp_norm(out, p)
-    if new_norm > 0.0 and old_norm > 0.0:
-        out.values *= old_norm / new_norm
-    out.values *= lp_norm(f, p) / lp_norm(out, p)
+    out = f.with_values(reference_resample(values, rho, t, d))
+    out.values /= lp_norm(out, p)
     return out, d, a
 
 

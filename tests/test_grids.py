@@ -130,6 +130,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GridSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_rho", "n_t"])
+    @pytest.mark.parametrize("value", [32.5, math.inf, math.nan])
+    def test_spec_rejects_non_integer_node_counts(self, field, value):
+        # a fractional count would otherwise fail later, building the nodes
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GridSpec(**{field: value})
+
+    def test_spec_takes_integral_node_counts_as_int(self):
+        # like n, an integral float is the integer it equals
+        spec = GridSpec(n_rho=64.0, n_t=32.0)
+        assert spec == GridSpec(n_rho=64, n_t=32)
+        assert type(spec.n_rho) is type(spec.n_t) is int
+        assert empty_grid_function(spec).values.shape == (64, 32)
+
     def test_fields_are_spec_and_values(self):
         assert [f.name for f in dataclasses.fields(CylGridFunction)] == ["spec", "values"]
 

@@ -333,3 +333,19 @@ class TestMcBilinearEnergy:
         H = heisenberg_extremal_callable(1, 2.0)
         with pytest.raises(ValueError):
             mc_bilinear_energy(H, H, 4.5, n=1, samples=2000, seed=0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{"samples": 2000.5}, {"samples": math.inf}, {"samples": math.nan}, {"workers": 1.5}],
+        ids=str,
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        H = heisenberg_extremal_callable(1, 2.0)
+        name = next(iter(counts))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc_bilinear_energy(H, H, 2.0, n=1, seed=0, **{"samples": 2000, **counts})
+
+    def test_integral_float_counts_match_integers(self):
+        H = heisenberg_extremal_callable(1, 2.0)
+        got = mc_bilinear_energy(H, H, 2.0, n=1, samples=2000.0, seed=0, workers=2.0)
+        assert got == mc_bilinear_energy(H, H, 2.0, n=1, samples=2000, seed=0, workers=2)
