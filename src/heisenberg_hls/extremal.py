@@ -248,8 +248,12 @@ def _build_stencil(spec: GridSpec, d: float, t_shift: float):
     li, r0, r1, wl = _axis_stencil(logr, logr - math.log(d))
     beyond = wl > 1.0
     r0[beyond] = r1[beyond] = 0.0
-    tq = (t - t_shift) / (d * d)
-    ti, c0, c1, _ = _axis_stencil(t, tq)
+    # d * d underflows to 0 for d below about 1e-162, and the query of a node
+    # at t = t_shift would be 0 / 0; floored, it stays 0.  Queries and
+    # weights that overflow lie off the lattice and get zero weights below
+    with np.errstate(over="ignore"):
+        tq = (t - t_shift) / max(d * d, np.finfo(float).tiny)
+        ti, c0, c1, _ = _axis_stencil(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
     li1, ti1 = li + 1, ti + 1

@@ -1,24 +1,21 @@
-"""The thread-count rule of the package's thread pools.
+"""The thread-count rule of the package's thread pool.
 
-Two loops run their independent tasks on a ThreadPoolExecutor: the Monte
-Carlo chunks (montecarlo.mc_bilinear_energy) and the kernel-table rows
-(quadrature.build_kernel_table).  Their work is native code, and each
-task writes only its own output, so neither result depends on the number
-of threads; both pools are sized here.  Threads overlap only where that
-code releases the GIL: numpy's ufuncs do, but on the kernel table's
-arguments scipy 1.17.1's hyp2f1 and ellipk ran no faster on two threads
-than on one, so the table pool overlaps only the numpy part of a row
-(see quadrature).
+The Monte Carlo chunks (montecarlo.mc_bilinear_energy) run on a
+ThreadPoolExecutor sized here.  Their work is numpy code, whose ufuncs
+release the GIL, and each chunk returns only its own partial sums, so the
+result does not depend on the number of threads.  The kernel table's rows
+are built one after the other (quadrature.build_kernel_table): with the
+angular kernel in numpy a 16x32 table built faster on one thread than on
+two on 2 cores.
 """
 
 from __future__ import annotations
 
 import os
 
-# the most threads of one pool, whatever the host: each MC thread holds one
-# chunk (about 6 MiB at n = 3) and each table thread one row's exact-zone
-# temporaries (up to 1.96 MiB on 64x128), so a pool's working memory stays
-# bounded on a host of any size
+# the most threads of the pool, whatever the host: each thread holds one
+# chunk (about 6 MiB at n = 3), so the pool's working memory stays bounded
+# on a host of any size
 MAX_THREADS = 4
 
 

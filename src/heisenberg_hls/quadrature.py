@@ -13,13 +13,19 @@ reduces to a 2D integral in (rho', t') against the angular average
 tau = t' - t.  Kbar has a closed form: with alpha = lam/4 and
 D = (rho'^2 - rho^2)^2 + tau^2,
 
-    Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -4 rho^2 rho'^2 / D),
+    Kbar = D^(-alpha) 2F1(alpha, 1 - alpha; 1; -4 rho^2 rho'^2 / D).
 
-evaluated with scipy's hyp2f1, except at lam = 2, where hyp2f1 loses
-accuracy for large arguments and the same function is (2/pi) K(z), the
-complete elliptic integral (ellipk).  The form has no cancellation near
-the singular locus rho = rho', tau = 0, where D = 0 and Kbar = +inf, as
-long as D is formed from the offset rho' - rho (kbar_many takes it).
+At lam = 2 the 2F1 is (2/pi) K(z), the complete elliptic integral, which
+scipy's ellipk evaluates to full precision.  At any other lam a second
+Pfaff step writes Kbar = (D + b^2)^(-alpha) F_alpha(s), b = 2 rho rho',
+with F_alpha(s) = 2F1(alpha, alpha; 1; 1 - e^-s) smooth in s = log1p(b^2/D);
+F_alpha is fitted once per lam by piecewise polynomials on s <= 40, so a
+kernel point costs one log1p, one power and a few Horner steps instead of
+a call of scipy's hyp2f1 (about 60 against 200 ns on a table's points),
+and only the points beyond s = 40, under 1% of a table's, call hyp2f1.
+The form has no cancellation near the singular locus rho = rho', tau = 0,
+where D = 0 and Kbar = +inf, as long as D is formed from the offset
+rho' - rho (kbar_many takes it).
 
 Discretization is product integration: the operator is a tensor
 A[i, i', k] (k indexes tau = t'-t on its lattice) so that
@@ -50,20 +56,13 @@ lattice exactly antisymmetric, so the table integrates each row on
 tau >= 0 and mirrors it, bit for bit what the full lattice would give at
 half the work.
 
-The table's rows are independent, so they are built on a thread pool
-sized by parallel.pool_size (one thread per CPU the process may use, at
-most four).  Only the numpy part of a row (the cell geometry and the
-quadrature sums) runs on two threads at once: on the table's own
-arguments, scipy 1.17.1's hyp2f1 and ellipk ran no faster on two threads
-than on one (0.99x and 0.98x, 28x56 rows at lam = 3 and 2), so the kernel
-calls take turns.  On 2 cores (one BLAS thread, numpy 2.4.6) a 64x128
-build at lam = 2, where ellipk is 40% of a one-thread build, takes 0.16 s
-on two threads and 0.23 s on one; at lam = 3, where hyp2f1 is 73% of it,
-0.59 s on both.  Each row has its own buffers and writes only its own
-slice of the table, and nothing is summed across rows, so the table is
-bitwise the same at any thread count.  Each thread holds one row's
-exact-zone temporaries, so the traced peak of a cold 64x128 build is
-10.4 MiB on one thread and 12.1 MiB on two.
+The table's rows are built one after the other.  With the kernel in
+numpy, a thread pool over the rows does not pay on the benchmark's 16x32
+tables: on 2 cores (one BLAS thread, numpy 2.4.6) a 16x32 build took
+29 / 23 / 28 ms on one thread at lam = 0.7 / 2 / 3 and 32 / 25 / 30 ms on
+two.  A cold 64x128 build takes 0.30 / 0.24 / 0.28 s on one thread, of
+which two would save 0.02-0.05 s.  A cold 64x128 build peaks at 10.4 MiB at
+lam = 2 and 11.6 MiB at lam = 0.7 and 3, against its 8.06 MiB table.
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: the table keeps only the rfft of A along k, and an apply
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +82,53 @@ from scipy.special import ellipk, hyp2f1
 from .constants import HlsParams, check_lambda
 from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
 from .group import GroupPoint, homogeneous_dimension
-from .parallel import pool_size
 
 _TWO_PI = 2.0 * math.pi
+
+
+# the Pfaff form's F_alpha(s) = 2F1(alpha, alpha; 1; 1 - e^-s) is fitted on
+# s in [0, FIT_S_MAX] by one degree-FIT_DEGREE polynomial per panel of width
+# 1 / FIT_PANELS_PER_UNIT, interpolating at the panel's Chebyshev nodes.
+# F_alpha is analytic in the strip |Im s| < pi, whose edge lies 100 panel
+# half-widths from the real axis, so the fit's error is below that of its
+# nodes
+FIT_S_MAX = 40.0
+FIT_PANELS_PER_UNIT = 16
+FIT_PANELS = round(FIT_S_MAX * FIT_PANELS_PER_UNIT)
+FIT_DEGREE = 7
+# hyp2f1 takes z < -1 through a transformation that divides by a Gamma
+# function of 1 - 2 alpha, and near alpha = 1/2 it loses digits to the
+# cancellation (3e-9 at lam = 2 + 1e-7).  Within ALPHA_BAND of 1/2 the fit's
+# node values are interpolated in alpha from 13 Chebyshev-Lobatto alphas:
+# 1/2 itself (ellipk) and others at least 0.0026 from it, where hyp2f1 keeps
+# 14 digits
+ALPHA_BAND = 0.01
+
+
+def _pfaff_nodes(alpha, s):
+    """F_alpha(s) = e^(alpha s) 2F1(alpha, 1 - alpha; 1; 1 - e^s), the form
+    kbar_many takes beyond the fit, from ellipk at alpha = 1/2."""
+    z = -np.expm1(s)
+    if alpha == 0.5:
+        return np.exp(0.5 * s) * ((2.0 / math.pi) * ellipk(z))
+    return np.exp(alpha * s) * hyp2f1(alpha, 1.0 - alpha, 1.0, z)
+
+
+@functools.lru_cache(maxsize=8)
+def _pfaff_fit(alpha):
+    """Coefficients c[k, m] of F_alpha(s) = sum_k c[k, m] x^k on panel m,
+    s = (m + (1 + x) / 2) / FIT_PANELS_PER_UNIT with x in [-1, 1], read-only."""
+    x = np.cos((np.arange(FIT_DEGREE + 1) + 0.5) * math.pi / (FIT_DEGREE + 1))
+    s = (np.arange(FIT_PANELS)[:, None] + 0.5 * (1.0 + x)) / FIT_PANELS_PER_UNIT
+    if abs(alpha - 0.5) < ALPHA_BAND:
+        a = 0.5 + ALPHA_BAND * np.sin(np.arange(-6, 7) * (math.pi / 12))
+        weights = [np.prod([(alpha - aj) / (ai - aj) for aj in a if aj != ai]) for ai in a]
+        F = sum(w * _pfaff_nodes(ai, s) for w, ai in zip(weights, a))
+    else:
+        F = _pfaff_nodes(alpha, s)
+    coef = np.linalg.solve(np.vander(x, increasing=True), F.T)
+    coef.flags.writeable = False
+    return coef
 
 
 def kbar_many(rho, delta, tau, lam):
@@ -101,10 +143,20 @@ def kbar_many(rho, delta, tau, lam):
 
     free of cancellation near the singular locus: D is formed from the
     offset, which rho' would lose to rounding once it falls below one ulp of
-    rho.  Exactly singular entries (D = 0: delta = 0 and tau = 0) come out
-    as +inf, and so do entries whose D underflows to zero or to a subnormal
-    number, whose lost bits would put D^(-alpha) off with no sign of it
-    (by 5.6e-6 at rho = 1e-80, rho' = tau = 0, lam = 2).
+    rho.  At lam = 2 the 2F1 is (2/pi) K(-b^2 / D), taken from ellipk.  At
+    any other lam a second Pfaff step gives
+
+        Kbar = (D + b^2)^(-alpha) F_alpha(s),   s = log1p(b^2 / D),
+
+    with F_alpha(s) = 2F1(alpha, alpha; 1; 1 - e^-s) >= 1 smooth in s, and
+    F_alpha is read from a piecewise polynomial fitted once per lam
+    (_pfaff_fit): a few gathers and FIT_DEGREE Horner steps per point
+    instead of a hyp2f1 call.  Points beyond the fit (s > FIT_S_MAX, that
+    is |z| > 2.4e17, or s not finite) take the hyp2f1 form.  Exactly
+    singular entries (D = 0: delta = 0 and tau = 0) come out as +inf, and
+    so do entries whose D underflows to zero or to a subnormal number,
+    whose lost bits would put D^(-alpha) off with no sign of it (by 5.6e-6
+    at rho = 1e-80, rho' = tau = 0, lam = 2).
     """
     rho = np.asarray(rho, dtype=float).ravel()
     delta = np.asarray(delta, dtype=float).ravel()
@@ -113,15 +165,27 @@ def kbar_many(rho, delta, tau, lam):
     D = (delta * (2.0 * rho + delta)) ** 2 + tau * tau
     b = 2.0 * rho * (rho + delta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = -(b * b) / D
         if alpha == 0.5:
             # a - b = 0 is an integer: hyp2f1 loses accuracy as |z| grows
             # (1e-9 at |z| = 1e9, non-finite from about 1e14); 2F1(1/2, 1/2;
             # 1; z) is (2/pi) K(z), which ellipk evaluates to full precision
-            F = (2.0 / math.pi) * ellipk(z)
+            out = D ** (-alpha) * ((2.0 / math.pi) * ellipk(-(b * b) / D))
         else:
-            F = hyp2f1(alpha, 1.0 - alpha, 1.0, z)
-        out = D ** (-alpha) * F
+            bb = b * b
+            ratio = bb / D
+            s = np.log1p(ratio)
+            # nan and inf clip to the last panel; hyp2f1 overwrites them below
+            u = np.fmin(s, FIT_S_MAX) * FIT_PANELS_PER_UNIT
+            panel = np.minimum(u.astype(np.intp), FIT_PANELS - 1)
+            x = 2.0 * (u - panel) - 1.0
+            coef = _pfaff_fit(alpha)
+            F = coef[FIT_DEGREE].take(panel)
+            for c in coef[FIT_DEGREE - 1 :: -1]:
+                F *= x
+                F += c.take(panel)
+            out = (D + bb) ** (-alpha) * F
+            far = np.flatnonzero(~(s <= FIT_S_MAX))
+            out[far] = D[far] ** (-alpha) * hyp2f1(alpha, 1.0 - alpha, 1.0, -ratio[far])
     return np.where(D < np.finfo(float).tiny, math.inf, out)
 
 
@@ -351,26 +415,17 @@ def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
     tau and the lattice exactly antisymmetric, so each row is assembled on
     tau >= 0 (the centre cell whole) and mirrored; the mirrored cells would
     give the same bits.  Each row goes straight into its rfft, so A itself
-    is never held whole.  The rows are built on a thread pool, each into
-    its own slice, so the table does not depend on the thread count; a
-    row whose weights are not finite raises its ValueError, the first
-    such row in row order."""
+    is never held whole.  The rows are built in row order, so a row whose
+    weights are not finite raises its ValueError before any later row is
+    built."""
     _check_deterministic(spec.n, lam)
     rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
     tau = np.arange(n_t) * dt
     A_hat = np.empty((n_t + 1, rho.size, rho.size), dtype=complex)
-
-    def build_row(i):
+    for i in range(rho.size):
         half = _row_weights(lam, rho[i], tau, rho, dt)
         row = np.concatenate([half[:, :0:-1], half], axis=1)
         A_hat[:, i, :] = np.fft.rfft(row, 2 * n_t).T
-
-    # map hands the rows back in row order, so a failure raises the first
-    # failing row's error, as the serial loop would, and cancels the rows
-    # still queued
-    with ThreadPoolExecutor(pool_size(rho.size)) as pool:
-        for _ in pool.map(build_row, range(rho.size)):
-            pass
     return KernelTable(A_hat)
 
 

@@ -280,6 +280,15 @@ class TestDilateGridFunction:
         with pytest.raises(ValueError, match="no nonzero node"):
             dilate_grid_function(unit_H(), 1e-5, PARAMS.p)
 
+    @pytest.mark.parametrize("d", [1e-170, 1e-300])
+    @pytest.mark.parametrize("n_t", [56, 57])
+    def test_underflowing_factor_leaves_no_nonzero_node(self, n_t, d):
+        # d * d underflows to 0; on 28x57 the node at t = 0 still queries
+        # t = 0, not 0 / 0, so the dilate is rejected for what it is
+        spec = GridSpec(n=1, n_rho=28, rho_min=5e-3, rho_max=25.0, n_t=n_t, t_max=25.0)
+        with pytest.raises(ValueError, match="no nonzero node"):
+            dilate_grid_function(gaussian_profile(spec), d, 4.0 / 3.0)
+
     def test_dilation_matches_analytic(self):
         # fine t grid keeps the bilinear resampling error below the tolerance
         spec = GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=30.0, n_t=257, t_max=30.0)

@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
-from heisenberg_hls import parallel, quadrature
+from heisenberg_hls import quadrature
 from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
 from heisenberg_hls.extremal import extremal_H
 from heisenberg_hls.grids import (
@@ -288,6 +285,69 @@ class TestHlsQuotient:
         assert q == pytest.approx(frank_lieb_constant(1, 3.97), rel=1e-2)
 
 
+def points_at_s(s, rho):
+    """(rho, delta, tau) with log1p(b^2 / D) close to each s: the offset and
+    tau each carry part of D, as near the kernel's singular locus."""
+    ratio = np.expm1(s)
+    D0 = (2.0 * rho * rho) ** 2 / ratio
+    w = 0.6 * np.sqrt(D0)
+    delta = w / (np.sqrt(rho * rho + w) + rho)
+    b = 2.0 * rho * (rho + delta)
+    tau = np.sqrt(b * b / ratio - (delta * (2.0 * rho + delta)) ** 2)
+    return np.full_like(s, rho), delta, tau
+
+
+class TestPfaffFit:
+    # away from lam = 2, kbar_many reads F_alpha(s) = 2F1(alpha, alpha; 1;
+    # 1 - e^-s) from a piecewise polynomial on s <= FIT_S_MAX and takes
+    # hyp2f1 beyond it; near lam = 2 hyp2f1 keeps only about 9 digits there,
+    # hence test_near_singular_matches_mpmath's tolerance
+    @pytest.mark.parametrize(
+        "lam, rel",
+        [(0.3, 1e-13), (0.7, 1e-13), (1.5, 1e-13), (2.0 - 1e-7, 1e-9), (2.0 + 1e-7, 1e-9),
+         (2.5, 1e-13), (3.0, 1e-13), (3.9, 1e-13), (3.97, 1e-13)],
+    )
+    def test_matches_mpmath_across_the_fit(self, lam, rel):
+        # s from 0 to 70: inside panels, on and next to the panel edges, and
+        # on both sides of FIT_S_MAX; s = 0 is the axis rho' = 0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        n = quadrature.FIT_PANELS_PER_UNIT
+        edges = np.arange(0, 70 * n + 1, 11) / n
+        s = np.concatenate([
+            np.linspace(1e-3, 70.0, 101),
+            edges[1:], edges[1:] * (1 + 1e-15), edges[1:] * (1 - 1e-15),
+            quadrature.FIT_S_MAX + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3]),
+        ])
+        a = mpmath.mpf(lam) / 4
+        for rho in (0.3, 1.0, 7.0):
+            r, d, t = points_at_s(s, rho)
+            r, d, t = np.append(r, rho), np.append(d, -rho), np.append(t, 0.5)
+            got = kbar_many(r, d, t, lam)
+            for k in range(r.size):
+                rm, dm, tm = mpmath.mpf(r[k]), mpmath.mpf(d[k]), mpmath.mpf(t[k])
+                Dm = (dm * (2 * rm + dm)) ** 2 + tm * tm
+                bm = 2 * rm * (rm + dm)
+                ref = Dm ** (-a) * mpmath.hyp2f1(a, 1 - a, 1, -(bm * bm) / Dm)
+                assert got[k] == pytest.approx(float(ref), rel=rel), (rho, k)
+
+    def test_table_sends_few_points_to_hyp2f1(self, monkeypatch):
+        # points beyond the fit (s > FIT_S_MAX or not finite) and the fit's
+        # own nodes are the only hyp2f1 arguments of a table at lam != 2
+        sizes = count_kernel_points(monkeypatch)
+        calls = []
+
+        def counting(a, b, c, z):
+            calls.append(np.size(z))
+            return hyp2f1(a, b, c, z)
+
+        monkeypatch.setattr(quadrature, "hyp2f1", counting)
+        quadrature._pfaff_fit.cache_clear()
+        build_kernel_table(COLD, 3.0)
+        nodes = quadrature.FIT_PANELS * (quadrature.FIT_DEGREE + 1)
+        assert sum(calls) < 0.01 * sum(sizes) + nodes
+
+
 class TestNonFiniteWeights:
     # at lam = 3.99 the cell rule's offsets |delta| = x^(1/(4 - lam)) are so
     # small that D underflows and the kernel is inf; at rho_min = 1e-100 the
@@ -297,9 +357,7 @@ class TestNonFiniteWeights:
         with pytest.raises(ValueError, match=r"lambda = 3\.99, rho0 = 0\.317"):
             fractional_integral(f, 3.99, GroupPoint(1, np.array([0.317, 0.0]), 0.968))
 
-    # the table's rows run on a thread pool; whatever the thread count, the
-    # build raises the error of the first failing row in row order, the one
-    # a serial loop over the rows meets first
+    # the build raises the error of the first failing row in row order
     @staticmethod
     def first_row_error(spec, lam):
         rho, tau = spec.rho_nodes(), np.arange(spec.n_t) * spec.dt
@@ -310,39 +368,18 @@ class TestNonFiniteWeights:
                 return str(err)
         raise AssertionError("no row fails")
 
-    def assert_table_raises(self, monkeypatch, spec, lam, match):
+    def assert_table_raises(self, spec, lam, match):
         expected = self.first_row_error(spec, lam)
-        for cpus in (1, 2):
-            monkeypatch.setattr(parallel, "cpu_count", lambda cpus=cpus: cpus)
-            with pytest.raises(ValueError, match=match) as err:
-                build_kernel_table(spec, lam)
-            assert str(err.value) == expected, cpus
+        with pytest.raises(ValueError, match=match) as err:
+            build_kernel_table(spec, lam)
+        assert str(err.value) == expected
 
-    def test_lambda_near_Q_table_raises(self, monkeypatch):
-        self.assert_table_raises(monkeypatch, COLD, 3.99, "lambda = 3.99.*lambda too close to Q")
+    def test_lambda_near_Q_table_raises(self):
+        self.assert_table_raises(COLD, 3.99, "lambda = 3.99.*lambda too close to Q")
 
-    def test_tiny_rho_min_table_raises(self, monkeypatch):
+    def test_tiny_rho_min_table_raises(self):
         spec = GridSpec(n=1, n_rho=16, rho_min=1e-100, rho_max=20.0, n_t=32, t_max=20.0)
-        self.assert_table_raises(monkeypatch, spec, 2.0, "lambda = 2.0.*rho_min too small")
-
-    def test_failed_table_cancels_queued_rows(self, monkeypatch):
-        # row 0 fails at once and every other row takes 50 ms: once row 0's
-        # error is out, the rows still queued must not start
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
-        row_weights, rho0 = quadrature._row_weights, COLD.rho_nodes()[0]
-        started = []
-
-        def slow_rows(lam, r, *args):
-            started.append(r)
-            if r == rho0:
-                raise ValueError("row 0 fails")
-            time.sleep(0.05)
-            return row_weights(lam, r, *args)
-
-        monkeypatch.setattr(quadrature, "_row_weights", slow_rows)
-        with pytest.raises(ValueError, match="row 0 fails"):
-            build_kernel_table(COLD, 2.0)
-        assert len(started) <= 4 < COLD.n_rho
+        self.assert_table_raises(spec, 2.0, "lambda = 2.0.*rho_min too small")
 
 
 def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
@@ -455,31 +492,13 @@ class TestTableMirror:
         ],
         ids=["16x32", "28x56", "9x7", "16x33"],
     )
-    def test_table_equals_full_lattice_bitwise(self, monkeypatch, spec, lam):
+    def test_table_equals_full_lattice_bitwise(self, spec, lam):
         # the table keeps only the rfft of A, frequency-major; the mirrored
-        # rows must enter it bit for bit as the full lattice's rows would, on
-        # any number of row threads.  A short switch interval makes the
-        # threads interleave as often as they can.
+        # rows must enter it bit for bit as the full lattice's rows would
         A = full_lattice_weights(spec, lam)
         A_hat = np.fft.rfft(A, 2 * spec.n_t).transpose(2, 0, 1)
         assert np.array_equal(A, A[:, :, ::-1])
-        row_weights = quadrature._row_weights
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 2, 4):
-                monkeypatch.setattr(parallel, "cpu_count", lambda cpus=cpus: cpus)
-                seen = set()
-
-                def row_seen(*args):
-                    seen.add(threading.get_ident())
-                    return row_weights(*args)
-
-                monkeypatch.setattr(quadrature, "_row_weights", row_seen)
-                assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat), cpus
-                assert (len(seen) == 1) if cpus == 1 else (1 < len(seen) <= cpus)
-        finally:
-            sys.setswitchinterval(interval)
+        assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat)
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
         sizes = count_kernel_points(monkeypatch)
@@ -505,9 +524,7 @@ def count_kernel_points(monkeypatch):
     """A list that receives the number of points of every kbar_many call.
 
     A work count, not a time: the cell rule and the nodal rows look
-    kbar_many up at call time, so the wrapper sees every point.  The table's
-    rows call it from several threads, where a shared += could lose counts;
-    list.append does not."""
+    kbar_many up at call time, so the wrapper sees every point."""
     sizes = []
     kbar = quadrature.kbar_many
 
