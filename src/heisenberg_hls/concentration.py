@@ -49,6 +49,8 @@ class DiscreteMeasure:
         self.n = check_n(self.n)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.masses = np.asarray(self.masses, dtype=float).ravel()
+        if self.masses.size == 0:
+            raise ValueError("a measure needs at least one atom, got an empty cloud")
         if self.points.shape != (self.masses.size, 2 * self.n + 1):
             raise ValueError(
                 f"points must have shape (m, {2 * self.n + 1}) matching masses"
@@ -71,22 +73,22 @@ class DiscreteMeasure:
 
 
 def _factors(points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row factors A, B, each (2, m, 2n+2), of the atoms (x, y, t) in points:
-    A[0]_a . B[0]_b = |z_b - z_a|^2 and
-    A[1]_a . B[1]_b = t_b - t_a + 2 sum_j (x_a,j y_b,j - y_a,j x_b,j)."""
+    """Factors A, shape (2, m, 2n+2), and B, shape (2, 2n+2, m), of the atoms
+    (x, y, t) in points: (A[0] @ B[0])[a, b] = |z_b - z_a|^2 and
+    (A[1] @ B[1])[a, b] = t_b - t_a + 2 sum_j (x_a,j y_b,j - y_a,j x_b,j)."""
     z, t = points[:, : 2 * n], points[:, 2 * n :]
     one, zsq = np.ones_like(t), np.sum(z * z, axis=1, keepdims=True)
     A = np.stack([np.hstack([zsq, one, z]), np.hstack([one, -t, 2.0 * z[:, :n], -2.0 * z[:, n:]])])
     B = np.stack([np.hstack([one, zsq, -2.0 * z]), np.hstack([t, one, z[:, n:], z[:, :n]])])
-    return A, B
+    return A, np.ascontiguousarray(B.transpose(0, 2, 1))
 
 
 def _d4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Fourth powers of the distances |a^-1 b| (symmetric, |u^-1 v| = |v^-1 u|)
     between the atoms a with row factors A and the atoms b with column
-    factors B, as an (A rows, B rows) block: the sum of the squares of the
-    two factor products."""
-    P = A @ B.transpose(0, 2, 1)
+    factors B, as an (A rows, B columns) block: the sum of the squares of
+    the two factor products."""
+    P = A @ B
     P *= P
     P[0] += P[1]
     return P[0]
@@ -95,32 +97,44 @@ def _d4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
     """masses[k, i] = mu(B_R(atom_i)) for the open ball of radius R_grid[k].
 
-    Each pair of atoms is compared once, d^4 against R^4: the atoms are cut
-    into blocks of BLOCK, only blocks on or above the diagonal are formed,
-    and an off-diagonal block adds to the balls of both its row atoms and
-    its column atoms.  The smallest and largest d^4 of a block cut the
-    ascending radii into a window: the radii below it hold no pair of the
-    block and are skipped, the radii above it hold every pair and share the
-    gemv of one all-ones slab, and only the radii inside it are compared.
-    Every ball gets the same additions as with every radius compared, so
-    the masses are bitwise those of the plain kernel.  Memory is
-    O(len(R_grid) BLOCK^2) besides the result."""
+    Each pair of atoms is compared at most once, d^4 against R^4: the atoms
+    are sorted by their first coordinate x (stable) and cut into blocks of
+    BLOCK, only blocks on or above the diagonal are formed, and an
+    off-diagonal block adds to the balls of both its row atoms and its
+    column atoms.  Since d(a, b) >= |x_b - x_a|, a row block stops at the
+    first column block whose smallest x lies more than the largest radius
+    beyond the row block's largest x; the margin of 1e-9 relative keeps
+    every pair the Gram form could round into a ball while |z| stays below
+    about 10^3 times the largest radius.  The smallest and largest d^4 of a
+    formed block cut the ascending radii into a window: the radii below it
+    hold no pair of the block and are skipped, the radii above it hold
+    every pair and share the gemv of one all-ones slab, and only the radii
+    inside it are compared.  Every ball gets the same additions as with
+    every radius of every sorted block compared, so the masses are bitwise
+    those of that plain kernel; they are scattered back to the caller's
+    atom order.  Memory is O(len(R_grid) BLOCK^2) besides the result."""
     R = np.asarray(R_grid, dtype=float)
     if not np.all(np.diff(R, prepend=0.0) >= 0.0):
         raise ValueError("R_grid must be nonnegative and ascending")
     R4 = R[:, None, None] ** 4
     bounds = R4.ravel().tolist()
     K = len(bounds)
-    A, B = _factors(mu.points, mu.n)
-    w = mu.masses
+    reach = R.max(initial=-np.inf) * (1.0 + 1e-9)
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    x = mu.points[order, 0]
+    A, B = _factors(mu.points[order], mu.n)
+    w = mu.masses[order]
     m = w.size
     out = np.zeros((K, m))
     slabs = np.empty(K * BLOCK * BLOCK)
     for a in range(0, m, BLOCK):
         rows = slice(a, a + BLOCK)
+        x_last = x[rows][-1]
         for b in range(a, m, BLOCK):
+            if x[b] - x_last > reach:
+                break
             cols = slice(b, b + BLOCK)
-            d4 = _d4(A[:, rows], B[:, cols])
+            d4 = _d4(A[:, rows], B[:, :, cols])
             # the radii below k0 hold no pair of the block, the radii from k1
             # on hold every pair; with one radius left its compare costs what
             # the max would
@@ -142,6 +156,7 @@ def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
                 out[k0 : k1 + 1, cols] += col_sums
                 if full:
                     out[k1 + 1 :, cols] += col_sums[-1]
+    out[:, order] = out.copy()
     return out
 
 

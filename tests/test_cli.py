@@ -401,6 +401,12 @@ class TestClassifyCommand:
         p.write_text(json.dumps({"n": 1.5, "points": [[0.0, 0.0, 0.0]], "masses": [1.0]}))
         assert exits_2(["classify", "--inputs", str(p)], tmp_path / "never.json")
 
+    def test_empty_measure_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 1, "points": [], "masses": []}))
+        assert exits_2(["classify", "--inputs", str(p)], tmp_path / "never.json")
+        assert "at least one atom" in capsys.readouterr().err
+
     def test_bad_generator_exit_2(self):
         proc = run_cli("classify", "--generator", "oscillate", check=False)
         assert proc.returncode == 2

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heisenberg_hls import concentration
 from heisenberg_hls.concentration import (
     BLOCK,
     GENERATORS,
@@ -105,11 +106,18 @@ def gram_d4(a, b, n):
     return _d4(_factors(a, n)[0], _factors(b, n)[1])
 
 
+def x_order(mu):
+    """The atom order of _ball_masses: stable by the first coordinate x."""
+    return np.argsort(mu.points[:, 0], kind="stable")
+
+
 def reference_ball_masses(mu, R_grid, d4=reference_d4):
-    """_ball_masses with every radius compared in every block, in the same
-    blocks and summation order, with d4 (reference_d4 by default)."""
+    """_ball_masses with every radius compared in every block of the x-sorted
+    atoms, in the same blocks and summation order, with d4 (reference_d4 by
+    default), scattered back to the atom order of mu."""
     R4 = np.asarray(R_grid, dtype=float)[:, None, None] ** 4
-    pts, w, m = mu.points, mu.masses, mu.masses.size
+    order = x_order(mu)
+    pts, w, m = mu.points[order], mu.masses[order], mu.masses.size
     out = np.zeros((R4.shape[0], m))
     for a in range(0, m, BLOCK):
         rows = slice(a, a + BLOCK)
@@ -119,7 +127,9 @@ def reference_ball_masses(mu, R_grid, d4=reference_d4):
             out[:, rows] += inside @ w[cols]
             if b != a:
                 out[:, cols] += w[rows] @ inside
-    return out
+    masses = np.empty_like(out)
+    masses[:, order] = out
+    return masses
 
 
 class TestGramDistances:
@@ -201,23 +211,53 @@ def assert_equals_reference(mu, R_grid, d4=reference_d4):
 
 
 def block_d4(mu, i, j):
-    """d^4 of block pair (i, j) of _ball_masses."""
-    A, B = _factors(mu.points, mu.n)
-    return _d4(A[:, i * BLOCK : (i + 1) * BLOCK], B[:, j * BLOCK : (j + 1) * BLOCK])
+    """d^4 of block pair (i, j) of _ball_masses, on the x-sorted atoms."""
+    A, B = _factors(mu.points[x_order(mu)], mu.n)
+    return _d4(A[:, i * BLOCK : (i + 1) * BLOCK], B[:, :, j * BLOCK : (j + 1) * BLOCK])
+
+
+def count_blocks(monkeypatch):
+    """A list that grows by one for each block _ball_masses forms (each call
+    of _d4 with more than one row; _inside calls it with one)."""
+    calls, d4 = [], concentration._d4
+
+    def counting(A, B):
+        if A.shape[1] > 1:
+            calls.append((A.shape[1], B.shape[2]))
+        return d4(A, B)
+
+    monkeypatch.setattr(concentration, "_d4", counting)
+    return calls
+
+
+def two_clusters(axis, gap, m=4 * BLOCK, seed=0):
+    """Two unit Koranyi-ball clusters on H^1 of m // 2 and m - m // 2 atoms,
+    the second moved by gap along coordinate axis, with random masses."""
+    rng = np.random.default_rng(seed)
+    geom = Geometry("heisenberg", 1)
+    near, far = geom.uniform_ball(rng, m // 2), geom.uniform_ball(rng, m - m // 2)
+    far[:, axis] += gap
+    return DiscreteMeasure(1, np.vstack([near, far]), rng.uniform(0.1, 1.0, m))
 
 
 class TestRadiusWindow:
     """Blocks whose d^4 skip radii, fill them or meet them exactly give the
     masses of the kernel that compares every radius, bit for bit."""
 
-    def test_far_clusters_skip_whole_blocks(self):
+    def test_far_clusters_skip_whole_blocks(self, monkeypatch):
+        # the far cluster sits 3 along x, within reach of the largest radius,
+        # so every block pair is formed, and 100 along t, so the pairs across
+        # the clusters lie outside every ball
         rng = np.random.default_rng(0)
         geom = Geometry("heisenberg", 1)
         near, far = geom.uniform_ball(rng, 2 * BLOCK), geom.uniform_ball(rng, 2 * BLOCK)
-        far[:, 0] += 100.0
+        far[:, 0] += 3.0
+        far[:, 2] += 100.0
         mu = DiscreteMeasure(1, np.vstack([near, far]), rng.uniform(0.1, 1.0, 4 * BLOCK))
         assert block_d4(mu, 0, 2).min() > R_GRID[-1] ** 4
+        calls = count_blocks(monkeypatch)
         assert_equals_reference(mu, R_GRID)
+        assert len(calls) == 2 * 10  # the masses and the profile's argmax
 
     def test_tight_cluster_fills_every_radius(self):
         rng = np.random.default_rng(1)
@@ -230,17 +270,20 @@ class TestRadiusWindow:
         # block 0 at (1, 0, 0); block 1 at distance 2 (d^4 = 16, twice
         # through the twist term) and beyond, block 2 at distance 2 and
         # within: the smallest d^4 of block pair (0, 1) and the largest of
-        # (0, 2) equal R^4 = 16 at R = 2, where the open ball excludes them
+        # (0, 2) equal R^4 = 16 at R = 2, where the open ball excludes them.
+        # Blocks 0 and 1 sit at x = 1 and block 2 at x >= 1, so the stable
+        # sort by x keeps the three blocks as they are
         rng = np.random.default_rng(2)
-        at_two = [[1.0, 0.0, 4.0], [3.0, 0.0, 0.0], [1.0, 2.0, -4.0], [1.0, -2.0, 4.0]]
-        beyond = [[1.0, 0.0, 8.0], [4.0, 0.0, 0.0]]
+        at_two = [[1.0, 0.0, 4.0], [1.0, 2.0, -4.0], [1.0, -2.0, 4.0]]
+        beyond = [[1.0, 0.0, 8.0], [1.0, 3.0, 0.0]]
         within = [[1.0, 0.0, 1.0], [2.0, 0.0, 0.0]]
         pts = np.vstack([
             np.resize([1.0, 0.0, 0.0], (BLOCK, 3)),
             np.resize(at_two + beyond, (BLOCK, 3)),
-            np.resize(at_two + within, (BLOCK, 3)),
+            np.resize(at_two + [[3.0, 0.0, 0.0]] + within, (BLOCK, 3)),
         ])
         mu = DiscreteMeasure(1, pts, rng.uniform(0.1, 1.0, pts.shape[0]))
+        assert block_d4(mu, 0, 0).max() == 0.0
         assert block_d4(mu, 0, 1).min() == 16.0
         assert block_d4(mu, 0, 2).max() == 16.0
         for R_grid in ([1.0, 2.0, 3.0], [2.0], [0.5, 2.0], [2.0, 2.0, 4.0]):
@@ -275,6 +318,106 @@ class TestRadiusWindow:
     def test_rejects_radii_not_ascending(self, R_grid):
         with pytest.raises(ValueError, match="ascending"):
             _ball_masses(translate_family(3, 0, n_atoms=40)[-1], np.array(R_grid))
+
+
+class TestXSortedBlocks:
+    """The atoms are sorted by x and a row block stops at the first column
+    block out of the largest radius's reach along x; the masses stay those
+    of the mirror that forms every sorted block, in the caller's order."""
+
+    @pytest.mark.parametrize("family", ["spread", "translate"])
+    def test_atom_order_invariance_bitwise(self, family):
+        rng = np.random.default_rng(7)
+        for mu in GENERATORS[family](10, 8, n_atoms=2048)[::9]:
+            assert np.all(mu.masses == 2.0 ** -11)
+            perm = rng.permutation(mu.masses.size)
+            nu = DiscreteMeasure(1, mu.points[perm], mu.masses[perm])
+            want = _ball_masses(mu, R_GRID)[:, perm]
+            np.testing.assert_array_equal(_ball_masses(nu, R_GRID), want)
+
+    def test_atom_order_invariance_non_uniform_masses(self):
+        # x on a 0.1 lattice, so ties in x fall into blocks by atom order
+        rng = np.random.default_rng(8)
+        pts = Geometry("heisenberg", 1).uniform_ball(rng, 1500) * 3.0
+        pts[:, 0] = np.round(pts[:, 0], 1)
+        masses = rng.uniform(0.1, 1.0, 1500)
+        mu = DiscreteMeasure(1, pts, masses / masses.sum())
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(1500)
+            nu = DiscreteMeasure(1, pts[perm], mu.masses[perm])
+            np.testing.assert_allclose(
+                _ball_masses(nu, R_GRID), _ball_masses(mu, R_GRID)[:, perm], rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spread_forms_fewer_than_half_the_blocks(self, monkeypatch, seed):
+        mu = spread_family(10, seed, n_atoms=2048)[-1]
+        calls = count_blocks(monkeypatch)
+        _ball_masses(mu, R_GRID)
+        assert len(calls) < 68  # of the 16 * 17 / 2 = 136 on or above the diagonal
+
+    def test_clusters_apart_along_x_form_no_block_between(self, monkeypatch):
+        mu = two_clusters(0, 100.0)
+        calls = count_blocks(monkeypatch)
+        assert_equals_reference(mu, R_GRID)
+        # 3 block pairs within each 2-block cluster, none of the 4 across
+        assert len(calls) == 2 * 6
+
+    @pytest.mark.parametrize("axis", [1, 2], ids=["y", "t"])
+    def test_clusters_apart_along_y_or_t_match_reference(self, monkeypatch, axis):
+        mu = two_clusters(axis, 100.0)
+        calls = count_blocks(monkeypatch)
+        assert_equals_reference(mu, R_GRID)
+        # the clusters overlap in x, so each sorted block holds atoms of both,
+        # pairs out of every ball among them, and every block is formed
+        # (twice: the masses and the profile's argmax)
+        assert block_d4(mu, 0, 1).max() > R_GRID[-1] ** 4
+        assert len(calls) == 2 * 10
+
+    def test_empty_radius_grid(self, monkeypatch):
+        mu = two_clusters(0, 100.0, m=300)
+        calls = count_blocks(monkeypatch)
+        assert _ball_masses(mu, np.array([])).shape == (0, 300)
+        assert calls == []
+
+    def test_grid_ending_in_inf_skips_no_block(self, monkeypatch):
+        mu = two_clusters(0, 100.0)
+        calls = count_blocks(monkeypatch)
+        R_grid = [0.5, 2.0, np.inf]
+        got = _ball_masses(mu, R_grid)
+        assert len(calls) == 10
+        np.testing.assert_array_equal(got, reference_ball_masses(mu, R_grid, gram_d4))
+        assert np.all(got[-1] == mu.masses.sum())
+
+    @pytest.mark.parametrize("gap, blocks", [(0.0, 10), (3.0, 10), (6.0 + 1e-6, 9), (100.0, 8)])
+    def test_ragged_last_block(self, monkeypatch, gap, blocks):
+        # 3 BLOCK + 37 atoms, 210 near and 211 far: block 1 straddles both
+        # clusters and the ragged block 3 holds the 37 atoms of largest x.
+        # At gap 6 + 1e-6 only the pair (0, 3) is out of reach, at gap 100
+        # (0, 2) as well
+        mu = two_clusters(0, gap, m=3 * BLOCK + 37, seed=3)
+        calls = count_blocks(monkeypatch)
+        got = _ball_masses(mu, R_GRID)
+        np.testing.assert_array_equal(got, reference_ball_masses(mu, R_GRID, gram_d4))
+        assert calls[-1] == (37, 37)
+        assert len(calls) == blocks
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_higher_dimensions(self, monkeypatch, n):
+        # the x of boundary_measure stretched 8-fold: 297 atoms, x spread 12
+        base = boundary_measure(n, seed=30 + n)
+        pts = base.points.copy()
+        pts[:, 0] *= 8.0
+        mu = DiscreteMeasure(n, pts, base.masses)
+        calls = count_blocks(monkeypatch)
+        assert_equals_reference(mu, R_GRID, gram_d4)
+        assert len(calls) < 2 * 6  # 3 blocks, 6 pairs
+
+    def test_one_atom(self):
+        mu = point_mass([3.0, -1.0, 2.0], mass=0.25)
+        got = _ball_masses(mu, [0.0, 1e-9, 2.0, np.inf])
+        np.testing.assert_array_equal(got, [[0.0], [0.25], [0.25], [0.25]])
+        assert levy_concentration(mu, 1e-9) == 0.25
 
 
 class TestDichotomySplit:
@@ -505,6 +648,13 @@ class TestDiscreteMeasure:
         a2 = GroupPoint(1, nu.points[0, :2], nu.points[0, 2])
         b2 = GroupPoint(1, nu.points[1, :2], nu.points[1, 2])
         assert distance(a2, b2) == pytest.approx(distance(a, b), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "points, masses", [(np.zeros((0, 3)), []), ([], []), (np.zeros((0, 3)), np.zeros((0, 1)))]
+    )
+    def test_empty_cloud_rejected(self, points, masses):
+        with pytest.raises(ValueError, match="at least one atom"):
+            DiscreteMeasure(1, points, masses)
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
