@@ -39,7 +39,7 @@ from .extremal import (
     perturbed_H,
 )
 from .grids import CylGridFunction, GridSpec, ball_indicator, lp_norm
-from .group import ball_volume
+from .group import ball_volume, check_n
 from .montecarlo import (
     ball_indicator_callable,
     gaussian_callable,
@@ -193,7 +193,12 @@ def cmd_constants(args) -> int:
     n, lam = args.n, args.lam
     params = _resolve_params(args)
     diagonal = sc.diagonal_params(n, lam)
-    N = args.N if args.N is not None else 2 * n + 1
+    if args.N is None:
+        N = 2 * n + 1
+    else:
+        # a given N is used, so it must be a dimension the Lieb records exist at
+        N = check_n(args.N, "N")
+        sc.check_lambda(lam, N, "N")
 
     sharp = sc.frank_lieb_constant(n, lam)
     upper = sc.theorem2_upper_bound(n, lam, params.r, params.s)

@@ -21,8 +21,9 @@ Pfaff step writes Kbar = (D + b^2)^(-alpha) F_alpha(s), b = 2 rho rho',
 with F_alpha(s) = 2F1(alpha, alpha; 1; 1 - e^-s) smooth in s = log1p(b^2/D);
 F_alpha is fitted once per lam by piecewise polynomials on s <= 40, so a
 kernel point costs one log1p, one power and a few Horner steps instead of
-a call of scipy's hyp2f1 (about 60 against 200 ns on a table's points),
-and only the points beyond s = 40, under 1% of a table's, call hyp2f1.
+a call of scipy's hyp2f1 (about 60 against 200 ns on a table's points);
+the points beyond s = 40, under 1% of a table's, take the exact F_alpha
+that gives the fit its nodes.
 The form has no cancellation near the singular locus rho = rho', tau = 0,
 where D = 0 and Kbar = +inf, as long as D is formed from the offset
 rho' - rho (kbar_many takes it).
@@ -98,20 +99,31 @@ FIT_PANELS = round(FIT_S_MAX * FIT_PANELS_PER_UNIT)
 FIT_DEGREE = 7
 # hyp2f1 takes z < -1 through a transformation that divides by a Gamma
 # function of 1 - 2 alpha, and near alpha = 1/2 it loses digits to the
-# cancellation (3e-9 at lam = 2 + 1e-7).  Within ALPHA_BAND of 1/2 the fit's
-# node values are interpolated in alpha from 13 Chebyshev-Lobatto alphas:
+# cancellation (3e-9 at lam = 2 + 1e-7).  Within ALPHA_BAND of 1/2 the values
+# of F_alpha are interpolated in alpha from 13 Chebyshev-Lobatto alphas:
 # 1/2 itself (ellipk) and others at least 0.0026 from it, where hyp2f1 keeps
 # 14 digits
 ALPHA_BAND = 0.01
 
 
 def _pfaff_nodes(alpha, s):
-    """F_alpha(s) = e^(alpha s) 2F1(alpha, 1 - alpha; 1; 1 - e^s), the form
-    kbar_many takes beyond the fit, from ellipk at alpha = 1/2."""
+    """F_alpha(s) = e^(alpha s) 2F1(alpha, 1 - alpha; 1; 1 - e^s) from
+    hyp2f1, or from ellipk at alpha = 1/2."""
     z = -np.expm1(s)
     if alpha == 0.5:
         return np.exp(0.5 * s) * ((2.0 / math.pi) * ellipk(z))
     return np.exp(alpha * s) * hyp2f1(alpha, 1.0 - alpha, 1.0, z)
+
+
+def _pfaff_exact(alpha, s):
+    """F_alpha(s) at any alpha: _pfaff_nodes, and within ALPHA_BAND of 1/2,
+    where hyp2f1 loses digits, its values interpolated in alpha.  The fit's
+    nodes and the points beyond the fit both take it."""
+    if abs(alpha - 0.5) < ALPHA_BAND:
+        a = 0.5 + ALPHA_BAND * np.sin(np.arange(-6, 7) * (math.pi / 12))
+        weights = [np.prod([(alpha - aj) / (ai - aj) for aj in a if aj != ai]) for ai in a]
+        return sum(w * _pfaff_nodes(ai, s) for w, ai in zip(weights, a))
+    return _pfaff_nodes(alpha, s)
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,12 +132,7 @@ def _pfaff_fit(alpha):
     s = (m + (1 + x) / 2) / FIT_PANELS_PER_UNIT with x in [-1, 1], read-only."""
     x = np.cos((np.arange(FIT_DEGREE + 1) + 0.5) * math.pi / (FIT_DEGREE + 1))
     s = (np.arange(FIT_PANELS)[:, None] + 0.5 * (1.0 + x)) / FIT_PANELS_PER_UNIT
-    if abs(alpha - 0.5) < ALPHA_BAND:
-        a = 0.5 + ALPHA_BAND * np.sin(np.arange(-6, 7) * (math.pi / 12))
-        weights = [np.prod([(alpha - aj) / (ai - aj) for aj in a if aj != ai]) for ai in a]
-        F = sum(w * _pfaff_nodes(ai, s) for w, ai in zip(weights, a))
-    else:
-        F = _pfaff_nodes(alpha, s)
+    F = _pfaff_exact(alpha, s)
     coef = np.linalg.solve(np.vander(x, increasing=True), F.T)
     coef.flags.writeable = False
     return coef
@@ -152,7 +159,9 @@ def kbar_many(rho, delta, tau, lam):
     F_alpha is read from a piecewise polynomial fitted once per lam
     (_pfaff_fit): a few gathers and FIT_DEGREE Horner steps per point
     instead of a hyp2f1 call.  Points beyond the fit (s > FIT_S_MAX, that
-    is |z| > 2.4e17, or s not finite) take the hyp2f1 form.  Exactly
+    is |z| > 2.4e17, or s not finite) take the fit's exact F_alpha
+    (_pfaff_exact), interpolated in alpha near lam = 2 like the fit's nodes:
+    within 5.7e-13 of mpmath at the band's edges up to s = 72.  Exactly
     singular entries (D = 0: delta = 0 and tau = 0) come out as +inf, and
     so do entries whose D underflows to zero or to a subnormal number,
     whose lost bits would put D^(-alpha) off with no sign of it (by 5.6e-6
@@ -172,9 +181,9 @@ def kbar_many(rho, delta, tau, lam):
             out = D ** (-alpha) * ((2.0 / math.pi) * ellipk(-(b * b) / D))
         else:
             bb = b * b
-            ratio = bb / D
-            s = np.log1p(ratio)
-            # nan and inf clip to the last panel; hyp2f1 overwrites them below
+            s = np.log1p(bb / D)
+            # nan and inf clip to the last panel; _pfaff_exact overwrites
+            # them below
             u = np.fmin(s, FIT_S_MAX) * FIT_PANELS_PER_UNIT
             panel = np.minimum(u.astype(np.intp), FIT_PANELS - 1)
             x = 2.0 * (u - panel) - 1.0
@@ -183,9 +192,9 @@ def kbar_many(rho, delta, tau, lam):
             for c in coef[FIT_DEGREE - 1 :: -1]:
                 F *= x
                 F += c.take(panel)
+            far = ~(s <= FIT_S_MAX)
+            F[far] = _pfaff_exact(alpha, s[far])
             out = (D + bb) ** (-alpha) * F
-            far = np.flatnonzero(~(s <= FIT_S_MAX))
-            out[far] = D[far] ** (-alpha) * hyp2f1(alpha, 1.0 - alpha, 1.0, -ratio[far])
     return np.where(D < np.finfo(float).tiny, math.inf, out)
 
 
@@ -380,15 +389,18 @@ def _row_weights(lam, rho0, tau, rho, dt):
         * dt
     )
     crossed = _ridge_crossed(rho0, edges, tau, dt)
-    for cells, nodes in (
-        (zone & crossed, (CELL_N_DELTA, CELL_N_TAU)),
-        (zone & ~crossed, (FAR_N_DELTA, FAR_N_TAU)),
-    ):
-        a, k = np.nonzero(cells)
-        R[a, k] = _cell_integrals(
-            lam, rho0, edges[a] - rho0, edges[a + 1] - rho0,
-            tau[k] - 0.5 * dt, tau[k] + 0.5 * dt, *nodes,
-        )
+    # offsets that underflow make the cell rule divide by zero; the
+    # non-finite weights that follow raise below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for cells, nodes in (
+            (zone & crossed, (CELL_N_DELTA, CELL_N_TAU)),
+            (zone & ~crossed, (FAR_N_DELTA, FAR_N_TAU)),
+        ):
+            a, k = np.nonzero(cells)
+            R[a, k] = _cell_integrals(
+                lam, rho0, edges[a] - rho0, edges[a + 1] - rho0,
+                tau[k] - 0.5 * dt, tau[k] + 0.5 * dt, *nodes,
+            )
     if not np.all(np.isfinite(R)):
         raise ValueError(
             f"non-finite quadrature weights at lambda = {lam}, rho0 = {rho0:.3g}: "

@@ -62,6 +62,24 @@ class TestConstantsCommand:
         assert proc.returncode == 2
         assert "lambda must lie in (0, Q)" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "N, lam, message",
+        [("0", "2", "N must be a positive integer, got 0"),
+         ("-3", "2", "N must be a positive integer, got -3"),
+         ("2", "3", "lambda must lie in (0, N) = (0, 2), got 3.0")],
+    )
+    def test_given_N_validated_exit_2(self, N, lam, message):
+        # a given N that has no Lieb records is rejected, not dropped
+        proc = run_cli("constants", "--n", "1", "--lambda", lam, "--N", N, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == message + "\n"
+
+    def test_default_N_below_lambda_omits_lieb(self):
+        # N = 2n + 1 = 3 <= lambda < Q = 4: the default N has no Lieb records
+        doc = json.loads(run_cli("constants", "--n", "1", "--lambda", "3.5").stdout)
+        assert not any(rec["name"].startswith("lieb") for rec in doc["records"])
+        assert [item["name"] for item in doc["dominance"]] == ["theorem2_vs_frank_lieb_diagonal"]
+
     def test_json_roundtrip(self):
         proc = run_cli("constants", "--n", "2", "--lambda", "1.3")
         doc = json.loads(proc.stdout)

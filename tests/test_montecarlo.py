@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import beta
 
-from heisenberg_hls import parallel
+from heisenberg_hls import montecarlo
 from heisenberg_hls.constants import lieb_diagonal_constant
 from heisenberg_hls.group import norm_coords
 from heisenberg_hls.montecarlo import (
@@ -211,7 +211,7 @@ class TestMcBilinearEnergy:
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (1, 2, 4):
-                monkeypatch.setattr(parallel, "cpu_count", lambda cpus=cpus: cpus)
+                monkeypatch.setattr(montecarlo, "_cpu_count", lambda cpus=cpus: cpus)
                 seen = set()
 
                 def f_seen(pts):
@@ -266,7 +266,7 @@ class TestMcBilinearEnergy:
     def test_working_memory_on_many_cpus(self, monkeypatch):
         # one chunk in flight per thread, and at most MAX_THREADS threads: the
         # bound above must also hold on a 64-CPU host
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 64)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 64)
         H = heisenberg_extremal_callable(3, 2.0)
         tracemalloc.start()
         try:
