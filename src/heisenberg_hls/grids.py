@@ -53,6 +53,24 @@ class GridSpec:
             object.__setattr__(self, name, int(count))
         if not self.t_max > 0.0:
             raise ValueError("t_max must be positive")
+        # the kernel forms D + b^2 = (rho^2 + rho'^2)^2 + tau^2 with rho, rho'
+        # up to the outer rho cell edge e and |tau| up to 2 t_max + dt, and the
+        # profiles (1 + rho^2)^2 + t^2 stay below it; each of 4 e^4 and
+        # (2 t_max + dt)^2 must lie a factor exp(1) below the largest float, so
+        # their sum is finite
+        big = math.log(np.finfo(float).max) - 1.0
+        log_rho = math.log(self.rho_max)
+        log_edge = log_rho + (log_rho - math.log(self.rho_min)) / (2 * (self.n_rho - 1))
+        if math.log(4.0) + 4.0 * log_edge > big:
+            raise ValueError(
+                f"rho_max = {self.rho_max:g} is too large: the outer rho cell edge "
+                f"10^{log_edge / math.log(10.0):.1f} overflows the kernel's b^2 = 4 rho^2 rho'^2"
+            )
+        if 2.0 * math.log(2.0 * self.t_max + self.dt) > big:
+            raise ValueError(
+                f"t_max = {self.t_max:g} is too large: the kernel's tau^2 overflows "
+                f"at |tau| = 2 t_max + dt"
+            )
 
     def rho_nodes(self) -> np.ndarray:
         return np.geomspace(self.rho_min, self.rho_max, self.n_rho)

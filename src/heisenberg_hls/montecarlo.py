@@ -22,10 +22,12 @@ kernel and both densities, so no norm is recomputed.
 
 The samples are split into ``workers`` streams spawned from the seed by
 SeedSequence, and each stream into chunks of at most CHUNK samples; each
-chunk draws from its own SeedSequence child of its stream.  A chunk is
-drawn and evaluated component-major, (dim, m) arrays with one contiguous
-row per coordinate, so the sphere, the in-place dilations and the group
-product are row operations, and it returns only its (sum, sum of squares).
+chunk draws from an SFC64 generator seeded by its own SeedSequence child
+of its stream.  A chunk is drawn and evaluated component-major, (dim, m)
+arrays with one contiguous row per coordinate: the sphere's normals are
+drawn in that shape and scaled in place, and the dilations and the group
+product are row operations.  A chunk returns only its (sum, sum of
+squares).
 
 The chunks run on a thread pool of one thread per CPU the process may
 use, at most MAX_THREADS and at most one per chunk.  Their work is numpy
@@ -38,6 +40,10 @@ Threads that each run whole chunks scale about 1.8x on 2 cores
 (H at n = 1, 2, 3 and the R^3 extremal, 2.5 * 10^5 samples each;
 numpy 2.4.6), while one thread drawing chunk k + 1 as another evaluated
 chunk k gained nothing (0.442 s against 0.438 s for the same four calls).
+Drawing the sphere's normals component-major from SFC64 took those four
+calls from 213 to 166 ms (median of 20 alternating rounds in one process)
+against (m, 3n + 1) blocks read through their transpose from PCG64; the
+component-major sphere alone gave 182 ms, SFC64 alone 201 ms.
 """
 
 from __future__ import annotations
@@ -129,23 +135,26 @@ class Geometry:
 
     def sphere(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m exact samples of the unit sphere's cone measure, the direction
-        law of a uniform ball point; every column has norm 1."""
-        # an (m, k) block of normals, read through its transpose
-        out = np.empty((self.dim, m))
+        law of a uniform ball point; every column has norm 1.
+
+        Drawn component-major: a (dim, m) block of normals, one contiguous
+        row per coordinate, is scaled into the output in place."""
+        out = rng.standard_normal((self.dim, m))
         if self.kind == "euclidean":
-            g = rng.standard_normal((m, self.n)).T
-            return np.divide(g, np.sqrt(np.einsum("jm,jm->m", g, g)), out=out)
+            out /= np.sqrt(np.einsum("jm,jm->m", out, out))
+            return out
         # in (|z|^2, t) = (cos a, sin a) the cone measure has density
         # proportional to (1 - s^2)^(n/2 - 1) in s = sin a, the law of the
-        # last coordinate of a uniform direction h / |h| in R^(n+1)
+        # last coordinate of a uniform direction (h, h0) / |(h, h0)| in
+        # R^(n+1): h0 is the t row's normal, |h|^2 ~ chi^2_n comes from a
+        # second (n, m) block
         n = self.n
-        g = rng.standard_normal((m, 3 * n + 1)).T
-        z, h, h0 = g[: 2 * n], g[2 * n : 3 * n], g[3 * n]
+        z, h0 = out[: 2 * n], out[2 * n]
+        h = rng.standard_normal((n, m))
         hsq = np.einsum("jm,jm->m", h, h)
         h_len = np.sqrt(hsq + h0 * h0)
-        zsq = np.sqrt(hsq) / h_len
-        np.multiply(z, np.sqrt(zsq / np.einsum("jm,jm->m", z, z)), out=out[: 2 * n])
-        np.divide(h0, h_len, out=out[2 * n])
+        z *= np.sqrt(np.sqrt(hsq) / h_len / np.einsum("jm,jm->m", z, z))
+        h0 /= h_len
         return out
 
     def uniform_ball(self, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -235,7 +244,7 @@ def mc_bilinear_energy(
     w_near = SingularMatched(geom, R0, lam)
 
     def chunk_sums(seq: np.random.SeedSequence, m: int) -> tuple[float, float]:
-        rng = np.random.default_rng(seq)
+        rng = np.random.Generator(np.random.SFC64(seq))
         u, r_u = u_prop.sample(rng, m)
         # w from the equal mixture: a Binomial(m, 1/2) count of near draws,
         # then the broad ones, in one array; u is i.i.d. and independent of

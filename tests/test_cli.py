@@ -235,6 +235,20 @@ class TestEvaluateCommand:
         assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, field", [("--rho-max", "rho_max"), ("--t-max", "t_max")])
+    def test_overflowing_grid_bound_named(self, tmp_path, flag, field):
+        # 4 rho^2 rho'^2 at the outer rho cell edge (10^83.8), or tau^2 at
+        # 2 t_max + dt, overflows: one error line naming the field, no warning
+        out = tmp_path / "never.json"
+        proc = run_cli(
+            "evaluate", "--n", "1", "--lambda", "3", "--grid-rho", "8", "--grid-t", "8",
+            flag, "1e78" if field == "rho_max" else "1e160", "--out", str(out), check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"{field} = ") and "is too large" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_nonconvergence_reports_false_exit_zero(self, tmp_path):
         out = tmp_path / "s.json"
         proc = run_cli(

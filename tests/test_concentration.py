@@ -387,7 +387,15 @@ class TestXSortedBlocks:
         got = _ball_masses(mu, R_grid)
         assert len(calls) == 10
         np.testing.assert_array_equal(got, reference_ball_masses(mu, R_grid, gram_d4))
-        assert np.all(got[-1] == mu.masses.sum())
+        # every ball of radius inf holds every atom.  Its mass adds the
+        # (positive) masses as one dot of at most BLOCK terms per column
+        # block, then the m / BLOCK block sums, so it lies within
+        # (BLOCK + m / BLOCK - 2) u of the exact sum, u = 2^-53, whatever
+        # order BLAS adds in; math.fsum gives the exact sum correctly rounded
+        # (half an ulp).  A skipped block would take about 70 off.
+        total = math.fsum(mu.masses)
+        bound = (BLOCK + mu.masses.size // BLOCK - 2) * 2.0 ** -53 * total + 0.5 * np.spacing(total)
+        assert np.max(np.abs(got[-1] - total)) <= bound
 
     @pytest.mark.parametrize("gap, blocks", [(0.0, 10), (3.0, 10), (6.0 + 1e-6, 9), (100.0, 8)])
     def test_ragged_last_block(self, monkeypatch, gap, blocks):

@@ -130,6 +130,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GridSpec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, n_rho",
+        [("rho_max", 1e78, 8), ("rho_max", 1e72, 8), ("rho_max", 1e77, 64), ("rho_max", 1e300, 64),
+         ("t_max", 1e154, 8), ("t_max", 1e300, 128)],
+    )
+    def test_spec_rejects_bounds_that_overflow_the_kernel(self, field, value, n_rho):
+        # the kernel's b^2 = 4 rho^2 rho'^2 at the outer rho cell edge, or its
+        # tau^2 at |tau| = 2 t_max + dt, would overflow; the error names the
+        # field instead of a later "kernel offsets underflow"
+        with pytest.raises(ValueError, match=f"^{field} = .* is too large"):
+            GridSpec(**{field: value, "n_rho": n_rho, "n_t": 8})
+
+    @pytest.mark.parametrize("field, value", [("rho_max", 1e70), ("t_max", 1e153)])
+    def test_spec_accepts_bounds_below_the_overflow(self, field, value):
+        # 8 rho nodes from 1e-3 put the outer edge of rho_max = 1e70 at
+        # 10^75.2, where 4 e^4 is about 3e301
+        spec = GridSpec(**{field: value, "n_rho": 8, "n_t": 8})
+        assert getattr(spec, field) == value
+
     @pytest.mark.parametrize("field", ["n_rho", "n_t"])
     @pytest.mark.parametrize("value", [32.5, math.inf, math.nan])
     def test_spec_rejects_non_integer_node_counts(self, field, value):

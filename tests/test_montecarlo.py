@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import beta
 
 from heisenberg_hls import montecarlo
@@ -62,30 +62,58 @@ class TestGeometry:
             (
                 "heisenberg",
                 2,
-                [0.25419929761558935, -0.31831161220140297, 0.05207478927408346, -0.07071648923904654, -0.6996306743955298],
-                [0.46184377607851407, 0.6699100273196795, -0.42205602573594797, -0.2869081999467829, 0.26589643495201715],
+                [0.4597157349303867, -0.23187579986444645, 0.006674221706506614, -0.32049245749914057, -0.6199302939669117],
+                [-0.8023135595589603, -0.25279050435063016, 0.2563062236331537, -0.07940182991728242, 0.5603288584951939],
             ),
             (
                 "euclidean",
                 3,
-                [0.3662092684282336, -0.45857193048883743, 0.0750209409014787],
-                [-0.21216007086512625, 0.8976070764408771, 0.3408846980997911],
+                [0.5281944907331392, -0.2664157667809362, 0.00766840651178091],
+                [-0.8971456058196828, -0.28266989566495415, 0.28660116675969344],
             ),
         ],
     )
     def test_uniform_ball_keeps_recorded_draws(self, kind, n, first, last):
-        # rows 0 and 999 of 1000 at seed 3, recorded from the row-major
-        # sampler; the generator families place their atoms with this draw
+        # rows 0 and 999 of 1000 at seed 3, recorded from the component-major
+        # sphere; the generator families place their atoms with this draw
         pts = Geometry(kind, n).uniform_ball(np.random.default_rng(3), 1000)
         assert pts.flags.c_contiguous
         np.testing.assert_allclose(pts[[0, 999]], [first, last], rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("kind,n", [("heisenberg", 1), ("heisenberg", 4), ("euclidean", 3)])
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3), ("heisenberg", 4), ("heisenberg", 5), ("euclidean", 3)],
+    )
     def test_sphere_rows_have_norm_one(self, kind, n):
         g = Geometry(kind, n)
         pts = g.sphere(np.random.default_rng(0), 20_000).T
         assert pts.shape == (20_000, g.dim)
         assert np.max(np.abs(g.norm(pts) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind,n", [("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3), ("heisenberg", 5), ("euclidean", 3)]
+    )
+    def test_sphere_law(self, kind, n):
+        # the cone measure's law at a fixed seed: on H^n, (1 + t)/2 ~
+        # Beta(n/2, n/2) (the last coordinate of a uniform direction in
+        # R^(n+1)), |z|^2 = sqrt(1 - t^2), and z/|z| is a uniform direction
+        # on S^(2n-1), whose first coordinate x1 has (1 + x1)/2 ~
+        # Beta(n - 1/2, n - 1/2); on R^N each coordinate has (1 + x)/2 ~
+        # Beta((N-1)/2, (N-1)/2)
+        g = Geometry(kind, n)
+        m = 20_000
+        pts = g.sphere(np.random.default_rng(100 + n), m)
+        if kind == "heisenberg":
+            t, zsq = pts[2 * n], np.einsum("jm,jm->m", pts[: 2 * n], pts[: 2 * n])
+            # a rounding of t by one ulp moves sqrt(1 - t^2) by about
+            # 1.1e-16 / |z|^2, so the gap is weighed by |z|^2
+            assert np.all(zsq > 0.0)
+            assert np.max(np.abs(zsq - np.sqrt((1.0 - t) * (1.0 + t))) * zsq) < 1e-15
+            laws = [((1.0 + t) / 2.0, n / 2.0), ((1.0 + pts[0] / np.sqrt(zsq)) / 2.0, n - 0.5)]
+        else:
+            laws = [((1.0 + x) / 2.0, (n - 1) / 2.0) for x in (pts[0], pts[-1])]
+        for x, a in laws:
+            assert stats.kstest(x, stats.beta(a, a).cdf).pvalue > 1e-3
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -164,19 +192,20 @@ class TestProposals:
 class TestMcBilinearEnergy:
     # (geometry, n, lam, workers, estimate, stderr) of f = the extremal, g
     # below, 140,000 samples, seed 17 + n, as recorded from the chunked
-    # implementation with one SeedSequence child per chunk; other draws move
+    # implementation with one SeedSequence child per chunk, an SFC64
+    # generator per chunk and the component-major sphere; other draws move
     # an estimate by about 1e-2 relative, so a match shows the same stream
     RECORDED = [
-        ("heisenberg", 1, 2.0, 1, 41.25689443323798, 0.8410189101033719),
-        ("heisenberg", 1, 2.0, 3, 42.27004131117987, 0.8333489703750326),
-        ("heisenberg", 2, 3.0, 1, 55.672150035110015, 2.8460575448931937),
-        ("heisenberg", 2, 3.0, 3, 57.699514985011064, 3.170235025711253),
-        ("heisenberg", 3, 2.0, 1, 71.34461719403296, 15.030195222466793),
-        ("heisenberg", 3, 2.0, 3, 74.12295856515755, 13.35954924539993),
-        ("heisenberg", 5, 5.0, 1, 3.4645875019301737, 0.36929635234503344),
-        ("heisenberg", 5, 5.0, 3, 4.431078911568534, 0.923527805173652),
-        ("euclidean", 3, 2.0, 1, 55.466505773600005, 0.5315674855263017),
-        ("euclidean", 3, 2.0, 3, 54.45523189178444, 0.501217692385227),
+        ("heisenberg", 1, 2.0, 1, 42.352373630816274, 0.8596825878929228),
+        ("heisenberg", 1, 2.0, 3, 42.330060951034554, 0.8648995705958082),
+        ("heisenberg", 2, 3.0, 1, 60.940936475990924, 4.04928651419243),
+        ("heisenberg", 2, 3.0, 3, 56.52217085220344, 3.1662357285642875),
+        ("heisenberg", 3, 2.0, 1, 65.57682296693939, 8.698716296145443),
+        ("heisenberg", 3, 2.0, 3, 59.37560950759473, 9.280827000871792),
+        ("heisenberg", 5, 5.0, 1, 15.456807518920815, 8.155306710440186),
+        ("heisenberg", 5, 5.0, 3, 7.26576473047955, 1.6593116279929108),
+        ("euclidean", 3, 2.0, 1, 54.86731950023417, 0.49966195081714887),
+        ("euclidean", 3, 2.0, 3, 55.1137170948668, 0.4988694038296902),
     ]
 
     @staticmethod
