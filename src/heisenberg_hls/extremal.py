@@ -11,7 +11,8 @@ concentration of |f|^p at radius 1 equals 1/2, and recentered in t at the
 ball-mass argmax.  The quotient is invariant under both operations in the
 continuum, so the gauge fixing costs nothing while preventing mass from
 drifting off the grid.  A damped safeguard makes the ascent monotone by
-construction.
+construction.  Its objective is the grid quotient of
+`quadrature.quotient_and_integral`, the one `hls_quotient` returns.
 
 The known diagonal maximizer (`constants.h_profile` at |z|^2 = rho^2)
 
@@ -33,7 +34,7 @@ import numpy as np
 from .constants import HlsParams, check_lambda, gaussian, h_profile
 from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from .group import homogeneous_dimension
-from .quadrature import fractional_integral_grid
+from .quadrature import fractional_integral_grid, quotient_and_integral
 
 
 def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
@@ -142,13 +143,6 @@ def euler_lagrange_step(
     return out
 
 
-def _quotient(f: CylGridFunction, params: HlsParams) -> tuple[float, CylGridFunction]:
-    """hls_quotient(f, params), bit for bit, and the I_lam f it is taken
-    from, for the ascent step that follows an accepted f."""
-    If = fractional_integral_grid(f, params.lam)
-    return lp_norm(If, params.q) / lp_norm(f, params.p), If
-
-
 # ---------------------------------------------------------------------------
 # concentration renormalization
 
@@ -233,9 +227,11 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
 STENCIL_CACHE = 512
 
 
-def _build_stencil(spec: GridSpec, d: float, t_shift: float):
-    """The two 1-D stencils of _resample on spec's nodes, read-only:
-    (li, li1, r0, r1, ti, ti1, c0, c1, vanishes).
+@functools.lru_cache(maxsize=STENCIL_CACHE)
+def _stencil(spec: GridSpec, d: float, t_shift: float):
+    """The two 1-D stencils of _resample on spec's nodes, read-only and
+    built once per (spec, d, t_shift): (li, li1, r0, r1, ti, ti1, c0, c1,
+    vanishes).
 
     Row i of the result mixes value rows li[i] and li1[i] = li[i] + 1 with
     weights r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and
@@ -262,15 +258,21 @@ def _build_stencil(spec: GridSpec, d: float, t_shift: float):
     return li, li1, r0[:, None], r1[:, None], ti, ti1, c0, c1, bool(np.all(off))
 
 
-# _build_stencil once per (spec, d, t_shift), for the gauge fix's probes
-_stencil = functools.lru_cache(maxsize=STENCIL_CACHE)(_build_stencil)
+def _resample(
+    values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
+) -> np.ndarray:
+    """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
+    there, as a fresh array.
 
-
-def _interpolate(values: np.ndarray, stencil) -> np.ndarray:
-    """Apply a stencil of _build_stencil to values, along rho and then
-    along t: values[li] * r0 + values[li1] * r1, then the same per column,
-    each product and sum formed in place in the array a take made."""
-    li, li1, r0, r1, ti, ti1, c0, c1, _ = stencil
+    Bilinear interpolation in (log rho, t); values beyond the outer edges
+    are taken as zero, values inside the first rho node are held constant
+    (profiles of interest are flat at the axis).  The query points form a
+    tensor grid, so the interpolation is one 1-D stencil per axis from the
+    _stencil cache, applied along rho and then along t: values[li] * r0 +
+    values[li1] * r1, then the same per column, each product and sum formed
+    in place in the array a take made.  No amplitude factor is applied.
+    """
+    li, li1, r0, r1, ti, ti1, c0, c1, _ = _stencil(spec, d, t_shift)
     rows = values.take(li, axis=0)
     rows *= r0
     part = values.take(li1, axis=0)
@@ -282,22 +284,6 @@ def _interpolate(values: np.ndarray, stencil) -> np.ndarray:
     part *= c1
     out += part
     return out
-
-
-def _resample(
-    values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
-) -> np.ndarray:
-    """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
-    there, as a fresh array.
-
-    Bilinear interpolation in (log rho, t); values beyond the outer edges
-    are taken as zero, values inside the first rho node are held constant
-    (profiles of interest are flat at the axis).  The query points form a
-    tensor grid, so the interpolation is one 1-D stencil per axis, applied
-    along rho and then along t; the stencils come from the _stencil cache.
-    No amplitude factor is applied.
-    """
-    return _interpolate(values, _stencil(spec, d, t_shift))
 
 
 def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunction:
@@ -444,9 +430,11 @@ def maximize(
     less than rtol over STALL_WINDOW iterations, or at max_iter;
     trace.stop_reason says which ("no_ascent", "stall", "max_iter").
 
-    The quotient of each trial is taken from I_lam of the trial; the one of
-    the accepted trial (or of the start) is handed to the next ascent step,
-    so the kernel table is applied once per trial and once more per step.
+    The quotient of each trial, and I_lam of the trial it is taken from,
+    come from quadrature.quotient_and_integral, so they are hls_quotient's
+    bits; the I_lam f of the accepted trial (or of the start) is handed to
+    the next ascent step, so the kernel table is applied once per trial and
+    once more per step.
     The start and each damped mixture go to renormalize_concentration as
     they are; it returns them at the unit L^p norm the ascent step needs.
     """
@@ -455,7 +443,7 @@ def maximize(
 
     p = params.p
     f, d_used, a_used = renormalize_concentration(init, params)
-    quotient, If = _quotient(f, params)
+    quotient, If = quotient_and_integral(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
     trace.record(0, quotient, levy_concentration_grid(f, p), d_used, a_used, True)
 
@@ -466,7 +454,7 @@ def maximize(
         while theta >= THETA_MIN:
             mix = f.with_values((1.0 - theta) * f.values + theta * proposal.values)
             mix, d_used, a_used = renormalize_concentration(mix, params)
-            mix_q, mix_If = _quotient(mix, params)
+            mix_q, mix_If = quotient_and_integral(mix, params)
             if mix_q >= quotient:
                 f, quotient, If, accepted = mix, mix_q, mix_If, True
                 break
@@ -491,38 +479,38 @@ def align(
     """Best (dilation, t-shift) matching g to f modulo the symmetry group.
 
     Coarse log-spaced grid search over d and grid-spaced search over a,
-    then three rounds of local refinement; inputs are compared after unit
-    L^p normalization, so the residual is scale invariant.  Returns
-    (d, a, rel_error).
+    then three rounds of local refinement, each a scan of every (d, a) of
+    its grid in order; inputs are compared after unit L^p normalization,
+    so the residual is scale invariant.  g is moved by _resample, on the
+    cached stencils the gauge fix uses.  Returns (d, a, rel_error).
     """
     fhat = normalized(f, p)
     ghat = normalized(g, p)
 
-    # the probed (d, a) hardly repeat (6 of 669 on 64x128), so the stencils
-    # are built here, outside the _stencil cache, whose entries a following
-    # search on the same grid would reuse
-    def residual(d, a):
-        moved = ghat.with_values(_interpolate(ghat.values, _build_stencil(ghat.spec, d, a)))
-        moved.values /= lp_norm(moved, p)
-        return lp_norm(fhat.with_values(fhat.values - moved.values), p)
+    def scan(best, ds, shifts):
+        """best, improved by the first lowest residual over ds x shifts."""
+        for d in ds:
+            for a in shifts:
+                d, a = float(d), float(a)
+                moved = ghat.with_values(_resample(ghat.values, ghat.spec, d, a))
+                moved.values /= lp_norm(moved, p)
+                r = lp_norm(fhat.with_values(fhat.values - moved.values), p)
+                if r < best[2]:
+                    best = (d, a, r)
+        return best
 
     dt = float(f.t_nodes[1] - f.t_nodes[0])
-    best = (1.0, 0.0, residual(1.0, 0.0))
     d_grid = np.geomspace(0.25, 4.0, 25)
-    a_grid = np.arange(-8, 9) * dt
-    for d in d_grid:
-        for a in a_grid:
-            r = residual(d, a)
-            if r < best[2]:
-                best = (float(d), float(a), r)
+    best = scan((1.0, 0.0, math.inf), [1.0], [0.0])  # the identity first
+    best = scan(best, d_grid, np.arange(-8, 9) * dt)
     d_span, a_span = math.sqrt(d_grid[1] / d_grid[0]), dt
     for _ in range(3):
         d0, a0, _ = best
-        for d in d0 * np.geomspace(1.0 / d_span, d_span, 9):
-            for a in a0 + np.linspace(-a_span, a_span, 9):
-                r = residual(float(d), float(a))
-                if r < best[2]:
-                    best = (float(d), float(a), r)
+        best = scan(
+            best,
+            d0 * np.geomspace(1.0 / d_span, d_span, 9),
+            a0 + np.linspace(-a_span, a_span, 9),
+        )
         d_span = d_span ** 0.4
         a_span *= 0.3
     return best

@@ -492,9 +492,20 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
     return 0.5 * (e1 + e2)
 
 
-def hls_quotient(f: CylGridFunction, params: HlsParams) -> float:
-    """Discrete |I_lam f|_q / |f|_p for the exponent tuple params."""
+def quotient_and_integral(
+    f: CylGridFunction, params: HlsParams
+) -> tuple[float, CylGridFunction]:
+    """The discrete quotient |I_lam f|_q / |f|_p for the exponent tuple
+    params, and the I_lam f it is taken from.  The one grid quotient:
+    hls_quotient returns its first part, and extremal.maximize takes both,
+    handing I_lam f of an accepted trial to the next ascent step."""
     if not np.any(f.values != 0.0):
-        raise ValueError("hls_quotient requires a nonzero function")
+        raise ValueError("the HLS quotient requires a nonzero function")
     If = fractional_integral_grid(f, params.lam)
-    return lp_norm(If, params.q) / lp_norm(f, params.p)
+    return lp_norm(If, params.q) / lp_norm(f, params.p), If
+
+
+def hls_quotient(f: CylGridFunction, params: HlsParams) -> float:
+    """Discrete |I_lam f|_q / |f|_p for the exponent tuple params
+    (quotient_and_integral without the I_lam f)."""
+    return quotient_and_integral(f, params)[0]

@@ -715,6 +715,35 @@ class TestCachedProbes:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
 
+def test_every_trial_quotient_is_hls_quotient(monkeypatch):
+    # every trial of the p = 1.85 search (the start and each damped mixture,
+    # as renormalize_concentration returns it), accepted or not, is scored
+    # by hls_quotient's bits, and the trace's quotients are those of the
+    # accepted trials
+    trials, scored = [], []
+    renormalize, quotient = extremal.renormalize_concentration, extremal.quotient_and_integral
+
+    def recording_renormalize(f, params):
+        out = renormalize(f, params)
+        trials.append(out[0])
+        return out
+
+    def recording_quotient(f, params):
+        out = quotient(f, params)
+        scored.append((f, out[0]))
+        return out
+
+    monkeypatch.setattr(extremal, "renormalize_concentration", recording_renormalize)
+    monkeypatch.setattr(extremal, "quotient_and_integral", recording_quotient)
+    params = search_params(1.85)
+    _, q, trace = maximize(params, gaussian_profile(SMALL))
+    assert len(trials) == len(scored) > len(trace.iterations)
+    assert all(f is trial for (f, _), trial in zip(scored, trials))
+    quotients = [hls_quotient(f, params) for f in trials]
+    assert [q_f for _, q_f in scored] == quotients
+    assert set(trace.quotients) <= set(quotients) and q == max(quotients)
+
+
 def test_search_round_kernel_applies(monkeypatch):
     # the four searches of the benchmark's round: 20 ascent steps take I_lam f
     # from the quotient of the accepted trial (or the start) instead of
@@ -738,19 +767,13 @@ class TestAlign:
         [SMALL, GridSpec(n=1, n_rho=32, rho_min=1e-3, rho_max=30.0, n_t=64, t_max=30.0)],
         ids=["28x56", "32x64"],
     )
-    def test_stencil_cache_untouched_and_bits_kept(self, spec, monkeypatch):
-        # align builds its stencils outside the _stencil cache, which keeps
-        # its entries and counts; every residual has the bits of the
-        # uncached reference resample
+    def test_bits_of_uncached_reference_resample(self, spec, monkeypatch):
+        # every residual has the bits of the uncached reference resample
         f, g = normalized(extremal_H(1, 2.0, spec), PARAMS.p), gaussian_profile(spec)
-        maximize(PARAMS, g, IterationControls(max_iter=1))
-        before = extremal._stencil.cache_info()
         got = align(f, g, PARAMS.p)
-        assert extremal._stencil.cache_info() == before
         rho, t = spec.rho_nodes(), spec.t_nodes()
-        monkeypatch.setattr(extremal, "_build_stencil", lambda s, d, a: (d, a))
         monkeypatch.setattr(
-            extremal, "_interpolate", lambda v, da: reference_resample(v, rho, t, *da)
+            extremal, "_resample", lambda v, s, d, a=0.0: reference_resample(v, rho, t, d, a)
         )
         assert got == align(f, g, PARAMS.p)
 
