@@ -243,7 +243,8 @@ def _cell_integrals(
     passes 5 x 7 for the cells the ridge does not cross).
 
     The tau ridge of the kernel runs along |rho'^2 - rho0^2| = |tau|, at the
-    offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0.  Each cell is split at
+    offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0 = |tau| / (sqrt(rho0^2 +
+    |tau|) + rho0).  Each cell is split at
     delta = 0 and at tau = 0 where they lie inside it, so a sub-cell has one
     sign of delta and of tau (the kernel is even in tau), and a sub-cell
     touching tau = 0 also at +-ridge(e), where the ridge leaves it through
@@ -263,7 +264,9 @@ def _cell_integrals(
     """
 
     def ridge(tau):
-        return np.sqrt(rho0 * rho0 + tau) - rho0
+        # sqrt(rho0^2 + tau) - rho0 without the cancellation, which would
+        # round a tau below about one ulp of rho0^2 to a zero scale
+        return tau / (np.sqrt(rho0 * rho0 + tau) + rho0)
 
     pieces = []
     for t_lo, t_hi in ((np.maximum(-tau_hi, 0.0), -tau_lo), (np.maximum(tau_lo, 0.0), tau_hi)):

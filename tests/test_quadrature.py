@@ -389,6 +389,14 @@ class TestNonFiniteWeights:
             spec = GridSpec(n=1, n_rho=16, rho_min=rho_min, rho_max=20.0, n_t=32, t_max=20.0)
             self.assert_table_raises(spec, 2.0, "lambda = 2.0.*rho_min too small")
 
+    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    def test_huge_rho_max_table_finite(self, lam):
+        # at rho0 = 1e10 the ridge offset sqrt(rho0^2 + tau) - rho0 would
+        # round to 0 for tau below about one ulp of rho0^2, and give the cell
+        # rule a zero scale; the table must come out finite instead
+        spec = GridSpec(n=1, n_rho=8, rho_max=1e10, n_t=8)
+        assert np.all(np.isfinite(build_kernel_table(spec, lam).A_hat))
+
 
 def _cell_reference(lam, rho0, d_lo, d_hi, tau_lo, tau_hi):
     """Nested adaptive quad of 2 pi rho' Kbar(rho0, rho', tau) over the cell
