@@ -505,12 +505,8 @@ def align(
     best = scan(best, d_grid, np.arange(-8, 9) * dt)
     d_span, a_span = math.sqrt(d_grid[1] / d_grid[0]), dt
     for _ in range(3):
-        d0, a0, _ = best
-        best = scan(
-            best,
-            d0 * np.geomspace(1.0 / d_span, d_span, 9),
-            a0 + np.linspace(-a_span, a_span, 9),
-        )
+        d_around = best[0] * np.geomspace(1.0 / d_span, d_span, 9)
+        best = scan(best, d_around, best[1] + np.linspace(-a_span, a_span, 9))
         d_span = d_span ** 0.4
         a_span *= 0.3
     return best

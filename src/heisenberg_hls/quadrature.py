@@ -243,10 +243,11 @@ def _cell_integrals(
     passes 5 x 7 for the cells the ridge does not cross).
 
     The tau ridge of the kernel runs along |rho'^2 - rho0^2| = |tau|, at the
-    offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0 = |tau| / (sqrt(rho0^2 +
-    |tau|) + rho0).  Each cell is split at
-    delta = 0 and at tau = 0 where they lie inside it, so a sub-cell has one
-    sign of delta and of tau (the kernel is even in tau), and a sub-cell
+    offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0, formed as |tau| /
+    (sqrt(rho0^2 + |tau|) + rho0), which does not round to 0 where |tau|
+    is below one ulp of rho0^2.  Each cell is split at delta = 0 and at
+    tau = 0 where they lie inside it, so a sub-cell has one sign of delta
+    and of tau (the kernel is even in tau), and a sub-cell
     touching tau = 0 also at +-ridge(e), where the ridge leaves it through
     its far tau edge e.  On a sub-cell with |delta| in [a, b] and |tau| in
     [c, e] a tensor Gauss rule is graded toward delta = 0 and, at each delta
@@ -264,8 +265,6 @@ def _cell_integrals(
     """
 
     def ridge(tau):
-        # sqrt(rho0^2 + tau) - rho0 without the cancellation, which would
-        # round a tau below about one ulp of rho0^2 to a zero scale
         return tau / (np.sqrt(rho0 * rho0 + tau) + rho0)
 
     pieces = []
@@ -495,13 +494,10 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
     return 0.5 * (e1 + e2)
 
 
-def quotient_and_integral(
-    f: CylGridFunction, params: HlsParams
-) -> tuple[float, CylGridFunction]:
-    """The discrete quotient |I_lam f|_q / |f|_p for the exponent tuple
-    params, and the I_lam f it is taken from.  The one grid quotient:
-    hls_quotient returns its first part, and extremal.maximize takes both,
-    handing I_lam f of an accepted trial to the next ascent step."""
+def quotient_and_integral(f: CylGridFunction, params: HlsParams) -> tuple[float, CylGridFunction]:
+    """The discrete |I_lam f|_q / |f|_p for the exponent tuple params, and
+    the I_lam f it is taken from: the grid quotient of hls_quotient and of
+    extremal.maximize, which hands I_lam f to its next ascent step."""
     if not np.any(f.values != 0.0):
         raise ValueError("the HLS quotient requires a nonzero function")
     If = fractional_integral_grid(f, params.lam)
@@ -509,6 +505,5 @@ def quotient_and_integral(
 
 
 def hls_quotient(f: CylGridFunction, params: HlsParams) -> float:
-    """Discrete |I_lam f|_q / |f|_p for the exponent tuple params
-    (quotient_and_integral without the I_lam f)."""
+    """Discrete |I_lam f|_q / |f|_p for the exponent tuple params."""
     return quotient_and_integral(f, params)[0]

@@ -715,6 +715,7 @@ class TestCachedProbes:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
 
+
 def test_every_trial_quotient_is_hls_quotient(monkeypatch):
     # every trial of the p = 1.85 search (the start and each damped mixture,
     # as renormalize_concentration returns it), accepted or not, is scored
