@@ -457,16 +457,19 @@ def probes_at_p185():
 
 
 def test_bisection_stops_at_adjacent_doubles(probes_at_p185):
-    # at p = 1.85 three renormalizations fall back to the 81-point ladder and
-    # return d = 0.2335; their bisections close to adjacent doubles without
-    # meeting Q1_TOL and must stop there instead of re-probing one point
+    # at p = 1.85 three renormalizations find no power of 2 that brackets
+    # Q(1) = 1/2, walk on over the finer ladder and return d = 0.2335; their
+    # bisections close to adjacent doubles without meeting Q1_TOL and must
+    # stop there instead of re-probing one point
     assert max(len(ds) for ds, _ in probes_at_p185) <= 170
     assert sum(d == pytest.approx(0.2335, abs=5e-5) for _, d in probes_at_p185) == 3
 
 
 def test_no_renormalization_probes_a_dilation_twice(probes_at_p185):
-    # the walk reuses the d = 1 probe and the ladder its own Q(1) values
-    assert any(len(ds) > 81 for ds, _ in probes_at_p185)  # a ladder fallback is among them
+    # both walks start from d = 1 and reuse its probe; the bisection reuses
+    # the walks' Q(1) values.  A walk over the finer ladder is among them
+    fine = {d for d in extremal._DILATION_LATTICES[1] if math.frexp(d)[0] != 0.5}
+    assert any(fine.intersection(ds) for ds, _ in probes_at_p185)
     for ds, _ in probes_at_p185:
         assert len(set(ds)) == len(ds)
 
@@ -511,10 +514,14 @@ def window_band_masses(band, density):
 
 
 def reference_renormalize(f, params):
-    """renormalize_concentration without caches: the ball table is built
-    per call, every probe (d = 1 included) rebuilds its stencils and
-    resamples f's values (rolled if recentered), and the values resampled
-    at the chosen d are divided by their L^p norm."""
+    """renormalize_concentration without caches and with the ladder scan in
+    place of its second walk: when the walk by factors of 2 finds no
+    crossing, every point of np.geomspace(1e-4, 1e4, 81) is probed and the
+    crossing nearest d = 1 in |log d| is bisected, or, with none, the
+    ladder point nearest Q(1) = 1/2 taken.  The ball table is built per
+    call, every probe (d = 1 included) rebuilds its stencils and resamples
+    f's values (rolled if recentered), and the values resampled at the
+    chosen d are divided by their L^p norm."""
     p = params.p
     values, rho, t = f.values, f.rho_nodes, f.t_nodes
     band = extremal._ball_band.__wrapped__(f.spec, 1.0)
@@ -600,7 +607,8 @@ SEARCH_P = [4.0 / 3.0, 1.15, 1.6, 1.85]
 
 
 class TestCachedProbes:
-    """The cached stencils and ball tables give the uncached probe's bits."""
+    """The cached stencils and ball tables give the uncached probe's bits,
+    and the walk over the finer ladder the ladder scan's."""
 
     @pytest.mark.parametrize("p", SEARCH_P)
     def test_search_renormalizations_match_reference(self, p, monkeypatch):
