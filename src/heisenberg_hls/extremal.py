@@ -115,8 +115,7 @@ Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
 # t-symmetric profile on an even n_t has two centers at +-dt/2 whose masses
 # are equal but for rounding, which must not decide the recentering
 TIE_RTOL = 1e-12
-# the dilations the gauge fix walks, each from its middle point d = 1; built
-# once, since building them per call slowed the searches by about 10%
+# walked from their middle point d = 1; built once, as per call they slow searches
 _DILATION_LATTICES = (
     tuple((2.0 ** np.arange(-26, 27)).tolist()),  # 2^k inside [1e-8, 1e8]
     tuple(np.geomspace(1e-4, 1e4, 81).tolist()),  # 10^(k/10), |k| <= 40
@@ -315,13 +314,12 @@ def renormalize_concentration(
 
     Q(R) is the Levy concentration of |f|^p over t-axis centers.  The map
     d -> Q(1) of the dilated profile is monotone in the continuum (larger
-    d spreads mass), so bisection applies.  Its bracket comes from a walk
-    from d = 1, in the direction Q(1) says, over the powers of 2 of
-    _DILATION_LATTICES, or, on grids too coarse to resolve the unit ball,
-    where the discrete map can wiggle past them, over the finer ladder;
-    if neither crosses 1/2, the fine walk's probe nearest it is taken.
-    The bisection stops once Q(1) is within Q1_TOL of 1/2 or the bracket
-    has closed to adjacent doubles.  No d is probed twice.
+    d spreads mass), so bisection applies, in the bracket that a walk from
+    d = 1 in the direction Q(1) says finds on the powers of 2 of
+    _DILATION_LATTICES or, where the discrete map wiggles past them on
+    coarse grids, on the finer ladder.  The bisection stops once Q(1) is
+    within Q1_TOL of 1/2 or the bracket has closed to adjacent doubles.
+    No d is probed twice.
 
     The search works on f's own values, rolled if the recentering moves
     them.  Q(1) is a ratio of masses, so a probe at a trial d needs no
@@ -395,7 +393,10 @@ def renormalize_concentration(
     else:  # path is the fine walk's, d = 1 included
         d = min(path, key=lambda d: abs(q1_of(d) - target))
         if abs(q1_of(d) - target) > 0.25:
-            raise ValueError("vanishing-type failure: no dilation reaches Q(1) = 1/2")
+            raise ValueError(
+                f"vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest {q1_of(d):.4g}"
+                f" at d = {d:.4g}; grid dt = {spec.dt:.4g} against the unit ball's |t| < 1)"
+            )
         bracket = (d, d)
     d_lo, d_hi = bracket
     while d_lo != d_hi:

@@ -375,6 +375,22 @@ class TestMaximizeCommand:
     def test_bad_search_controls_exit_2(self, tmp_path, argv):
         assert exits_2(["maximize", *SMALL_GRID, *argv], tmp_path / "never.json")
 
+    def test_gauge_failure_names_the_t_spacing(self, tmp_path):
+        # on 24x48 with t_max 50 (dt = 2.13) no dilation of the second
+        # renormalization brings Q(1) within 1/4 of 1/2: one line says how
+        # near it came and that the t cells are wider than the unit ball
+        out = tmp_path / "never.json"
+        proc = run_cli(
+            "maximize", "--grid-rho", "24", "--grid-t", "48", "--p", "1.85",
+            "--out", str(out), check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest 0.2064 at "
+            "d = 0.7943; grid dt = 2.128 against the unit ball's |t| < 1)\n"
+        )
+        assert not out.exists()
+
     def test_search_needs_n_1(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run_cli("maximize", "--n", "2", "--out", str(out), check=False)
