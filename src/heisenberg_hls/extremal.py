@@ -181,7 +181,7 @@ def _ball_band(spec: GridSpec, R: float):
     n_t = t.size
     k = int(np.count_nonzero(rho ** 4 < R ** 4))  # rho ascends: rows 0 .. k - 1
     h = np.sqrt(R ** 4 - rho[:k] ** 4)[:, None]
-    dt = t[1] - t[0]
+    dt = spec.dt
     # band[i, m] = |cell at offset m - (n_t - 1) cap [-h_i, h_i]| / dt
     offset = np.arange(1 - n_t, n_t) * dt
     lo = np.maximum(offset - 0.5 * dt, -h)
@@ -498,7 +498,7 @@ def align(
                     best = (d, a, r)
         return best
 
-    dt = float(f.t_nodes[1] - f.t_nodes[0])
+    dt = f.spec.dt
     d_grid = np.geomspace(0.25, 4.0, 25)
     best = scan((1.0, 0.0, math.inf), [1.0], [0.0])  # the identity first
     best = scan(best, d_grid, np.arange(-8, 9) * dt)

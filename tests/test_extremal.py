@@ -176,7 +176,7 @@ def test_band_masses_match_window_einsum(spec, R):
     # the einsum over the covered cells sums in another order than the
     # einsum over the windows: the two agree to 4 ulp of the total mass
     density = np.random.default_rng(spec.n_t + int(10 * R)).random((spec.n_rho, spec.n_t))
-    band = window_ball_band(spec.rho_nodes(), spec.t_nodes(), R)
+    band = window_ball_band(spec, R)
     ref = window_band_masses(band, density)
     masses = _band_masses(_ball_band(spec, R), density)
     tol = 4.0 * np.spacing(float(np.sum(density[band[0]])))
@@ -493,13 +493,13 @@ def reference_resample(values, rho, t, d, t_shift=0.0):
     return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
-def window_ball_band(rho, t, R):
+def window_ball_band(spec, R):
     """The ball overlap table as sliding windows over one band per row:
     (inside, windows), windows[i, s, j] the share of t-cell j in row
     inside[i] covered by the ball centered at t[n_t - 1 - s]."""
+    rho, t, dt = spec.rho_nodes(), spec.t_nodes(), spec.dt
     inside = rho ** 4 < R ** 4
     h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
-    dt = t[1] - t[0]
     offset = np.arange(1 - t.size, t.size) * dt
     lo = np.maximum(offset - 0.5 * dt, -h)
     hi = np.minimum(offset + 0.5 * dt, h)
@@ -696,7 +696,7 @@ class TestCachedProbes:
             mp.setattr(
                 extremal,
                 "_ball_band",
-                functools.cache(lambda s, R: window_ball_band(s.rho_nodes(), s.t_nodes(), R)),
+                functools.cache(window_ball_band),
             )
             mp.setattr(extremal, "_band_masses", window_band_masses)
             f_ref, q_ref, ref = maximize(params, gaussian_profile(spec))
