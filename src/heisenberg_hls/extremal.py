@@ -115,7 +115,7 @@ Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
 # t-symmetric profile on an even n_t has two centers at +-dt/2 whose masses
 # are equal but for rounding, which must not decide the recentering
 TIE_RTOL = 1e-12
-# walked from their middle point d = 1; built once, as per call they slow searches
+# each walked by the gauge from its middle point d = 1; built once, at import
 _DILATION_LATTICES = (
     tuple((2.0 ** np.arange(-26, 27)).tolist()),  # 2^k inside [1e-8, 1e8]
     tuple(np.geomspace(1e-4, 1e4, 81).tolist()),  # 10^(k/10), |k| <= 40
