@@ -185,10 +185,15 @@ def lp_norm(f: CylGridFunction, p: float) -> float:
 
 
 def normalized(f: CylGridFunction, p: float) -> CylGridFunction:
-    nrm = lp_norm(f, p)
-    if nrm == 0.0:
+    """f divided by its L^p norm, and first by its largest |value| when
+    that value's p-th power underflows, which would leave the norm with
+    no digits; every other profile is divided by its norm alone."""
+    peak = float(np.max(np.abs(f.values)))
+    if peak == 0.0:
         raise ValueError("cannot normalize the zero function")
-    return f.with_values(f.values / nrm)
+    if p * math.log(peak) < math.log(np.finfo(float).tiny):
+        f = f.with_values(f.values / peak)
+    return f.with_values(f.values / lp_norm(f, p))
 
 
 def ball_indicator(spec: GridSpec) -> CylGridFunction:

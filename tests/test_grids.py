@@ -15,7 +15,9 @@ from heisenberg_hls.grids import (
     rho_cell_edges,
     sample,
 )
+from heisenberg_hls import extremal
 from heisenberg_hls.constants import unit_sphere_area
+from heisenberg_hls.extremal import gaussian_profile
 from heisenberg_hls.group import ball_volume
 
 
@@ -94,6 +96,25 @@ class TestLpNorm:
         f = sample(lambda R, T: 1.0 + 0.0 * R, spec)
         g = normalized(f, 3.0)
         assert lp_norm(g, 3.0) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.02, 1.0423, 1.05, 1.85])
+    def test_normalized_when_the_p_th_powers_underflow(self, p):
+        # the Gaussian start of `maximize --grid-rho 24 --grid-t 48`, resampled
+        # at the first gauge's d: its nodes nearest t = 0 query t = 26.5, so
+        # it peaks at 6.3e-308 and its |f|^p underflows to subnormals
+        spec = GridSpec(n_rho=24, n_t=48)
+        start = gaussian_profile(spec)
+        f = start.with_values(extremal._resample(start.values, spec, 0.19988548118735117))
+        assert 0.0 < f.values.max() < 1e-307
+        assert lp_norm(normalized(f, p), p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalized_divides_by_the_norm_alone(self):
+        # a profile whose p-th powers do not underflow keeps the bits of the
+        # one division by its norm
+        spec = GridSpec(n_rho=24, n_t=48)
+        f = gaussian_profile(spec).with_values(1e-100 * gaussian_profile(spec).values)
+        for p in (1.05, 4.0 / 3.0, 1.85):
+            assert np.array_equal(normalized(f, p).values, f.values / lp_norm(f, p))
 
 
 class TestBallIndicator:
