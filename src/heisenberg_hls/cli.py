@@ -37,6 +37,7 @@ from .extremal import (
     gaussian_profile,
     maximize,
     perturbed_H,
+    searched_params,
 )
 from .grids import CylGridFunction, GridSpec, ball_indicator, lp_norm
 from .group import ball_volume, check_n
@@ -395,9 +396,10 @@ def cmd_maximize(args) -> int:
     opts = IterationControls(**_given(args, ("max_iter", "rtol")))
     f0 = PROFILES[args.init][0](spec, args.lam)
     f_star, quotient, trace = maximize(params, f0, opts)
+    searched = searched_params(params)  # f_star has unit norm at its p
 
     h_ref = extremal_H(args.n, args.lam, spec)
-    d_fit, a_fit, rel_err = align(f_star, h_ref, params.p)
+    d_fit, a_fit, rel_err = align(f_star, h_ref, searched.p)
     summary = {
         "command": "maximize",
         "params": {
@@ -415,6 +417,8 @@ def cmd_maximize(args) -> int:
         "converged": trace.stop_reason != "max_iter",
         "alignment": {"dilation": d_fit, "t_shift": a_fit, "rel_error": rel_err},
     }
+    if searched is not params:  # above the diagonal: the dual search
+        summary["params"].update(searched_p=searched.p, searched_q=searched.q)
     if args.trace:
         _write_csv(
             args.trace,

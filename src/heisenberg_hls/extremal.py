@@ -20,7 +20,7 @@ The known diagonal maximizer (`constants.h_profile` at |z|^2 = rho^2)
 
 serves as the golden target: the search started anywhere reasonable should
 come back to it (up to dilation and translation) with quotient near the
-sharp constant.
+sharp constant.  Above the diagonal the search runs at the dual exponent.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HlsParams, check_lambda, gaussian, h_profile
+from .constants import HlsParams, check_lambda, diagonal_params, gaussian, h_profile
 from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from .group import homogeneous_dimension
 from .quadrature import fractional_integral_grid, quotient_and_integral
@@ -415,12 +415,32 @@ def renormalize_concentration(
     return normalized(f.with_values(_resample(values, spec, d)), p), d, a
 
 
+def searched_params(params: HlsParams) -> HlsParams:
+    """The tuple maximize ascends at: params up to the diagonal
+    p_d = 2Q/(2Q - lam), and above it the dual tuple at p* = params.r < p_d,
+    whose maximizer the grid can hold; the kernel is symmetric, so
+    C(r, s) = C(s, r)."""
+    if params.p > diagonal_params(params.n, params.lam).p:
+        return HlsParams(params.n, params.lam, params.r)
+    return params
+
+
 def maximize(
     params: HlsParams,
     init: CylGridFunction,
     opts: IterationControls = IterationControls(),
 ) -> tuple[CylGridFunction, float, ConvergenceTrace]:
-    """Safeguarded fixed-point maximization of the HLS quotient.
+    """Safeguarded fixed-point maximization of the HLS quotient (_ascend)
+    at searched_params(params).  Above the diagonal that is the search at
+    p* bit for bit: the dual problem's maximizer, at unit L^(p*) norm, and
+    its quotient, the estimate of C(r, s) = C(s, r)."""
+    return _ascend(searched_params(params), init, opts)
+
+
+def _ascend(
+    params: HlsParams, init: CylGridFunction, opts: IterationControls
+) -> tuple[CylGridFunction, float, ConvergenceTrace]:
+    """The ascent of maximize at params as given.
 
     Accepts a step only if the quotient does not decrease; otherwise damps
     toward the previous iterate with theta halved until acceptance or

@@ -376,20 +376,36 @@ class TestMaximizeCommand:
         assert exits_2(["maximize", *SMALL_GRID, *argv], tmp_path / "never.json")
 
     def test_gauge_failure_names_the_t_spacing(self, tmp_path):
-        # on 24x48 with t_max 50 (dt = 2.13) no dilation of the second
+        # on 24x32 with t_max 50 (dt = 3.23) no dilation of the third
         # renormalization brings Q(1) within 1/4 of 1/2: one line says how
         # near it came and that the t cells are wider than the unit ball
         out = tmp_path / "never.json"
         proc = run_cli(
-            "maximize", "--grid-rho", "24", "--grid-t", "48", "--p", "1.85",
-            "--out", str(out), check=False,
+            "maximize", "--grid-rho", "24", "--grid-t", "32", "--out", str(out), check=False,
         )
         assert proc.returncode == 2
         assert proc.stderr == (
-            "vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest 0.2064 at "
-            "d = 0.7943; grid dt = 2.128 against the unit ball's |t| < 1)\n"
+            "vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest 0.235 at "
+            "d = 0.631; grid dt = 3.226 against the unit ball's |t| < 1)\n"
         )
         assert not out.exists()
+
+    def test_search_above_the_diagonal_runs_at_the_dual(self, tmp_path):
+        # p = 1.85 at lambda = 2 is searched at its dual p* = r: the summary
+        # names both tuples and prints p*'s quotient, alignment and trace
+        docs, traces = {}, {}
+        for p in ("1.85", "1.0422535211267605"):
+            proc = run_cli(
+                "maximize", "--p", p, *SMALL_GRID, "--trace", str(tmp_path / f"{p}.csv")
+            )
+            docs[p], traces[p] = json.loads(proc.stdout), (tmp_path / f"{p}.csv").read_bytes()
+        folded, dual = docs["1.85"], docs["1.0422535211267605"]
+        assert folded["quotient"] == dual["quotient"]
+        assert folded["alignment"] == dual["alignment"]
+        assert traces["1.85"] == traces["1.0422535211267605"]
+        assert (folded["params"]["p"], folded["params"]["searched_p"]) == (1.85, dual["params"]["p"])
+        assert folded["params"]["searched_q"] == dual["params"]["q"]
+        assert "searched_p" not in dual["params"] and "searched_q" not in dual["params"]
 
     def test_search_needs_n_1(self, tmp_path):
         out = tmp_path / "never.json"

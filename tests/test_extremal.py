@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heisenberg_hls.constants import (
+    HlsParams,
     derive_conjugates,
     diagonal_params,
     theorem2_upper_bound,
@@ -14,6 +15,7 @@ from heisenberg_hls import extremal, grids
 from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
+    _ascend,
     _ball_band,
     _band_masses,
     align,
@@ -25,6 +27,7 @@ from heisenberg_hls.extremal import (
     maximize,
     perturbed_H,
     renormalize_concentration,
+    searched_params,
 )
 from heisenberg_hls.grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
 from heisenberg_hls.montecarlo import gaussian_callable, heisenberg_extremal_callable
@@ -414,13 +417,14 @@ def test_off_diagonal_search(p):
     [
         (4.0 / 3.0, 3.99117391018437, 7),
         (1.15, 4.49127313570518, 5),
-        (1.6, 4.49772818467991, 8),
-        (1.85, 5.80913900970627, 4),
+        (1.6, 4.54162158483737, 5),
+        (1.85, 5.83991239446219, 6),
     ],
 )
 def test_search_results_pinned(p, q_found, n_records):
-    # the four searches of the benchmark's search workload; a change to the
-    # search that moves these numbers has to show it here
+    # the four searches of the benchmark's search workload, the last two
+    # run at their duals p* = 1.1429 and 1.0423; a change to the search
+    # that moves these numbers has to show it here
     params = PARAMS if p == 4.0 / 3.0 else derive_conjugates(1, 2.0, p)
     _, q, trace = maximize(params, gaussian_profile(SMALL))
     assert q == pytest.approx(q_found, rel=1e-10)
@@ -428,13 +432,53 @@ def test_search_results_pinned(p, q_found, n_records):
     assert trace.stop_reason == "no_ascent"
 
 
+def search_bits(result):
+    """A search result as comparable bits: profile bytes, quotient, trace
+    rows and stop reason."""
+    f, q, trace = result
+    return f.values.tobytes(), q, list(trace.rows()), trace.stop_reason
+
+
+# n = 1 puts the diagonal at p_d = 8/7, 4/3 and 8/5 for lam = 1, 2 and 3
+@pytest.mark.parametrize("lam, p", [(1.0, 1.25), (2.0, 1.85), (3.0, 2.5)])
+def test_search_above_the_diagonal_is_the_dual_search(lam, p):
+    # C(r, s) = C(s, r): maximize at p > p_d returns the search at the dual
+    # exponent p* = r bit for bit
+    params = derive_conjugates(1, lam, p)
+    dual = HlsParams(1, lam, params.r)
+    assert dual.p < diagonal_params(1, lam).p < p
+    assert searched_params(params) == dual
+    assert search_bits(maximize(params, gaussian_profile(SMALL))) == search_bits(
+        maximize(dual, gaussian_profile(SMALL))
+    )
+
+
+@pytest.mark.parametrize("p", [1.05, 1.15, 4.0 / 3.0])
+def test_search_up_to_the_diagonal_is_not_folded(p):
+    # at p <= p_d (the diagonal included) maximize is the ascent at p
+    params = search_params(p)
+    assert searched_params(params) is params
+    assert search_bits(maximize(params, gaussian_profile(SMALL))) == search_bits(
+        _ascend(params, gaussian_profile(SMALL), IterationControls())
+    )
+
+
+@pytest.mark.parametrize("p", [1.6, 1.85])
+def test_folded_search_ends_at_or_above_the_unfolded(p):
+    params = derive_conjugates(1, 2.0, p)
+    _, q, _ = maximize(params, gaussian_profile(SMALL))
+    _, q_unfolded, _ = _ascend(params, gaussian_profile(SMALL), IterationControls())
+    assert q >= q_unfolded
+
+
 @pytest.fixture(scope="module")
 def probes_at_p185():
     """The trial d of every Q(1) probe, and the d returned, of each
-    renormalization in the p = 1.85 search (a _resample call is one probe,
-    less the final dilation at the returned d; a d = 1 probe served from
-    the recentering masses and a probe whose dilate vanishes resample
-    nothing and are not recorded)."""
+    renormalization in the unfolded p = 1.85 ascent, which maximize folds
+    into its dual but which still exercises the gauge's hard cases (a
+    _resample call is one probe, less the final dilation at the returned
+    d; a d = 1 probe served from the recentering masses and a probe whose
+    dilate vanishes resample nothing and are not recorded)."""
     calls = []
     runs = []
     resample, renormalize = extremal._resample, extremal.renormalize_concentration
@@ -452,7 +496,7 @@ def probes_at_p185():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremal, "_resample", recording_resample)
         mp.setattr(extremal, "renormalize_concentration", recording_renormalize)
-        maximize(derive_conjugates(1, 2.0, 1.85), gaussian_profile(SMALL))
+        _ascend(derive_conjugates(1, 2.0, 1.85), gaussian_profile(SMALL), IterationControls())
     return runs
 
 
@@ -612,6 +656,17 @@ class TestCachedProbes:
 
     @pytest.mark.parametrize("p", SEARCH_P)
     def test_search_renormalizations_match_reference(self, p, monkeypatch):
+        self.check_renormalizations(monkeypatch, maximize, search_params(p))
+
+    def test_unfolded_p185_renormalizations_match_reference(self, monkeypatch):
+        # the ascent maximize folds away at p = 1.85 takes the ladder walk
+        # and the jump case that the searches at p <= p_d do not reach
+        self.check_renormalizations(monkeypatch, _ascend, search_params(1.85))
+
+    @staticmethod
+    def check_renormalizations(monkeypatch, search, params):
+        """Every renormalization of search(params, Gaussian start) gives
+        reference_renormalize's bits."""
         seen = []
         renormalize = extremal.renormalize_concentration
 
@@ -622,7 +677,7 @@ class TestCachedProbes:
             return out
 
         monkeypatch.setattr(extremal, "renormalize_concentration", checked)
-        maximize(search_params(p), gaussian_profile(SMALL))
+        search(params, gaussian_profile(SMALL), IterationControls())
         assert len(seen) >= 4
 
     @pytest.mark.parametrize(
@@ -663,8 +718,7 @@ class TestCachedProbes:
         # the p = 1.85 search from cold caches, after the other three
         # searches and after other stencils have filled the stencil cache
         def search():
-            f, q, trace = maximize(search_params(1.85), gaussian_profile(SMALL))
-            return f.values.tobytes(), q, list(trace.rows()), trace.stop_reason
+            return search_bits(maximize(search_params(1.85), gaussian_profile(SMALL)))
 
         extremal._stencil.cache_clear()
         extremal._ball_band.cache_clear()
@@ -701,7 +755,7 @@ class TestCachedProbes:
             mp.setattr(extremal, "_band_masses", window_band_masses)
             f_ref, q_ref, ref = maximize(params, gaussian_profile(spec))
         assert np.array_equal(f.values, f_ref.values)
-        assert q == q_ref == hls_quotient(f, params)
+        assert q == q_ref == hls_quotient(f, searched_params(params))
         for field in ("quotients", "dilations", "t_shifts", "accepted", "stop_reason"):
             assert getattr(trace, field) == getattr(ref, field), field
         q1, q1_ref = np.array(trace.q1_concentration), np.array(ref.q1_concentration)
@@ -727,8 +781,8 @@ class TestCachedProbes:
 def test_every_trial_quotient_is_hls_quotient(monkeypatch):
     # every trial of the p = 1.85 search (the start and each damped mixture,
     # as renormalize_concentration returns it), accepted or not, is scored
-    # by hls_quotient's bits, and the trace's quotients are those of the
-    # accepted trials
+    # by hls_quotient's bits at the searched tuple p* = 1.0423, and the
+    # trace's quotients are those of the accepted trials
     trials, scored = [], []
     renormalize, quotient = extremal.renormalize_concentration, extremal.quotient_and_integral
 
@@ -744,8 +798,8 @@ def test_every_trial_quotient_is_hls_quotient(monkeypatch):
 
     monkeypatch.setattr(extremal, "renormalize_concentration", recording_renormalize)
     monkeypatch.setattr(extremal, "quotient_and_integral", recording_quotient)
-    params = search_params(1.85)
-    _, q, trace = maximize(params, gaussian_profile(SMALL))
+    _, q, trace = maximize(search_params(1.85), gaussian_profile(SMALL))
+    params = searched_params(search_params(1.85))
     assert len(trials) == len(scored) > len(trace.iterations)
     assert all(f is trial for (f, _), trial in zip(scored, trials))
     quotients = [hls_quotient(f, params) for f in trials]
@@ -754,9 +808,10 @@ def test_every_trial_quotient_is_hls_quotient(monkeypatch):
 
 
 def test_search_round_kernel_applies(monkeypatch):
-    # the four searches of the benchmark's round: 20 ascent steps take I_lam f
-    # from the quotient of the accepted trial (or the start) instead of
-    # applying the table to the same values again
+    # the four searches of the benchmark's round, p = 1.6 and 1.85 at their
+    # duals: 19 ascent steps take I_lam f from the quotient of the accepted
+    # trial (or the start) instead of applying the table to the same values
+    # again
     calls = []
     apply = quadrature.KernelTable.apply
 
@@ -767,7 +822,7 @@ def test_search_round_kernel_applies(monkeypatch):
     monkeypatch.setattr(quadrature.KernelTable, "apply", counted)
     for p in SEARCH_P:
         maximize(search_params(p), gaussian_profile(SMALL))
-    assert len(calls) == 119
+    assert len(calls) == 96
 
 
 class TestAlign:
