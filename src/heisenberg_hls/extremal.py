@@ -225,9 +225,10 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
 
 # The probed d come from a fixed lattice (the walks' powers of 2 and ladder
 # points, geometric means of lattice points): one round of the benchmark's
-# four 28x56 searches asks for 157 distinct d (133 with a t-query on the
-# lattice), and every later round repeats them.  An LRU cache smaller than
-# a round's set would miss on every call, hence the headroom.
+# four 28x56 searches asks for 65 distinct d (157 when p = 1.6 and 1.85
+# were searched unfolded), and every later round repeats them.  An LRU
+# cache smaller than a round's set would miss on every call, hence the
+# headroom.
 STENCIL_CACHE = 512
 
 
