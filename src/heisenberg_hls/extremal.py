@@ -235,14 +235,12 @@ STENCIL_CACHE = 512
 @functools.lru_cache(maxsize=STENCIL_CACHE)
 def _stencil(spec: GridSpec, d: float, t_shift: float):
     """The two 1-D stencils of _resample on spec's nodes, read-only and
-    built once per (spec, d, t_shift): (li, li1, r0, r1, ti, ti1, c0, c1,
-    vanishes).
+    built once per (spec, d, t_shift): (li, li1, r0, r1, ti, ti1, c0, c1).
 
     Row i of the result mixes value rows li[i] and li1[i] = li[i] + 1 with
     weights r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and
     ti1[j] = ti[j] + 1 with c0[j] and c1[j].  Queries beyond the outer rho
-    node and outside the t lattice get zero weights; vanishes says that
-    every t-query is outside, so the resampled values are all zero.
+    node and outside the t lattice get zero weights.
     """
     rho, t = spec.rho_nodes(), spec.t_nodes()
     logr = np.log(rho)
@@ -260,7 +258,7 @@ def _stencil(spec: GridSpec, d: float, t_shift: float):
     li1, ti1 = li + 1, ti + 1
     for a in (li, li1, r0, r1, ti, ti1, c0, c1):
         a.flags.writeable = False
-    return li, li1, r0[:, None], r1[:, None], ti, ti1, c0, c1, bool(np.all(off))
+    return li, li1, r0[:, None], r1[:, None], ti, ti1, c0, c1
 
 
 def _resample(
@@ -277,7 +275,7 @@ def _resample(
     values[li1] * r1, then the same per column, each product and sum formed
     in place in the array a take made.  No amplitude factor is applied.
     """
-    li, li1, r0, r1, ti, ti1, c0, c1, _ = _stencil(spec, d, t_shift)
+    li, li1, r0, r1, ti, ti1, c0, c1 = _stencil(spec, d, t_shift)
     rows = values.take(li, axis=0)
     rows *= r0
     part = values.take(li1, axis=0)
@@ -325,9 +323,11 @@ def renormalize_concentration(
     The search works on f's own values, rolled if the recentering moves
     them.  Q(1) is a ratio of masses, so a probe at a trial d needs no
     norm: it resamples the values (_resample, stencils from the _stencil
-    cache), forms the density weights * |.|^p in place and divides its
-    largest unit-ball mass (_band_masses over the cached _ball_band) by
-    its total.  With no recentering the d = 1 probe reuses the
+    cache), forms the density weights * |.|^p and divides its largest
+    unit-ball mass (_band_masses over the cached _ball_band) by its total;
+    when that total is below the smallest normal float, the p-th powers
+    underflowed, and the density is formed again from the resampled values
+    divided by their peak.  With no recentering the d = 1 probe reuses the
     recentering's masses: at d = 1 the resample is the identity bit for
     bit.  Returns (profile, d, a), the profile being the values resampled
     at d divided by their L^p norm, the one norm taken: unit L^p norm
@@ -355,22 +355,29 @@ def renormalize_concentration(
             rolled[:, -shift_nodes :] = values[:, :shift_nodes]
         values = rolled
 
-    def q1_from(density: np.ndarray, masses: np.ndarray) -> float:
-        total = float(np.sum(density))
+    def q1_from(masses: np.ndarray, total: float) -> float:
         return float(masses.max()) / total if total > 0.0 else 0.0
 
-    q1_at = {1.0: q1_from(density, masses)} if shift_nodes == 0 else {}
+    q1_at = {1.0: q1_from(masses, float(np.sum(density)))} if shift_nodes == 0 else {}
+
+    def density_of(resampled: np.ndarray) -> tuple[np.ndarray, float]:
+        density = np.abs(resampled)
+        density **= p
+        density *= f.weights
+        return density, float(np.sum(density))
 
     def q1_of(d: float) -> float:
         if d not in q1_at:
-            if _stencil(spec, d, 0.0)[-1]:
-                q1_at[d] = 0.0  # every t-query is off the lattice: the dilate vanishes
-            else:
-                density = _resample(values, spec, d)
-                np.abs(density, out=density)
-                density **= p
-                density *= f.weights
-                q1_at[d] = q1_from(density, _band_masses(band, density))
+            resampled = _resample(values, spec, d)
+            density, total = density_of(resampled)
+            if total < np.finfo(float).tiny:
+                # the p-th powers underflowed and left the masses no digits
+                # (or the dilate vanished): scaled to peak 1 first, as
+                # normalized does, the masses keep their ratio
+                peak = np.max(np.abs(resampled))
+                if peak > 0.0:
+                    density, total = density_of(resampled / peak)
+            q1_at[d] = q1_from(_band_masses(band, density), total)
         return q1_at[d]
 
     target = 0.5

@@ -57,13 +57,24 @@ lattice exactly antisymmetric, so the table integrates each row on
 tau >= 0 and mirrors it, bit for bit what the full lattice would give at
 half the work.
 
-The table's rows are built one after the other.  With the kernel in
-numpy, a thread pool over the rows does not pay on the benchmark's 16x32
-tables: on 2 cores (one BLAS thread, numpy 2.4.6) a 16x32 build took
-29 / 23 / 28 ms on one thread at lam = 0.7 / 2 / 3 and 32 / 25 / 30 ms on
-two.  A cold 64x128 build takes 0.30 / 0.24 / 0.28 s on one thread, of
-which two would save 0.02-0.05 s.  A cold 64x128 build peaks at 10.4 MiB at
-lam = 2 and 11.6 MiB at lam = 0.7 and 3, against its 8.06 MiB table.
+The table's rows are built ROWS_PER_PASS = 4 at a time: one _row_weights
+call takes four consecutive radii and makes one kernel call per rule
+(nodal, crossed and uncrossed cells) for all four, so a 16x32 build makes
+12 kbar_many calls instead of 48, at the same 160,014 points.  Every point
+and cell sum is formed by the same operations as row by row, so the table
+keeps its bits.  On 2 cores (one BLAS thread, numpy 2.4.6) a 16x32 build
+takes 15.5 / 12.5 / 16 ms at lam = 0.7 / 2 / 3 in a process that has built
+tables before, against 20 / 17 / 19 ms row by row; in a fresh process,
+where a pass's larger arrays come from fresh mmaps, 19 / 16 / 19 ms against
+22.5 / 22 / 23 ms, and a 64x128 build 0.19 / 0.16 / 0.19 s against
+0.22 / 0.17 / 0.21 s (the kernel's fit for lam built beforehand; medians
+of 5-7 processes).  A thread pool over the rows did not pay on the
+benchmark's 16x32 tables: one row at a time, two threads took 32 / 25 /
+30 ms against 29 / 23 / 28 ms on one.  A cold 64x128 build peaks at
+15.0 MiB at lam = 2 and 18.3 MiB at lam = 0.7, 3 and 3.9 (10.4 and
+11.5 MiB one row at a time), against its 8.06 MiB table; the transient,
+one pass's cell-rule arrays, grows with n_rho n_t and the table with
+n_rho^2 n_t (16 against 63 MiB on 127x255).
 
 The sum over j' is a correlation along t, so the table is applied in
 Fourier space: the table keeps only the rfft of A along k, and an apply
@@ -139,8 +150,11 @@ def _pfaff_fit(alpha):
 
 
 def kbar_many(rho, delta, tau, lam):
-    """Angular-averaged kernel Kbar(rho, rho + delta, tau) for flat arrays of
-    (rho, delta, tau), delta = rho' - rho.
+    """Angular-averaged kernel Kbar(rho, rho + delta, tau) for arrays of
+    (rho, delta, tau), delta = rho' - rho, that broadcast together, as a
+    flat array in the order of their common shape.  Terms of rho and delta
+    alone are formed at their own shape, so a cell rule that passes delta
+    once per delta node forms them once per node, not once per tau node.
 
     With alpha = lam/4, b = 2 rho rho' and D = (delta (2 rho + delta))^2
     + tau^2, the integrand is |rho^2 + rho'^2 + i tau - b e^(i phi)|^(-2 alpha),
@@ -167,9 +181,7 @@ def kbar_many(rho, delta, tau, lam):
     whose lost bits would put D^(-alpha) off with no sign of it (by 5.6e-6
     at rho = 1e-80, rho' = tau = 0, lam = 2).
     """
-    rho = np.asarray(rho, dtype=float).ravel()
-    delta = np.asarray(delta, dtype=float).ravel()
-    tau = np.asarray(tau, dtype=float).ravel()
+    rho, delta, tau = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (rho, delta, tau))
     alpha = 0.25 * lam
     D = (delta * (2.0 * rho + delta)) ** 2 + tau * tau
     b = 2.0 * rho * (rho + delta)
@@ -195,7 +207,7 @@ def kbar_many(rho, delta, tau, lam):
             far = ~(s <= FIT_S_MAX)
             F[far] = _pfaff_exact(alpha, s[far])
             out = (D + bb) ** (-alpha) * F
-    return np.where(D < np.finfo(float).tiny, math.inf, out)
+    return np.where(D < np.finfo(float).tiny, math.inf, out).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +252,8 @@ def _cell_integrals(
     """Integral of 2 pi rho' Kbar(rho0, rho', tau) over each cell
     delta = rho' - rho0 in [d_lo, d_hi], tau in [tau_lo, tau_hi], with
     n_delta x n_tau nodes per sub-cell (9 x 14 by default; _row_weights
-    passes 5 x 7 for the cells the ridge does not cross).
+    passes 5 x 7 for the cells the ridge does not cross).  rho0 is one
+    radius per cell, or one for all of them.
 
     The tau ridge of the kernel runs along |rho'^2 - rho0^2| = |tau|, at the
     offset ridge(tau) = sqrt(rho0^2 + |tau|) - rho0, formed as |tau| /
@@ -264,29 +277,31 @@ def _cell_integrals(
     rounding in rho0 + delta.
     """
 
-    def ridge(tau):
+    def ridge(rho0, tau):
         return tau / (np.sqrt(rho0 * rho0 + tau) + rho0)
 
+    rho0 = np.broadcast_to(rho0, np.shape(d_lo))
     pieces = []
     for t_lo, t_hi in ((np.maximum(-tau_hi, 0.0), -tau_lo), (np.maximum(tau_lo, 0.0), tau_hi)):
-        r = np.where(t_lo > 0.0, 0.0, ridge(np.abs(t_hi)))
+        r = np.where(t_lo > 0.0, 0.0, ridge(rho0, np.abs(t_hi)))
         cuts = np.sort(np.clip([d_lo, -r, np.zeros_like(r), r, d_hi], d_lo, d_hi), axis=0)
         for d0, d1 in zip(cuts[:-1], cuts[1:]):
             idx = np.flatnonzero((d1 > d0) & (t_hi > t_lo))
-            pieces.append([idx, d0[idx], d1[idx], t_lo[idx], t_hi[idx]])
-    owner, lo, hi, c, e = np.concatenate(pieces, axis=1)
+            pieces.append([idx, rho0[idx], d0[idx], d1[idx], t_lo[idx], t_hi[idx]])
+    owner, r0, lo, hi, c, e = np.concatenate(pieces, axis=1)
     sign = np.sign(lo + hi)
     a, b = np.minimum(np.abs(lo), np.abs(hi)), np.maximum(np.abs(lo), np.abs(hi))
 
     nu = np.where(c > 0.0, 1.0, min(1.0, 4.0 - lam))
-    s = np.where(c > 0.0, ridge(c), 1e-9 * (b - a))
+    s = np.where(c > 0.0, ridge(r0, c), 1e-9 * (b - a))
     x, dx = _sinh_rule(a ** nu, b ** nu, s ** nu, n_delta)
     ad = x ** (1.0 / nu[:, None])
     delta = sign[:, None] * ad
-    wd = dx * ad / (nu[:, None] * x) * (_TWO_PI * (rho0 + delta))
-    w = ad * (2.0 * rho0 + delta)
+    r0 = r0[:, None]
+    wd = dx * ad / (nu[:, None] * x) * (_TWO_PI * (r0 + delta))
+    w = ad * (2.0 * r0 + delta)
     tau, dtau = _sinh_rule(c[:, None], e[:, None], w, n_tau)
-    kb = kbar_many(rho0, np.broadcast_to(delta[..., None], tau.shape), tau, lam)
+    kb = kbar_many(r0[..., None], delta[..., None], tau, lam)
     sub = np.einsum("mdt,mdt,md->m", kb.reshape(tau.shape), dtau, wd)
     return np.bincount(owner.astype(int), sub, minlength=np.size(d_lo))
 
@@ -324,7 +339,8 @@ class KernelTable:
 
 
 def _exact_zone_mask(rho0, rho, drho, tau, dt):
-    """Cells integrated exactly instead of nodally, per evaluation radius.
+    """Cells integrated exactly instead of nodally, per evaluation radius:
+    shape np.shape(rho0) + (rho.size, tau.size).
 
     The kernel is peaked along the ridge tau = 0 with width of order
     2 rho_bar |delta| (rho_bar = sqrt(rho0 rho') is the anisotropic
@@ -341,17 +357,19 @@ def _exact_zone_mask(rho0, rho, drho, tau, dt):
     for a point row, and the two round differently; without the slack the
     same cell could fall inside the zone for one and outside for the other.
     """
+    rho0 = np.asarray(rho0)[..., None]
     delta = np.abs(rho - rho0)
     rho_bar = np.sqrt(rho0 * rho)
     width = 2.0 * rho_bar * delta
     in_delta = (width <= 3.0 * dt) | (delta <= 3.0 * drho)
     tau_win = 3.0 * np.maximum(dt, width) + 1e-9 * dt
-    return in_delta[:, None] & (np.abs(tau)[None, :] <= tau_win[:, None])
+    return in_delta[..., None] & (np.abs(tau) <= tau_win[..., None])
 
 
 def _ridge_crossed(rho0, edges, tau, dt):
     """Cells [edges[a], edges[a+1]] x [tau[k] -+ dt/2] that the kernel's
-    ridge |rho'^2 - rho0^2| = |tau| meets, per evaluation radius.
+    ridge |rho'^2 - rho0^2| = |tau| meets, per evaluation radius: shape
+    np.shape(rho0) + (edges.size - 1, tau.size).
 
     Interval arithmetic: the range of |rho'^2 - rho0^2| over the rho' cell
     (from 0 when rho0 lies in it) meets the range of |tau| over the tau cell
@@ -360,52 +378,63 @@ def _ridge_crossed(rho0, edges, tau, dt):
     as crossed, so a cell is classified alike whether its tau is k dt (a
     table row) or t' - t0 (a point row at a lattice node).
     """
+    rho0 = np.asarray(rho0)[..., None]
     g = edges * edges - rho0 * rho0
-    g_lo = np.maximum(np.maximum(g[:-1], -g[1:]), 0.0)
-    g_hi = np.maximum(g[1:], -g[:-1]) + 1e-9 * dt
+    g_lo = np.maximum(np.maximum(g[..., :-1], -g[..., 1:]), 0.0)
+    g_hi = np.maximum(g[..., 1:], -g[..., :-1]) + 1e-9 * dt
     t = np.abs(tau)
     t_lo, t_hi = np.maximum(t - 0.5 * dt, 0.0), t + 0.5 * dt + 1e-9 * dt
-    return (g_lo[:, None] <= t_hi[None, :]) & (t_lo[None, :] <= g_hi[:, None])
+    return (g_lo[..., None] <= t_hi) & (t_lo <= g_hi[..., None])
 
 
 def _row_weights(lam, rho0, tau, rho, dt):
-    """Product-rule weights R[i', k] of the point (rho0, t) against the cells
-    centered on the nodes (rho[i'], t + tau[k]).
+    """Product-rule weights R[..., i', k] of the points (rho0, t) against the
+    cells centered on the nodes (rho[i'], t + tau[k]), of shape
+    np.shape(rho0) + (rho.size, tau.size): one row per evaluation radius,
+    or a single 2-D row for a scalar rho0.
 
     Nodal value Kbar(rho0, rho[i'], tau[k]) times cell measure outside the
     exact zone; inside it, the cell(s) holding the point included, the
     graded cell rule, with 9 x 14 nodes per sub-cell on the cells the
-    kernel's ridge crosses and 5 x 7 on the others (_ridge_crossed).  The nodal kernel is evaluated from the smaller radius
-    and the offset's magnitude, so Kbar(rho0, rho') and Kbar(rho', rho0)
-    come from the same bits.  A weight that is not finite (the kernel's D
-    underflowed) raises ValueError.
+    kernel's ridge crosses and 5 x 7 on the others (_ridge_crossed).  Each
+    of the three rules takes one kernel call for all the radii.  The nodal
+    kernel is evaluated from the smaller radius and the offset's magnitude,
+    so Kbar(rho0, rho') and Kbar(rho', rho0) come from the same bits.  A
+    weight that is not finite (the kernel's D underflowed) raises
+    ValueError, naming the first such row.
     """
+    rho0 = np.asarray(rho0, dtype=float)
     edges = rho_cell_edges(rho)
     drho = np.diff(edges)
     zone = _exact_zone_mask(rho0, rho, drho, tau, dt)
+    crossed = _ridge_crossed(rho0, edges, tau, dt)
+    radius = np.broadcast_to(rho0[..., None, None], zone.shape)
     R = np.empty(zone.shape)
-    a, k = np.nonzero(~zone)
-    R[a, k] = (
-        kbar_many(np.minimum(rho0, rho[a]), np.abs(rho[a] - rho0), tau[k], lam)
+    cells = np.nonzero(~zone)
+    r0, a, k = radius[cells], cells[-2], cells[-1]
+    R[cells] = (
+        kbar_many(np.minimum(r0, rho[a]), np.abs(rho[a] - r0), tau[k], lam)
         * (_TWO_PI * rho * drho)[a]
         * dt
     )
-    crossed = _ridge_crossed(rho0, edges, tau, dt)
     # offsets that underflow make the cell rule divide by zero; the
     # non-finite weights that follow raise below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for cells, nodes in (
+        for mask, nodes in (
             (zone & crossed, (CELL_N_DELTA, CELL_N_TAU)),
             (zone & ~crossed, (FAR_N_DELTA, FAR_N_TAU)),
         ):
-            a, k = np.nonzero(cells)
-            R[a, k] = _cell_integrals(
-                lam, rho0, edges[a] - rho0, edges[a + 1] - rho0,
+            cells = np.nonzero(mask)
+            r0, a, k = radius[cells], cells[-2], cells[-1]
+            R[cells] = _cell_integrals(
+                lam, r0, edges[a] - r0, edges[a + 1] - r0,
                 tau[k] - 0.5 * dt, tau[k] + 0.5 * dt, *nodes,
             )
-    if not np.all(np.isfinite(R)):
+    finite = np.isfinite(R).all(axis=(-2, -1))
+    if not np.all(finite):
+        first = rho0[~finite][0]
         raise ValueError(
-            f"non-finite quadrature weights at lambda = {lam}, rho0 = {rho0:.3g}: "
+            f"non-finite quadrature weights at lambda = {lam}, rho0 = {first:.3g}: "
             "kernel offsets underflow (lambda too close to Q, or rho_min too small)"
         )
     return R
@@ -415,6 +444,11 @@ def _check_deterministic(n: int, lam: float):
     check_lambda(lam, homogeneous_dimension(n))
     if n != 1:
         raise ValueError("deterministic path requires n = 1; use the Monte Carlo path")
+
+
+# table rows assembled per _row_weights call: each pass makes three kernel
+# calls (nodal, crossed and uncrossed cells) whatever its number of rows
+ROWS_PER_PASS = 4
 
 
 def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
@@ -428,18 +462,18 @@ def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
     invariance in t serves every evaluation height.  The kernel is even in
     tau and the lattice exactly antisymmetric, so each row is assembled on
     tau >= 0 (the centre cell whole) and mirrored; the mirrored cells would
-    give the same bits.  Each row goes straight into its rfft, so A itself
-    is never held whole.  The rows are built in row order, so a row whose
-    weights are not finite raises its ValueError before any later row is
-    built."""
+    give the same bits.  The rows are assembled ROWS_PER_PASS at a time, in
+    row order, and each pass goes straight into its rfft, so A itself is
+    never held whole; a row whose weights are not finite raises its
+    ValueError before any later pass is built."""
     _check_deterministic(spec.n, lam)
     rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
     tau = np.arange(n_t) * dt
     A_hat = np.empty((n_t + 1, rho.size, rho.size), dtype=complex)
-    for i in range(rho.size):
-        half = _row_weights(lam, rho[i], tau, rho, dt)
-        row = np.concatenate([half[:, :0:-1], half], axis=1)
-        A_hat[:, i, :] = np.fft.rfft(row, 2 * n_t).T
+    for i in range(0, rho.size, ROWS_PER_PASS):
+        half = _row_weights(lam, rho[i : i + ROWS_PER_PASS], tau, rho, dt)
+        rows = np.concatenate([half[..., :0:-1], half], axis=-1)
+        A_hat[:, i : i + ROWS_PER_PASS, :] = np.fft.rfft(rows, 2 * n_t).transpose(2, 0, 1)
     return KernelTable(A_hat)
 
 

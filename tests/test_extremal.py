@@ -254,6 +254,15 @@ class TestRenormalizeConcentration:
         with pytest.raises(ValueError, match="zero function"):
             renormalize_concentration(sample(lambda R, T: 0.0 * R, SMALL), PARAMS)
 
+    def test_probe_whose_density_underflows(self):
+        # at d = 0.19989 the Gaussian start on 24x48 resamples to values below
+        # 1e-307, and at p = 1.05 the density keeps two cells of 5e-324: their
+        # masses gave Q(1) = 1/2 exactly and stopped the bisection there.
+        # Scaled to peak 1 before the power, the probe keeps its digits
+        spec = GridSpec(n=1, n_rho=24, n_t=48)
+        _, d, _ = renormalize_concentration(gaussian_profile(spec), HlsParams(1, 2.0, 1.05))
+        assert d == pytest.approx(0.19953, abs=1e-5)
+
 
 class TestDilateGridFunction:
     def test_norm_restored(self):
@@ -477,8 +486,8 @@ def probes_at_p185():
     renormalization in the unfolded p = 1.85 ascent, which maximize folds
     into its dual but which still exercises the gauge's hard cases (a
     _resample call is one probe, less the final dilation at the returned
-    d; a d = 1 probe served from the recentering masses and a probe whose
-    dilate vanishes resample nothing and are not recorded)."""
+    d; a d = 1 probe served from the recentering masses resamples nothing
+    and is not recorded)."""
     calls = []
     runs = []
     resample, renormalize = extremal._resample, extremal.renormalize_concentration
@@ -564,8 +573,9 @@ def reference_renormalize(f, params):
     crossing nearest d = 1 in |log d| is bisected, or, with none, the
     ladder point nearest Q(1) = 1/2 taken.  The ball table is built per
     call, every probe (d = 1 included) rebuilds its stencils and resamples
-    f's values (rolled if recentered), and the values resampled at the
-    chosen d are divided by their L^p norm."""
+    f's values (rolled if recentered), divided by their peak when their
+    density underflows, and the values resampled at the chosen d are
+    divided by their L^p norm."""
     p = params.p
     values, rho, t = f.values, f.rho_nodes, f.t_nodes
     band = extremal._ball_band.__wrapped__(f.spec, 1.0)
@@ -586,10 +596,11 @@ def reference_renormalize(f, params):
 
     @functools.cache
     def q1_of(d):
-        tq = t / (d * d)
-        if np.all((tq < t[0]) | (tq > t[-1])):
-            return 0.0
-        density = f.weights * np.abs(reference_resample(values, rho, t, d)) ** p
+        resampled = reference_resample(values, rho, t, d)
+        peak = np.max(np.abs(resampled))
+        density = f.weights * np.abs(resampled) ** p
+        if np.sum(density) < np.finfo(float).tiny and peak > 0.0:
+            density = f.weights * np.abs(resampled / peak) ** p
         total = float(np.sum(density))
         return float(_band_masses(band, density).max()) / total if total > 0.0 else 0.0
 
@@ -769,7 +780,7 @@ class TestCachedProbes:
                     yield a
                 a = getattr(a, "base", None)
 
-        cached = [*extremal._stencil(SMALL, 1.5, 0.25)[:-1], *_ball_band(SMALL, 1.0)]
+        cached = [*extremal._stencil(SMALL, 1.5, 0.25), *_ball_band(SMALL, 1.0)]
         arrays = [b for a in cached for b in with_bases(a)]
         assert len(arrays) > len(cached)
         for a in arrays:

@@ -485,6 +485,21 @@ def test_table_keeps_one_copy():
     assert current <= 1.05 * table.A_hat.nbytes
 
 
+def test_table_build_peak_memory():
+    # a pass assembles ROWS_PER_PASS rows at once, and its cell-rule arrays
+    # are the build's transient: 7-10 MiB on 64x128 next to the 8.06 MiB
+    # table.  The transient grows with n_rho n_t and the table with
+    # n_rho^2 n_t (16 against 63 MiB on 127x255), so the bound holds on
+    # finer grids too
+    tracemalloc.start()
+    try:
+        table = build_kernel_table(GridSpec(), 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * table.A_hat.nbytes
+
+
 def full_lattice_weights(spec, lam):
     """The kernel table assembled row by row over the whole tau lattice,
     without the tau mirror: the reference for build_kernel_table."""
@@ -505,8 +520,9 @@ class TestTableMirror:
             SMALL,
             GridSpec(n=1, n_rho=9, rho_min=1e-2, rho_max=10.0, n_t=7, t_max=3.0),
             GridSpec(n=1, n_rho=16, rho_min=0.02, rho_max=20.0, n_t=33, t_max=20.0),
+            GridSpec(),
         ],
-        ids=["16x32", "28x56", "9x7", "16x33"],
+        ids=["16x32", "28x56", "9x7", "16x33", "64x128"],
     )
     def test_table_equals_full_lattice_bitwise(self, spec, lam):
         # the table keeps only the rfft of A, frequency-major; the mirrored
@@ -515,6 +531,15 @@ class TestTableMirror:
         A_hat = np.fft.rfft(A, 2 * spec.n_t).transpose(2, 0, 1)
         assert np.array_equal(A, A[:, :, ::-1])
         assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat)
+
+    def test_passes_share_kernel_calls(self, monkeypatch):
+        # 16 rows in passes of ROWS_PER_PASS = 4 make three kernel calls a
+        # pass (nodal, crossed and uncrossed cells) instead of three a row,
+        # at the same 160,014 points
+        sizes = count_kernel_points(monkeypatch)
+        build_kernel_table(COLD, 2.0)
+        assert len(sizes) == 12
+        assert sum(sizes) == 160_014
 
     def test_mirror_halves_kernel_evaluations(self, monkeypatch):
         sizes = count_kernel_points(monkeypatch)
