@@ -4,9 +4,12 @@ Starts the safeguarded fixed-point ascent from a profile deliberately
 perturbed away from the known maximizer, watches the quotient climb back to
 the sharp constant, and verifies that the result is the closed-form
 extremal up to the dilation/translation symmetry of the problem.  The
-concentration renormalization pins that symmetry at every step (Levy
-concentration 1/2 at radius 1), which is what makes runs started from
-dilated initializations land on the same profile.
+concentration renormalization pins that symmetry at every step by two
+moments of |f|^p (mean t within half a t cell of 0, mean log Koranyi
+radius 0), which is what makes runs started from dilated initializations
+land on the same profile.  The Q(1) column is the Levy concentration at
+radius 1, the paper's normalization, which the gauge reports but does not
+pin.
 """
 
 import time
@@ -15,8 +18,8 @@ from heisenberg_hls import GridSpec, align, extremal_H, maximize
 from heisenberg_hls.constants import diagonal_params
 from heisenberg_hls.extremal import IterationControls, dilate_grid_function, perturbed_H
 
-# coarse in rho for speed; full t resolution so the unit-ball concentration
-# gauge Q(1) = 1/2 is representable
+# coarse in rho for speed; full t resolution (dt = 0.79) for the peak of
+# the profile in t
 spec = GridSpec(n_rho=32, n_t=128)
 params = diagonal_params(1, 2.0)
 

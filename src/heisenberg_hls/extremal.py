@@ -6,13 +6,17 @@ sup |I_lam f|_q / |f|_p over the nonnegative cone,
     f  <-  normalize( ( I_lam( (I_lam f)^(q-1) ) )^(1/(p-1)) ),
 
 interleaved with a concentration renormalization that pins the dilation
-and vertical-translation gauge: the profile is rescaled so that the Levy
-concentration of |f|^p at radius 1 equals 1/2, and recentered in t at the
-ball-mass argmax.  The quotient is invariant under both operations in the
-continuum, so the gauge fixing costs nothing while preventing mass from
-drifting off the grid.  A damped safeguard makes the ascent monotone by
-construction.  Its objective is the grid quotient of
-`quadrature.quotient_and_integral`, the one `hls_quotient` returns.
+and vertical-translation gauge by two moments of the density |f|^p: the
+profile is recentered so that its mean t lies within half a t cell of 0,
+and dilated so that its mean log Koranyi radius is 0.  The quotient is
+invariant under both operations in the continuum, so the gauge fixing
+costs nothing while preventing mass from drifting off the grid.  A
+damped safeguard makes the ascent monotone by construction.  Its
+objective is the grid quotient of `quadrature.quotient_and_integral`,
+the one `hls_quotient` returns, far-field term included.  The trace's
+Q(1) column still reports the Levy concentration at radius 1, the
+normalization of the paper's existence proof, but the gauge no longer
+pins it (it reads about 0.44 at the 28x56 maxima).
 
 The known diagonal maximizer (`constants.h_profile` at |z|^2 = rho^2)
 
@@ -32,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HlsParams, check_lambda, diagonal_params, gaussian, h_profile
-from .grids import CylGridFunction, GridSpec, lp_norm, normalized, sample
+from .grids import CylGridFunction, GridSpec, _grid_arrays, lp_norm, normalized, sample
 from .group import homogeneous_dimension
-from .quadrature import fractional_integral_grid, quotient_and_integral
+from .quadrature import far_field, fractional_integral_grid, quotient_and_integral
 
 
 def extremal_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
@@ -110,16 +114,6 @@ class IterationControls:
 
 STALL_WINDOW = 10  # iterations over which the quotient must gain rtol
 THETA_MIN = 1e-4  # smallest damping weight tried before giving up on a step
-Q1_TOL = 1e-3  # accepted |Q(1) - 1/2| in the dilation bisection
-# relative gap below which two t-centers' ball masses count as tied: a
-# t-symmetric profile on an even n_t has two centers at +-dt/2 whose masses
-# are equal but for rounding, which must not decide the recentering
-TIE_RTOL = 1e-12
-# each walked by the gauge from its middle point d = 1; built once, at import
-_DILATION_LATTICES = (
-    tuple((2.0 ** np.arange(-26, 27)).tolist()),  # 2^k inside [1e-8, 1e8]
-    tuple(np.geomspace(1e-4, 1e4, 81).tolist()),  # 10^(k/10), |k| <= 40
-)
 
 
 def euler_lagrange_step(
@@ -127,8 +121,11 @@ def euler_lagrange_step(
 ) -> CylGridFunction:
     """One fixed-point ascent step, output normalized in L^p.
 
-    Requires f >= 0 with unit L^p norm: the search lives on the nonnegative
-    cone, where replacing f by |f| can only increase the quotient.  If is
+    The gradient of |I_lam f|_q^q / q is I_lam((I_lam f)^(q-1)) plus the
+    far-field term's M^(q-1) C_out(lam q) (quadrature.far_field), the same
+    at every node.  Requires f >= 0 with unit L^p norm: the search lives on
+    the nonnegative cone, where replacing f by |f| can only increase the
+    quotient.  If is
     I_lam f when the caller already has it (maximize keeps it from the
     quotient of the accepted trial); it is computed from f otherwise.
     """
@@ -138,7 +135,10 @@ def euler_lagrange_step(
         raise ValueError("euler_lagrange_step requires unit L^p norm")
     if If is None:
         If = fractional_integral_grid(f, params.lam)
-    g = fractional_integral_grid(If.with_values(If.values ** (params.q - 1.0)), params.lam)
+    q = params.q
+    g = fractional_integral_grid(If.with_values(If.values ** (q - 1.0)), params.lam)
+    mass, c_out = far_field(f, params.lam * q)
+    g.values += mass ** (q - 1.0) * c_out
     new_vals = np.clip(g.values, 0.0, None) ** (1.0 / (params.p - 1.0))
     out = f.with_values(new_vals)
     nrm = lp_norm(out, params.p)
@@ -164,8 +164,8 @@ def _ball_band(spec: GridSpec, R: float):
 
     Balls centered on the t axis are cylindrically symmetric, so a ball's
     mass is a windowed sum over t per rho row.  Boundary t-cells enter with
-    their fractional overlap, which keeps the map d -> Q(1) continuous on
-    coarse grids instead of jumping a whole cell at a time.  On the uniform
+    their fractional overlap, which keeps Q(R) continuous in R on coarse
+    grids instead of jumping a whole cell at a time.  On the uniform
     t grid the overlap of cell j with the window around t_a depends only on
     the offset j - a, so one band of offsets per row gives every center.
     A row's band is a few cells wide (about 2 R^2 / dt), so the table keeps
@@ -223,26 +223,19 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
     return i, 1.0 - w1, w1, w
 
 
-# The probed d come from a fixed lattice (the walks' powers of 2 and ladder
-# points, geometric means of lattice points): one round of the benchmark's
-# four 28x56 searches asks for 65 distinct d (157 when p = 1.6 and 1.85
-# were searched unfolded), and every later round repeats them.  An LRU
-# cache smaller than a round's set would miss on every call, hence the
-# headroom.
-STENCIL_CACHE = 512
+def _resample(
+    values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
+) -> np.ndarray:
+    """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
+    there, as a fresh array.
 
-
-@functools.lru_cache(maxsize=STENCIL_CACHE)
-def _stencil(spec: GridSpec, d: float, t_shift: float):
-    """The two 1-D stencils of _resample on spec's nodes, read-only and
-    built once per (spec, d, t_shift): (li, li1, r0, r1, ti, ti1, c0, c1).
-
-    Row i of the result mixes value rows li[i] and li1[i] = li[i] + 1 with
-    weights r0[i, 0] and r1[i, 0]; column j mixes columns ti[j] and
-    ti1[j] = ti[j] + 1 with c0[j] and c1[j].  Queries beyond the outer rho
-    node and outside the t lattice get zero weights.
+    Bilinear interpolation in (log rho, t); values beyond the outer edges
+    are taken as zero, values inside the first rho node are held constant
+    (profiles of interest are flat at the axis).  The query points form a
+    tensor grid, so the interpolation is one 1-D stencil per axis, applied
+    along rho and then along t.  No amplitude factor is applied.
     """
-    rho, t = spec.rho_nodes(), spec.t_nodes()
+    rho, t, _ = _grid_arrays(spec)
     logr = np.log(rho)
     li, r0, r1, wl = _axis_stencil(logr, logr - math.log(d))
     beyond = wl > 1.0
@@ -255,38 +248,8 @@ def _stencil(spec: GridSpec, d: float, t_shift: float):
         ti, c0, c1, _ = _axis_stencil(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
-    li1, ti1 = li + 1, ti + 1
-    for a in (li, li1, r0, r1, ti, ti1, c0, c1):
-        a.flags.writeable = False
-    return li, li1, r0[:, None], r1[:, None], ti, ti1, c0, c1
-
-
-def _resample(
-    values: np.ndarray, spec: GridSpec, d: float, t_shift: float = 0.0
-) -> np.ndarray:
-    """f(delta_{1/d}(z, t - t_shift)) at the nodes of spec, from f's values
-    there, as a fresh array.
-
-    Bilinear interpolation in (log rho, t); values beyond the outer edges
-    are taken as zero, values inside the first rho node are held constant
-    (profiles of interest are flat at the axis).  The query points form a
-    tensor grid, so the interpolation is one 1-D stencil per axis from the
-    _stencil cache, applied along rho and then along t: values[li] * r0 +
-    values[li1] * r1, then the same per column, each product and sum formed
-    in place in the array a take made.  No amplitude factor is applied.
-    """
-    li, li1, r0, r1, ti, ti1, c0, c1 = _stencil(spec, d, t_shift)
-    rows = values.take(li, axis=0)
-    rows *= r0
-    part = values.take(li1, axis=0)
-    part *= r1
-    rows += part
-    out = rows.take(ti, axis=1)
-    out *= c0
-    part = rows.take(ti1, axis=1)
-    part *= c1
-    out += part
-    return out
+    rows = values[li] * r0[:, None] + values[li + 1] * r1[:, None]
+    return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
 def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunction:
@@ -309,118 +272,36 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunct
 def renormalize_concentration(
     f: CylGridFunction, params: HlsParams
 ) -> tuple[CylGridFunction, float, float]:
-    """Gauge-fix f: recenter in t, then dilate until Q(1) = 1/2.
+    """Gauge-fix f by the moments of its density |f|^p W: center it in t
+    and dilate it to mean log-radius 0.
 
-    Q(R) is the Levy concentration of |f|^p over t-axis centers.  The map
-    d -> Q(1) of the dilated profile is monotone in the continuum (larger
-    d spreads mass), so bisection applies, in the bracket that a walk from
-    d = 1 in the direction Q(1) says finds on the powers of 2 of
-    _DILATION_LATTICES or, where the discrete map wiggles past them on
-    coarse grids, on the finer ladder.  The bisection stops once Q(1) is
-    within Q1_TOL of 1/2 or the bracket has closed to adjacent doubles.
-    No d is probed twice.
-
-    The search works on f's own values, rolled if the recentering moves
-    them.  Q(1) is a ratio of masses, so a probe at a trial d needs no
-    norm: it resamples the values (_resample, stencils from the _stencil
-    cache), forms the density weights * |.|^p and divides its largest
-    unit-ball mass (_band_masses over the cached _ball_band) by its total;
-    when that total is below the smallest normal float, the p-th powers
-    underflowed, and the density is formed again from the resampled values
-    divided by their peak.  With no recentering the d = 1 probe reuses the
-    recentering's masses: at d = 1 the resample is the identity bit for
-    bit.  Returns (profile, d, a), the profile being the values resampled
-    at d divided by their L^p norm, the one norm taken: unit L^p norm
-    whatever the norm of f.
+    With c = <t> and |u - c| = (rho^4 + (t - c)^2)^(1/4), the Koranyi
+    distance from the center, the dilation is d = exp(-<log |u - c|>):
+    under the continuum dilation by d the mean log-radius shifts by exactly
+    log d, so the dilate's is 0.  Its t-mean is d^2 c, which a translation
+    by a whole number of t nodes, a = dt round(d^2 c / dt), brings within
+    dt/2 of 0; an already centered profile is not translated at all.  The
+    density is formed once, from the values divided by their peak first
+    where the p-th powers would underflow, as normalized does.  Returns
+    (profile, d, a), the profile being f(z / d, (t + a) / d^2) by one
+    _resample, divided by its L^p norm (normalized): unit L^p norm whatever
+    the norm of f.
     """
     p = params.p
-    values, spec, t = f.values, f.spec, f.t_nodes
-    band = _ball_band(spec, 1.0)
-
-    # grid-aligned t-recentering: roll is exact, no interpolation
-    density = f.weights * np.abs(values) ** p
-    if not np.any(density):
+    values, spec = f.values, f.spec
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
         raise ValueError("cannot gauge-fix the zero function")
-    masses = _band_masses(band, density)
-    best = np.flatnonzero(masses >= masses.max() * (1.0 - TIE_RTOL))
-    center_idx = best[np.argmin(np.abs(t[best]))]
-    mid_idx = int(np.argmin(np.abs(t)))
-    shift_nodes = center_idx - mid_idx
-    a = float(t[center_idx] - t[mid_idx])
-    if shift_nodes != 0:
-        rolled = np.zeros_like(values)
-        if shift_nodes > 0:
-            rolled[:, : -shift_nodes or None] = values[:, shift_nodes:]
-        else:
-            rolled[:, -shift_nodes :] = values[:, :shift_nodes]
-        values = rolled
-
-    def q1_from(masses: np.ndarray, total: float) -> float:
-        return float(masses.max()) / total if total > 0.0 else 0.0
-
-    q1_at = {1.0: q1_from(masses, float(np.sum(density)))} if shift_nodes == 0 else {}
-
-    def density_of(resampled: np.ndarray) -> tuple[np.ndarray, float]:
-        density = np.abs(resampled)
-        density **= p
-        density *= f.weights
-        return density, float(np.sum(density))
-
-    def q1_of(d: float) -> float:
-        if d not in q1_at:
-            resampled = _resample(values, spec, d)
-            density, total = density_of(resampled)
-            if total < np.finfo(float).tiny:
-                # the p-th powers underflowed and left the masses no digits
-                # (or the dilate vanished): scaled to peak 1 first, as
-                # normalized does, the masses keep their ratio
-                peak = np.max(np.abs(resampled))
-                if peak > 0.0:
-                    density, total = density_of(resampled / peak)
-            q1_at[d] = q1_from(_band_masses(band, density), total)
-        return q1_at[d]
-
-    target = 0.5
-    up = q1_of(1.0) > target  # larger d spreads mass
-
-    def walk(path):
-        """The first step along path (from d = 1) at which Q(1) reaches 1/2,
-        as (d_lo, d_hi) with Q(d_lo) >= 1/2 >= Q(d_hi); None if none does."""
-        for d_prev, d in zip(path[:1] + path, path):
-            q = q1_of(d)
-            if q <= target if up else q >= target:
-                return (d_prev, d) if up else (d, d_prev)
-        return None
-
-    for lattice in _DILATION_LATTICES:
-        mid = len(lattice) // 2
-        path = lattice[mid:] if up else lattice[mid::-1]
-        bracket = walk(path)
-        if bracket is not None:
-            break
-    else:  # path is the fine walk's, d = 1 included
-        d = min(path, key=lambda d: abs(q1_of(d) - target))
-        if abs(q1_of(d) - target) > 0.25:
-            raise ValueError(
-                f"vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest {q1_of(d):.4g}"
-                f" at d = {d:.4g}; grid dt = {spec.dt:.4g} against the unit ball's |t| < 1)"
-            )
-        bracket = (d, d)
-    d_lo, d_hi = bracket
-    while d_lo != d_hi:
-        d_mid = math.sqrt(d_lo * d_hi)
-        if d_mid == d_lo or d_mid == d_hi:
-            break  # adjacent doubles: every later midpoint repeats an end
-        q_mid = q1_of(d_mid)
-        if abs(q_mid - target) <= Q1_TOL:
-            d_lo = d_hi = d_mid
-            break
-        if q_mid > target:
-            d_lo = d_mid
-        else:
-            d_hi = d_mid
-    d = math.sqrt(d_lo * d_hi)
-    return normalized(f.with_values(_resample(values, spec, d)), p), d, a
+    if p * math.log(peak) < math.log(np.finfo(float).tiny):
+        values = values / peak
+    density = f.weights * np.abs(values) ** p
+    density /= np.sum(density)
+    t = f.t_nodes
+    c = float(density.sum(axis=0) @ t)
+    radius4 = f.rho_nodes[:, None] ** 4 + (t - c) ** 2
+    d = math.exp(-0.25 * float(np.sum(density * np.log(radius4))))
+    a = spec.dt * round(d * d * c / spec.dt)
+    return normalized(f.with_values(_resample(f.values, spec, d, -a)), p), d, a
 
 
 def searched_params(params: HlsParams) -> HlsParams:
@@ -508,8 +389,8 @@ def align(
     Coarse log-spaced grid search over d and grid-spaced search over a,
     then three rounds of local refinement, each a scan of every (d, a) of
     its grid in order; inputs are compared after unit L^p normalization,
-    so the residual is scale invariant.  g is moved by _resample, on the
-    cached stencils the gauge fix uses.  Returns (d, a, rel_error).
+    so the residual is scale invariant.  g is moved by _resample, as in the
+    gauge fix.  Returns (d, a, rel_error).
     """
     fhat = normalized(f, p)
     ghat = normalized(g, p)

@@ -89,7 +89,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipk, hyp2f1
+from scipy.special import beta, betainc, ellipk, hyp2f1
 
 from .constants import HlsParams, check_lambda
 from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
@@ -528,14 +528,52 @@ def bilinear_energy(f: CylGridFunction, g: CylGridFunction, lam: float) -> float
     return 0.5 * (e1 + e2)
 
 
+def far_field(f: CylGridFunction, A: float) -> tuple[float, float]:
+    """(M, C_out(A)): f's mass M = sum f W and C_out(A) = int |u|^(-A) du
+    over H^1 outside the grid's cell hull, A > Q = 4.
+
+    Where f decays fast, I_lam f(u) = M |u|^(-lam) (1 + O(|u|^-2)), so the
+    grid's |I_lam f|_q^q misses M^q C_out(lam q) beyond the hull.  With
+    x = rho^2 and (x, t) = S (cos phi, sin phi), du = pi dx dt and
+
+        C_out(A) = 2 pi int_0^(pi/2) S_b(phi)^(-m) / m dphi,   m = A/2 - 2,
+
+    S_b = min(X / cos phi, T / sin phi) the hull's edge, X the outer rho
+    cell edge squared and T = t_max + dt/2.  Split at the hull's corner
+    c = atan2(T, X), the pieces are X^-m int_0^c cos^m and
+    T^-m int_c^(pi/2) sin^m, incomplete beta functions:
+    int_0^c cos^m = B(1/2, (m+1)/2) I(sin^2 c; 1/2, (m+1)/2) / 2, and the
+    sine piece the same at cos^2 c.  At A <= Q the tail of I_lam f is not
+    in L^q and no finite term exists: C_out is 0 there, and only a tuple
+    off the HLS line (lam q = Q at p = q = 2, lam = 2) reaches it.
+    """
+    spec = f.spec
+    mass = float(np.sum(f.weights * f.values))
+    m = 0.5 * A - 2.0
+    if m <= 0.0:
+        return mass, 0.0
+    X = rho_cell_edges(f.rho_nodes)[-1] ** 2
+    T = spec.t_max + 0.5 * spec.dt
+    b = 0.5 * (m + 1.0)
+    edges = np.array([X, T])
+    share = edges[::-1] ** 2 / (X * X + T * T)  # sin^2 c, cos^2 c
+    side, top = 0.5 * beta(0.5, b) * betainc(0.5, b, share) * edges ** -m
+    return mass, _TWO_PI * float(side + top) / m
+
+
 def quotient_and_integral(f: CylGridFunction, params: HlsParams) -> tuple[float, CylGridFunction]:
     """The discrete |I_lam f|_q / |f|_p for the exponent tuple params, and
     the I_lam f it is taken from: the grid quotient of hls_quotient and of
-    extremal.maximize, which hands I_lam f to its next ascent step."""
+    extremal.maximize, which hands I_lam f to its next ascent step.  The
+    q-th power of |I_lam f|_q is the grid sum plus the far-field term
+    |M|^q C_out(lam q) (far_field)."""
     if not np.any(f.values != 0.0):
         raise ValueError("the HLS quotient requires a nonzero function")
+    q = params.q
     If = fractional_integral_grid(f, params.lam)
-    return lp_norm(If, params.q) / lp_norm(f, params.p), If
+    mass, c_out = far_field(f, params.lam * q)
+    power = float(np.sum(If.weights * np.abs(If.values) ** q)) + abs(mass) ** q * c_out
+    return power ** (1.0 / q) / lp_norm(f, params.p), If
 
 
 def hls_quotient(f: CylGridFunction, params: HlsParams) -> float:

@@ -293,15 +293,17 @@ class TestEvaluateCommand:
             assert row["quotient_error"] == abs(row["quotient"] - reference)
 
     def test_quotient_error_without_refine(self, tmp_path):
-        # at p = 1.05 the box loses a large share of |I H|^q; the result
-        # itself must say how far the grid value is from the exact one
+        # at p = 1.05 a large share of |I H|^q lies beyond the box, which
+        # the far-field term restores (the grid sum alone was 25.6% low);
+        # the result itself must say how far the grid value is from the
+        # exact one
         out = tmp_path / "e.json"
         argv = ["evaluate", "--n", "1", "--lambda", "2", "--p", "1.05", *SMALL_GRID]
         assert cli.main([*argv, "--out", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
         assert result["h_quotient"] == h_quotient(1, 2.0, 1.05)
         assert result["quotient_error"] == abs(result["quotient"] - result["h_quotient"])
-        assert result["quotient_error"] > 0.1 * result["h_quotient"]
+        assert 0.0 < result["quotient_error"] < 0.01 * result["h_quotient"]
 
     def test_no_reference_without_preset_H(self, tmp_path):
         # with --input there is no preset, and the profile is the file's
@@ -344,7 +346,7 @@ class TestMaximizeCommand:
         doc = json.loads(out.read_text())
         assert doc["quotient"] == pytest.approx(4.0, rel=0.05)
         assert doc["converged"] is True
-        assert doc["stop_reason"] == "no_ascent"
+        assert doc["stop_reason"] == "stall"
         # the 24x48 grid is deliberately coarse; the tight 5% alignment
         # criterion is exercised at the default grid in the acceptance suite
         assert doc["alignment"]["rel_error"] < 0.2
@@ -375,24 +377,18 @@ class TestMaximizeCommand:
     def test_bad_search_controls_exit_2(self, tmp_path, argv):
         assert exits_2(["maximize", *SMALL_GRID, *argv], tmp_path / "never.json")
 
-    def test_gauge_failure_names_the_t_spacing(self, tmp_path):
-        # on 24x32 with t_max 50 (dt = 3.23) no dilation of the third
-        # renormalization brings Q(1) within 1/4 of 1/2: one line says how
-        # near it came and that the t cells are wider than the unit ball.
-        # The first renormalization's probes at d = 0.25 and 0.2512 resample
-        # to values near 1e-255, whose density underflows; they are scaled
-        # to peak 1 first, so that renormalization returns d = 0.2512
-        # (0.3162 when they read Q(1) = 0) and the nearest Q(1) is 0.2363
-        out = tmp_path / "never.json"
+    def test_coarse_t_spacing_searches(self, tmp_path):
+        # on 24x32 with t_max 50 (dt = 3.23) the t cells are wider than the
+        # unit ball; the moment gauge needs no ball and searches on: 19
+        # iterations to a stall at 3.87337, a finite quotient and exit 0
+        out = tmp_path / "coarse.json"
         proc = run_cli(
             "maximize", "--grid-rho", "24", "--grid-t", "32", "--out", str(out), check=False,
         )
-        assert proc.returncode == 2
-        assert proc.stderr == (
-            "vanishing-type failure: no dilation reaches Q(1) = 1/2 (nearest 0.2363 at "
-            "d = 0.631; grid dt = 3.226 against the unit ball's |t| < 1)\n"
-        )
-        assert not out.exists()
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert math.isfinite(doc["quotient"]) and doc["quotient"] > 0.0
+        assert doc["stop_reason"] == "stall"
 
     def test_search_above_the_diagonal_runs_at_the_dual(self, tmp_path):
         # p = 1.85 at lambda = 2 is searched at its dual p* = r: the summary

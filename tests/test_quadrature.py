@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from heisenberg_hls import quadrature
-from heisenberg_hls.constants import diagonal_params, frank_lieb_constant
+from heisenberg_hls.constants import HlsParams, diagonal_params, frank_lieb_constant, h_quotient
 from heisenberg_hls.extremal import extremal_H
 from heisenberg_hls.grids import (
     GridSpec,
@@ -22,6 +22,7 @@ from heisenberg_hls.quadrature import (
     KernelTable,
     bilinear_energy,
     build_kernel_table,
+    far_field,
     fractional_integral,
     fractional_integral_grid,
     hls_quotient,
@@ -281,6 +282,32 @@ class TestHlsQuotient:
         # kernel reach them through the offset itself
         q = hls_quotient(extremal_H(1, lam, COLD), diagonal_params(1, lam))
         assert q == pytest.approx(frank_lieb_constant(1, lam), rel=1e-2)
+
+    @pytest.mark.parametrize("p", [1.02, 1.05, 1.15])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
+    def test_far_field_term_meets_closed_form(self, lam, p):
+        # off the diagonal |I_lam H|_q^q keeps a large share beyond the box
+        # (without the far-field term the grid quotient was up to 69% low, at
+        # lam = 3, p = 1.02); with it H's quotient on 28x56 lies within 0.5%
+        # of the closed form (worst +0.44%, lam = 1, p = 1.05)
+        q = hls_quotient(extremal_H(1, lam, SMALL), HlsParams(1, lam, p))
+        assert q == pytest.approx(h_quotient(1, lam, p), rel=5e-3)
+
+    @pytest.mark.parametrize("A", [4.2, 4.5, 6.0, 8.0, 50.0])
+    def test_far_field_constant_matches_quad(self, A):
+        # C_out(A) = 2 pi int_0^(pi/2) S_b^(2 - A/2) / (A/2 - 2) over the
+        # hull's edge S_b = min(X / cos, T / sin), by quad in two pieces
+        # split at the corner; far_field takes them as incomplete beta
+        # functions
+        f = H_profile(SMALL)
+        mass, c_out = far_field(f, A)
+        X = rho_cell_edges(f.rho_nodes)[-1] ** 2
+        T = SMALL.t_max + 0.5 * SMALL.dt
+        c, e = math.atan2(T, X), 2.0 - 0.5 * A
+        side = quad(lambda phi: (X / math.cos(phi)) ** e, 0.0, c, epsabs=0.0, epsrel=1e-13)[0]
+        top = quad(lambda phi: (T / math.sin(phi)) ** e, c, 0.5 * math.pi, epsabs=0.0, epsrel=1e-13)[0]
+        assert c_out == pytest.approx(2.0 * math.pi * (side + top) / -e, rel=1e-12)
+        assert mass == float(np.sum(f.weights * f.values))
 
     def test_lambda_3_97_still_evaluates(self):
         q = hls_quotient(extremal_H(1, 3.97, COLD), diagonal_params(1, 3.97))
