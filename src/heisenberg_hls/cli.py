@@ -204,10 +204,7 @@ def cmd_constants(args) -> int:
     sharp = sc.frank_lieb_constant(n, lam)
     upper = sc.theorem2_upper_bound(n, lam, params.r, params.s)
     # the dominance check is on the diagonal, where the sharp constant is known
-    if params != diagonal:
-        upper_diagonal = sc.theorem2_upper_bound(n, lam, diagonal.r, diagonal.s)
-    else:
-        upper_diagonal = upper
+    upper_diagonal = sc.theorem2_upper_bound(n, lam, diagonal.r, diagonal.s)
     records = [
         {"name": "ball_volume", "params": {"n": n}, "value": ball_volume(n)},
         {"name": "frank_lieb_constant", "params": {"n": n, "lambda": lam}, "value": sharp},

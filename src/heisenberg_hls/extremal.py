@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HlsParams, check_lambda, diagonal_params, gaussian, h_profile
-from .grids import CylGridFunction, GridSpec, _grid_arrays, lp_norm, normalized, sample
+from .grids import CylGridFunction, GridSpec, _grid_arrays, lp_norm, normalized, peak_scaled, sample
 from .group import homogeneous_dimension
 from .quadrature import far_field, fractional_integral_grid, quotient_and_integral
 
@@ -269,6 +269,14 @@ def dilate_grid_function(f: CylGridFunction, d: float, p: float) -> CylGridFunct
     return out
 
 
+def _density_moment(f: CylGridFunction, p: float) -> tuple[np.ndarray, float]:
+    """The density |f|^p W of f at unit mass, formed from peak_scaled's
+    values, and its t-mean <t>."""
+    density = f.weights * np.abs(peak_scaled(f, p).values) ** p
+    density /= np.sum(density)
+    return density, float(density.sum(axis=0) @ f.t_nodes)
+
+
 def renormalize_concentration(
     f: CylGridFunction, params: HlsParams
 ) -> tuple[CylGridFunction, float, float]:
@@ -281,24 +289,13 @@ def renormalize_concentration(
     log d, so the dilate's is 0.  Its t-mean is d^2 c, which a translation
     by a whole number of t nodes, a = dt round(d^2 c / dt), brings within
     dt/2 of 0; an already centered profile is not translated at all.  The
-    density is formed once, from the values divided by their peak first
-    where the p-th powers would underflow, as normalized does.  Returns
-    (profile, d, a), the profile being f(z / d, (t + a) / d^2) by one
-    _resample, divided by its L^p norm (normalized): unit L^p norm whatever
-    the norm of f.
+    density is formed once (_density_moment).  Returns (profile, d, a), the
+    profile being f(z / d, (t + a) / d^2) by one _resample, divided by its
+    L^p norm (normalized): unit L^p norm whatever the norm of f.
     """
-    p = params.p
-    values, spec = f.values, f.spec
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        raise ValueError("cannot gauge-fix the zero function")
-    if p * math.log(peak) < math.log(np.finfo(float).tiny):
-        values = values / peak
-    density = f.weights * np.abs(values) ** p
-    density /= np.sum(density)
-    t = f.t_nodes
-    c = float(density.sum(axis=0) @ t)
-    radius4 = f.rho_nodes[:, None] ** 4 + (t - c) ** 2
+    p, spec = params.p, f.spec
+    density, c = _density_moment(f, p)
+    radius4 = f.rho_nodes[:, None] ** 4 + (f.t_nodes - c) ** 2
     d = math.exp(-0.25 * float(np.sum(density * np.log(radius4))))
     a = spec.dt * round(d * d * c / spec.dt)
     return normalized(f.with_values(_resample(f.values, spec, d, -a)), p), d, a
@@ -386,35 +383,36 @@ def align(
 ) -> tuple[float, float, float]:
     """Best (dilation, t-shift) matching g to f modulo the symmetry group.
 
-    Coarse log-spaced grid search over d and grid-spaced search over a,
-    then three rounds of local refinement, each a scan of every (d, a) of
-    its grid in order; inputs are compared after unit L^p normalization,
-    so the residual is scale invariant.  g is moved by _resample, as in the
-    gauge fix.  Returns (d, a, rel_error).
+    g is moved by _resample, as in the gauge fix: dilated by d and shifted
+    in t by a.  The shift follows from d by the density t-means of
+    _density_moment, a = c_f - d^2 c_g, which puts the moved g's t-mean on
+    f's, so only d is searched: d = 1, then 25 log-spaced d in [0.25, 4],
+    then three rounds of 9 around the best so far, 53 resamples in all,
+    each round scanned in order and the first lowest residual kept.  Inputs
+    are compared after unit L^p normalization, so the residual is scale
+    invariant.  Returns (d, a, rel_error).
     """
     fhat = normalized(f, p)
     ghat = normalized(g, p)
+    c_f = _density_moment(fhat, p)[1]
+    c_g = _density_moment(ghat, p)[1]
 
-    def scan(best, ds, shifts):
-        """best, improved by the first lowest residual over ds x shifts."""
+    def scan(best, ds):
+        """best, improved by the first lowest residual over ds."""
         for d in ds:
-            for a in shifts:
-                d, a = float(d), float(a)
-                moved = ghat.with_values(_resample(ghat.values, ghat.spec, d, a))
-                moved.values /= lp_norm(moved, p)
-                r = lp_norm(fhat.with_values(fhat.values - moved.values), p)
-                if r < best[2]:
-                    best = (d, a, r)
+            d = float(d)
+            a = c_f - d * d * c_g
+            moved = ghat.with_values(_resample(ghat.values, ghat.spec, d, a))
+            moved.values /= lp_norm(moved, p)
+            r = lp_norm(fhat.with_values(fhat.values - moved.values), p)
+            if r < best[2]:
+                best = (d, a, r)
         return best
 
-    dt = f.spec.dt
     d_grid = np.geomspace(0.25, 4.0, 25)
-    best = scan((1.0, 0.0, math.inf), [1.0], [0.0])  # the identity first
-    best = scan(best, d_grid, np.arange(-8, 9) * dt)
-    d_span, a_span = math.sqrt(d_grid[1] / d_grid[0]), dt
+    best = scan((1.0, 0.0, math.inf), [1.0, *d_grid])
+    d_span = math.sqrt(d_grid[1] / d_grid[0])
     for _ in range(3):
-        d_around = best[0] * np.geomspace(1.0 / d_span, d_span, 9)
-        best = scan(best, d_around, best[1] + np.linspace(-a_span, a_span, 9))
+        best = scan(best, best[0] * np.geomspace(1.0 / d_span, d_span, 9))
         d_span = d_span ** 0.4
-        a_span *= 0.3
     return best

@@ -184,15 +184,21 @@ def lp_norm(f: CylGridFunction, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def normalized(f: CylGridFunction, p: float) -> CylGridFunction:
-    """f divided by its L^p norm, and first by its largest |value| when
-    that value's p-th power underflows, which would leave the norm with
-    no digits; every other profile is divided by its norm alone."""
+def peak_scaled(f: CylGridFunction, p: float) -> CylGridFunction:
+    """f divided by its largest |value| when that value's p-th power
+    underflows, which would leave sums of |f|^p with no digits; f itself
+    otherwise."""
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
         raise ValueError("cannot normalize the zero function")
     if p * math.log(peak) < math.log(np.finfo(float).tiny):
-        f = f.with_values(f.values / peak)
+        return f.with_values(f.values / peak)
+    return f
+
+
+def normalized(f: CylGridFunction, p: float) -> CylGridFunction:
+    """peak_scaled(f, p) divided by its L^p norm."""
+    f = peak_scaled(f, p)
     return f.with_values(f.values / lp_norm(f, p))
 
 

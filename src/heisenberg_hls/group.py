@@ -69,14 +69,6 @@ def identity(n: int) -> GroupPoint:
     return GroupPoint(n, np.zeros(2 * n), 0.0)
 
 
-def from_polar(n: int, rho: float, t: float, phi: float = 0.0) -> GroupPoint:
-    """Point with |z| = rho at angle phi in the first complex coordinate."""
-    z = np.zeros(2 * n)
-    z[0] = rho * math.cos(phi)
-    z[n] = rho * math.sin(phi)
-    return GroupPoint(n, z, t)
-
-
 def _check_same_n(u: GroupPoint, v: GroupPoint):
     if u.n != v.n:
         raise ValueError(f"dimension mismatch: n={u.n} vs n={v.n}")

@@ -802,6 +802,34 @@ class TestAlign:
         d, a, rel = align(gd, g, PARAMS.p)
         assert d == pytest.approx(1.25, rel=0.01)
 
+    @pytest.mark.parametrize("d, cells", [(1.3, 12), (0.8, -10)])
+    def test_shift_beyond_eight_cells(self, d, cells):
+        # the shift comes from the density t-means, so no window of shifts
+        # bounds it, however many t cells it spans
+        g = gaussian_profile(SMALL)
+        f = g.with_values(extremal._resample(g.values, SMALL, d, cells * SMALL.dt))
+        d_fit, a_fit, rel = align(f, g, 4.0 / 3.0)
+        assert a_fit == pytest.approx(cells * SMALL.dt, abs=0.01 * SMALL.dt)
+        assert d_fit == pytest.approx(d, rel=0.01)
+        assert rel < 0.01
+
+    @pytest.mark.parametrize("spec", [SMALL, GridSpec()], ids=["28x56", "64x128"])
+    def test_dilate_narrower_than_dt(self, spec):
+        # the half-dilate of the Gaussian is narrower in t than dt on both
+        # grids; the dilation is scanned, so it is still found
+        g = gaussian_profile(spec)
+        d, a, rel = align(dilate_grid_function(g, 0.5, PARAMS.p), g, PARAMS.p)
+        assert d == pytest.approx(0.5, abs=1e-6)
+        assert rel < 1e-10
+
+    def test_resamples_per_call(self, monkeypatch):
+        # d = 1, 25 scanned dilations and three refinement rounds of 9
+        calls = []
+        resample = extremal._resample
+        monkeypatch.setattr(extremal, "_resample", lambda *a: calls.append(a) or resample(*a))
+        align(unit_H(), gaussian_profile(SMALL), PARAMS.p)
+        assert len(calls) == 1 + 25 + 3 * 9
+
     def test_residual_scale_invariant(self):
         f = unit_H()
         g = gaussian_profile(SMALL)

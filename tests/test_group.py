@@ -23,7 +23,6 @@ from heisenberg_hls.group import (
     multiply_coords,
     norm,
     norm_coords,
-    from_polar,
 )
 from heisenberg_hls.montecarlo import Geometry
 
@@ -263,12 +262,6 @@ class TestCoordHelpers:
         np.testing.assert_allclose(multiply_coords(u, v, n), expected, rtol=1e-12, atol=0.0)
         cols = Geometry("heisenberg", n).shift(u.T.copy(), v.T.copy())
         np.testing.assert_allclose(cols.T, expected, rtol=1e-12, atol=0.0)
-
-    def test_from_polar(self):
-        u = from_polar(1, 2.0, 1.5, phi=math.pi / 2)
-        assert u.z[0] == pytest.approx(0.0, abs=1e-15)
-        assert u.z[1] == pytest.approx(2.0)
-        assert u.t == 1.5
 
 
 # every place that takes a dimension n (or a Euclidean N) rejects a value that

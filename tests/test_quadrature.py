@@ -17,7 +17,7 @@ from heisenberg_hls.grids import (
     rho_cell_edges,
     sample,
 )
-from heisenberg_hls.group import GroupPoint, from_polar, identity
+from heisenberg_hls.group import GroupPoint, identity
 from heisenberg_hls.quadrature import (
     KernelTable,
     bilinear_energy,
@@ -154,7 +154,7 @@ class TestFractionalIntegral:
         spec = SMALL
         f = sample(lambda R, T: np.exp(-(R ** 2) - T ** 2), spec)
         g = sample(lambda R, T: 1.0 / (1.0 + R ** 4 + T ** 2), spec)
-        u = from_polar(1, 0.9, 0.4)
+        u = GroupPoint(1, [0.9, 0.0], 0.4)
         a1 = fractional_integral(f, 2.0, u)
         a2 = fractional_integral(g, 2.0, u)
         combo = f.with_values(2.0 * f.values - 3.0 * g.values)
@@ -172,7 +172,7 @@ class TestFractionalIntegral:
         f = H_profile(spec)
         If = fractional_integral_grid(f, 2.0)
         i, j = 14, 28
-        u = from_polar(1, float(f.rho_nodes[i]), float(f.t_nodes[j]))
+        u = GroupPoint(1, [f.rho_nodes[i], 0.0], f.t_nodes[j])
         val = fractional_integral(f, 2.0, u)
         assert val == pytest.approx(If.values[i, j], rel=1e-6)
 
