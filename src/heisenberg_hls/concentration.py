@@ -167,6 +167,18 @@ def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.nd
     return masses.max(axis=1), np.argmax(masses, axis=1)
 
 
+def _first_full_ball(mu: DiscreteMeasure, R: float) -> int | None:
+    """The first of mu's first BLOCK atoms whose open ball B_R holds every
+    atom, or None; candidates drop out block by block, in the caller's order."""
+    A, B = _factors(mu.points, mu.n)
+    rows = np.arange(min(BLOCK, mu.masses.size))
+    for b in range(0, mu.masses.size, BLOCK):
+        rows = rows[_d4(A[:, rows], B[:, :, b : b + BLOCK]).max(axis=1) < R ** 4]
+        if rows.size == 0:
+            return None
+    return int(rows[0])
+
+
 def _inside(mu: DiscreteMeasure, center: np.ndarray, R: float) -> np.ndarray:
     """inside[j]: atom j of mu lies in the open ball B_R(center)."""
     A = _factors(center[None, :], mu.n)[0]
@@ -220,6 +232,9 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     radius plays the role of the limit k.  Verdicts, for 0 < eps < 1/2:
     vanishing if k < eps, compactness if k > 1 - eps (sup centers are
     returned), else dichotomy.  All measures must live on the same H^n.
+    A compactness center is the first atom whose ball B_R0 holds every atom
+    (looked for among the first BLOCK atoms), else the ball-mass argmax at
+    R0, the smallest probe radius at which the profile exceeds 1 - eps.
     For a dichotomy the tracked center is the densest cluster (the ball-mass
     argmax at the smallest probe radius) and the reported k is the mass it
     captures at the mid-grid radius; which side of the split k names is a
@@ -254,11 +269,15 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
         # smallest radius that already captures 1 - eps
         r_idx = int(np.argmax(Q_hat > 1.0 - eps))
         R0 = float(R_GRID[r_idx])
-        # the tail's profiles already hold the argmax at R0
-        head_idx = [_profile(mu, np.array([R0]))[1][0] for mu in seq[:tail_start]]
-        tail_idx = [arg[r_idx] for _, arg in prof_arg]
         centers = []
-        for mu, i in zip(seq, head_idx + tail_idx):
+        for j, mu in enumerate(seq):
+            # a ball that holds every atom holds the most mass a ball can;
+            # without one, the tail's profiles already hold the argmax at R0
+            i = _first_full_ball(mu, R0)
+            if i is None and j < tail_start:
+                i = _profile(mu, np.array([R0]))[1][0]
+            elif i is None:
+                i = prof_arg[j - tail_start][1][r_idx]
             pt = mu.points[i]
             centers.append(GroupPoint(mu.n, pt[: 2 * mu.n], float(pt[2 * mu.n])))
         return TrichotomyVerdict(

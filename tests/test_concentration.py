@@ -13,6 +13,7 @@ from heisenberg_hls.concentration import (
     _ball_masses,
     _d4,
     _factors,
+    _first_full_ball,
     _profile,
     brezis_lieb_defect,
     classify_trichotomy,
@@ -550,6 +551,92 @@ class TestClassifier:
         v = classify_trichotomy(split_family(10, 1, k=0.7))
         assert v.kind == "dichotomy"
         assert v.k == pytest.approx(0.7, abs=0.05)
+
+
+def atom_index(mu, c):
+    """Index of the atom of mu at the group point c."""
+    (i,) = np.flatnonzero(np.all(mu.points == c.coords(), axis=1))
+    return i
+
+
+def with_far_light_atom(mu):
+    """mu plus one atom of mass 1e-3, 30 along x from its last atom (outside
+    every ball at R0 around the rest), renormalized."""
+    pts = np.vstack([mu.points, mu.points[-1] + np.eye(2 * mu.n + 1)[0] * 30.0])
+    w = np.append(mu.masses, 1e-3)
+    return DiscreteMeasure(mu.n, pts, w / w.sum())
+
+
+def assert_first_full_balls(fam):
+    """Each compactness center of fam is, by reference_d4, an atom whose open
+    ball B_R0 holds every atom, and no earlier atom's ball does."""
+    v = classify_trichotomy(fam)
+    assert v.kind == "compactness"
+    R4 = v.diagnostics["R0"] ** 4
+    idx = []
+    for mu, c in zip(fam, v.centers):
+        i = atom_index(mu, c)
+        d4 = reference_d4(mu.points[: i + 1], mu.points, mu.n).max(axis=1)
+        assert d4[i] < R4 and np.all(d4[:i] >= R4)
+        idx.append(i)
+    return idx
+
+
+class TestCompactnessCenters:
+    def test_first_full_ball_small(self):
+        pts = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        mu = DiscreteMeasure(1, pts, np.array([0.5, 0.5]))
+        assert _first_full_ball(point_mass([1.0, 2.0, 3.0]), 0.1) == 0
+        assert _first_full_ball(mu, 4.0) is None
+        assert _first_full_ball(mu, 11.0) == 0
+
+    def test_sweep_path_takes_ball_mass_argmax(self):
+        # at n = 2 no ball B_R0 around an atom holds the whole cloud, and a
+        # far, light atom leaves every ball short: each center is then the
+        # atom the one-radius sweep picks, head and tail alike
+        far = [with_far_light_atom(mu) for mu in translate_family(10, 0, n_atoms=2048)]
+        for fam in (translate_family(10, 0, n=2), far):
+            v = classify_trichotomy(fam)
+            assert v.kind == "compactness"
+            R0 = v.diagnostics["R0"]
+            for mu, c in zip(fam, v.centers):
+                assert _first_full_ball(mu, R0) is None
+                i = _profile(mu, np.array([R0]))[1][0]
+                np.testing.assert_array_equal(c.coords(), mu.points[i])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_center_is_first_full_ball(self, seed):
+        assert_first_full_balls(translate_family(10, seed, n_atoms=2048))
+
+    def test_tie_rule_with_unequal_masses(self):
+        # every full ball holds mass 1 up to rounding; with these masses the
+        # ball-mass argmax is atom 511, whose sum comes out 1 ulp above that
+        # of atom 38, the first atom whose ball holds every atom
+        w = np.random.default_rng(27).uniform(0.1, 1.0, 2048)
+        fam = [
+            DiscreteMeasure(1, mu.points, w / w.sum())
+            for mu in translate_family(10, 27, n_atoms=2048)
+        ]
+        assert assert_first_full_balls(fam) == [38] * 10
+
+    def test_pairs_formed(self, monkeypatch):
+        # atom pairs whose d^4 each 2048-atom classification forms (seed 0);
+        # one-radius sweeps for the seven head centers would take translate
+        # to 21,938,176
+        pairs, d4 = [0], concentration._d4
+
+        def counting(A, B):
+            pairs[0] += A.shape[1] * B.shape[2]
+            return d4(A, B)
+
+        monkeypatch.setattr(concentration, "_d4", counting)
+        formed = {}
+        for name, kw in (("spread", {}), ("translate", {}), ("split", {"k": 0.3})):
+            pairs[0] = 0
+            classify_trichotomy(GENERATORS[name](10, 0, n_atoms=2048, **kw))
+            formed[name] = pairs[0]
+        assert formed["translate"] <= 7.0e6
+        assert (formed["spread"], formed["split"]) == (2_736_128, 3_547_136)
 
 
 class TestGeneratorInputs:
