@@ -442,11 +442,16 @@ def _load_measure_file(path: str) -> DiscreteMeasure:
         _fail(EXIT_IO, f"cannot read measure file {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(EXIT_IO, f"malformed measure file {path}: {exc}")
+    # what numpy cannot turn into arrays (a ragged points list) is malformed;
+    # DiscreteMeasure's own checks are validation failures
     try:
-        return DiscreteMeasure(
-            data["n"], np.asarray(data["points"], dtype=float), np.asarray(data["masses"], dtype=float)
-        )
-    except (KeyError, TypeError) as exc:
+        points = np.asarray(data["points"], dtype=float)
+        fields = data["n"], points, np.asarray(data["masses"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        _fail(EXIT_IO, f"malformed measure file {path}: {exc}")
+    try:
+        return DiscreteMeasure(*fields)
+    except TypeError as exc:
         _fail(EXIT_IO, f"malformed measure file {path}: {exc}")
     except ValueError as exc:
         _fail(EXIT_VALIDATION, f"measure file {path}: {exc}")

@@ -160,13 +160,6 @@ def _ball_masses(mu: DiscreteMeasure, R_grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile(mu: DiscreteMeasure, R_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q(R) over the radius grid with atom probes, plus the argmax probe
-    index per radius."""
-    masses = _ball_masses(mu, R_grid)
-    return masses.max(axis=1), np.argmax(masses, axis=1)
-
-
 def _first_full_ball(mu: DiscreteMeasure, R: float) -> int | None:
     """The first of mu's first BLOCK atoms whose open ball B_R holds every
     atom, or None; candidates drop out block by block, in the caller's order."""
@@ -179,13 +172,6 @@ def _first_full_ball(mu: DiscreteMeasure, R: float) -> int | None:
     return int(rows[0])
 
 
-def _inside(mu: DiscreteMeasure, center: np.ndarray, R: float) -> np.ndarray:
-    """inside[j]: atom j of mu lies in the open ball B_R(center)."""
-    A = _factors(center[None, :], mu.n)[0]
-    B = _factors(mu.points, mu.n)[1]
-    return _d4(A, B)[0] < R ** 4
-
-
 def levy_concentration(mu: DiscreteMeasure, R: float) -> float:
     """Q(R): max over the atom locations of the mass inside the open ball B_R
     around them; a lower bound of the true supremum, exact when a
@@ -193,7 +179,7 @@ def levy_concentration(mu: DiscreteMeasure, R: float) -> float:
     """
     if not R > 0.0:
         raise ValueError("R must be positive")
-    return float(_profile(mu, np.array([R]))[0][0])
+    return float(_ball_masses(mu, [R]).max())
 
 
 def dichotomy_split(
@@ -205,7 +191,8 @@ def dichotomy_split(
         raise ValueError("R must be positive")
     if center.n != mu.n:
         raise ValueError("dimension mismatch")
-    inside = _inside(mu, center.coords(), R)
+    A = _factors(center.coords()[None, :], mu.n)[0]
+    inside = _d4(A, _factors(mu.points, mu.n)[1])[0] < R ** 4
     part1 = DiscreteMeasure(mu.n, mu.points, np.where(inside, mu.masses, 0.0))
     part2 = DiscreteMeasure(mu.n, mu.points, np.where(inside, 0.0, mu.masses))
     return part1, part2
@@ -226,19 +213,23 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
     """Classify a normalized measure sequence as vanishing, compactness, or
     dichotomy.
 
-    The limiting concentration profile Q(R) is estimated by averaging the
-    per-index profiles over the last third of the sequence (Cesaro style,
-    damping pre-asymptotic transients), and its value at the largest probe
-    radius plays the role of the limit k.  Verdicts, for 0 < eps < 1/2:
-    vanishing if k < eps, compactness if k > 1 - eps (sup centers are
-    returned), else dichotomy.  All measures must live on the same H^n.
+    Each measure of the tail, the last third of the sequence, gets one
+    table of its ball masses, one row per probe radius and one column per
+    atom (_ball_masses), and the whole verdict is read from these tables.
+    The limiting concentration profile Q(R) is the mean over the tail of
+    the tables' row maxima (Cesaro style, damping pre-asymptotic
+    transients), and its value at the largest probe radius plays the role
+    of the limit k.  Verdicts, for 0 < eps < 1/2: vanishing if k < eps,
+    compactness if k > 1 - eps (sup centers are returned), else dichotomy.
+    All measures must live on the same H^n.
     A compactness center is the first atom whose ball B_R0 holds every atom
     (looked for among the first BLOCK atoms), else the ball-mass argmax at
-    R0, the smallest probe radius at which the profile exceeds 1 - eps.
-    For a dichotomy the tracked center is the densest cluster (the ball-mass
-    argmax at the smallest probe radius) and the reported k is the mass it
-    captures at the mid-grid radius; which side of the split k names is a
-    convention.
+    R0, the smallest probe radius at which the profile exceeds 1 - eps: a
+    tail measure's is read from its table, a head measure's from a
+    one-radius sweep.  For a dichotomy the tracked center is the densest
+    cluster (the argmax of the smallest radius's row) and the reported k is
+    the tail mean of the mass its ball holds at the mid-grid radius, read
+    from the same tables; which side of the split k names is a convention.
     """
     if len(seq) < 3:
         raise ValueError("need a sequence of at least 3 measures")
@@ -251,71 +242,41 @@ def classify_trichotomy(seq: list[DiscreteMeasure], eps: float = 0.05) -> Tricho
             raise ValueError("measures must be normalized to total mass 1")
 
     tail_start = max(len(seq) - max(len(seq) // 3, 2), 0)
-    tail = seq[tail_start:]
-    prof_arg = [_profile(mu, R_GRID) for mu in tail]
-    profiles = np.array([pa[0] for pa in prof_arg])
-    Q_hat = profiles.mean(axis=0)
+    tables = [_ball_masses(mu, R_GRID) for mu in seq[tail_start:]]
+    Q_hat = np.mean([table.max(axis=1) for table in tables], axis=0)
     k_sup = float(Q_hat[-1])
+    verdict = TrichotomyVerdict("vanishing", R_GRID, Q_hat, diagnostics={"k_sup": k_sup})
 
-    if k_sup < eps:
-        return TrichotomyVerdict(
-            kind="vanishing",
-            profile_R=R_GRID,
-            profile_Q=Q_hat,
-            diagnostics={"k_sup": k_sup, "tail_start": tail_start},
-        )
+    def atom(mu, i):
+        pt = mu.points[i]
+        return GroupPoint(mu.n, pt[: 2 * mu.n], float(pt[2 * mu.n]))
 
     if k_sup > 1.0 - eps:
         # smallest radius that already captures 1 - eps
         r_idx = int(np.argmax(Q_hat > 1.0 - eps))
         R0 = float(R_GRID[r_idx])
-        centers = []
+        verdict.kind, verdict.centers = "compactness", []
         for j, mu in enumerate(seq):
             # a ball that holds every atom holds the most mass a ball can;
-            # without one, the tail's profiles already hold the argmax at R0
+            # without one, a tail measure's table holds the argmax at R0
             i = _first_full_ball(mu, R0)
             if i is None and j < tail_start:
-                i = _profile(mu, np.array([R0]))[1][0]
+                i = np.argmax(_ball_masses(mu, R_GRID[r_idx : r_idx + 1])[0])
             elif i is None:
-                i = prof_arg[j - tail_start][1][r_idx]
-            pt = mu.points[i]
-            centers.append(GroupPoint(mu.n, pt[: 2 * mu.n], float(pt[2 * mu.n])))
-        return TrichotomyVerdict(
-            kind="compactness",
-            profile_R=R_GRID,
-            profile_Q=Q_hat,
-            centers=centers,
-            diagnostics={"k_sup": k_sup, "R0": R0, "tail_start": tail_start},
-        )
-
-    # dichotomy: track the densest cluster, read k at the mid radius
-    R_track = float(R_GRID[0])
-    R_mid = float(R_GRID[len(R_GRID) // 2])
-    k_vals = []
-    tracked = []
-    for mu, (_, arg) in zip(tail, prof_arg):
-        c = mu.points[arg[0]]
-        tracked.append(c)
-        k_vals.append(float(mu.masses[_inside(mu, c, R_mid)].sum()))
-    k_hat = float(np.mean(k_vals))
-    last = seq[-1]
-    c = tracked[-1]
-    center_pt = GroupPoint(last.n, c[: 2 * last.n], float(c[2 * last.n]))
-    split = dichotomy_split(last, center_pt, R_mid)
-    return TrichotomyVerdict(
-        kind="dichotomy",
-        profile_R=R_GRID,
-        profile_Q=Q_hat,
-        k=k_hat,
-        split=split,
-        centers=[center_pt],
-        diagnostics={
-            "k_sup": k_sup,
-            "R_track": R_track,
-            "R_split": R_mid,
-            "tail_start": tail_start,
-        },
-    )
+                i = np.argmax(tables[j - tail_start][r_idx])
+            verdict.centers.append(atom(mu, i))
+        verdict.diagnostics["R0"] = R0
+    elif k_sup >= eps:
+        # dichotomy: track the densest cluster, read k at the mid radius
+        mid = len(R_GRID) // 2
+        R_mid = float(R_GRID[mid])
+        k_hat = np.mean([table[mid, np.argmax(table[0])] for table in tables])
+        center = atom(seq[-1], np.argmax(tables[-1][0]))
+        verdict.kind, verdict.k, verdict.centers = "dichotomy", float(k_hat), [center]
+        verdict.split = dichotomy_split(seq[-1], center, R_mid)
+        verdict.diagnostics.update(R_track=float(R_GRID[0]), R_split=R_mid)
+    verdict.diagnostics["tail_start"] = tail_start
+    return verdict
 
 
 def brezis_lieb_defect(f_j: CylGridFunction, f: CylGridFunction, p: float) -> float:

@@ -291,14 +291,21 @@ def renormalize_concentration(
     dt/2 of 0; an already centered profile is not translated at all.  The
     density is formed once (_density_moment).  Returns (profile, d, a), the
     profile being f(z / d, (t + a) / d^2) by one _resample, divided by its
-    L^p norm (normalized): unit L^p norm whatever the norm of f.
+    L^p norm (normalized): unit L^p norm whatever the norm of f.  A grid too
+    coarse for the gauge, one whose resample is all zeros, is a ValueError
+    that names d.
     """
     p, spec = params.p, f.spec
     density, c = _density_moment(f, p)
     radius4 = f.rho_nodes[:, None] ** 4 + (f.t_nodes - c) ** 2
     d = math.exp(-0.25 * float(np.sum(density * np.log(radius4))))
     a = spec.dt * round(d * d * c / spec.dt)
-    return normalized(f.with_values(_resample(f.values, spec, d, -a)), p), d, a
+    values = _resample(f.values, spec, d, -a)
+    if not values.any():
+        raise ValueError(
+            f"the moment gauge's dilation by d = {d} leaves no nonzero node on the grid"
+        )
+    return normalized(f.with_values(values), p), d, a
 
 
 def searched_params(params: HlsParams) -> HlsParams:

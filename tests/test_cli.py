@@ -407,6 +407,18 @@ class TestMaximizeCommand:
         assert folded["params"]["searched_q"] == dual["params"]["q"]
         assert "searched_p" not in dual["params"] and "searched_q" not in dual["params"]
 
+    def test_grid_too_coarse_for_the_gauge_names_the_dilation(self, tmp_path):
+        # on 8x8 the moment gauge dilates the Gaussian start by d = 0.373; its
+        # nearest t nodes (+-7.14) then query t = 51.3 beyond t_max = 50, so
+        # the resample holds no nonzero node: one error line naming d
+        out = tmp_path / "never.json"
+        proc = run_cli("maximize", "--grid-rho", "8", "--grid-t", "8", "--out", str(out), check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("the moment gauge's dilation by d = 0.37")
+        assert "leaves no nonzero node on the grid" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_search_needs_n_1(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run_cli("maximize", "--n", "2", "--out", str(out), check=False)
@@ -459,6 +471,22 @@ class TestClassifyCommand:
         p.write_text("{not json")
         proc = run_cli("classify", "--inputs", str(p), check=False)
         assert proc.returncode == 3
+
+    def test_ragged_points_exit_3(self, tmp_path):
+        # a points list numpy cannot turn into an array is malformed
+        p = tmp_path / "m.json"
+        ragged = [[0.0, 0.0, 0.0], [1.0, 2.0]]
+        p.write_text(json.dumps({"n": 1, "points": ragged, "masses": [0.5, 0.5]}))
+        proc = run_cli("classify", "--inputs", str(p), str(p), str(p), check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"malformed measure file {p}")
+
+    def test_negative_mass_in_measure_file_exit_2(self, tmp_path, capsys):
+        # arrays that fail DiscreteMeasure's own checks are validation failures
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 1, "points": [[0.0, 0.0, 0.0]], "masses": [-1.0]}))
+        assert exits_2(["classify", "--inputs", str(p)], tmp_path / "never.json")
+        assert "masses must be nonnegative" in capsys.readouterr().err
 
     def test_non_integer_n_in_measure_file_exit_2(self, tmp_path):
         p = tmp_path / "m.json"

@@ -14,7 +14,6 @@ from heisenberg_hls.concentration import (
     _d4,
     _factors,
     _first_full_ball,
-    _profile,
     brezis_lieb_defect,
     classify_trichotomy,
     dichotomy_split,
@@ -156,7 +155,9 @@ class TestGramDistances:
             for mu in (seq[0], seq[-1]):
                 want = reference_ball_masses(mu, R_GRID)
                 np.testing.assert_array_equal(_ball_masses(mu, R_GRID), want)
-                np.testing.assert_array_equal(_profile(mu, R_GRID)[1], np.argmax(want, axis=1))
+                np.testing.assert_array_equal(
+                    _ball_masses(mu, R_GRID).argmax(axis=1), np.argmax(want, axis=1)
+                )
 
 
 class TestBallMassKernel:
@@ -167,10 +168,10 @@ class TestBallMassKernel:
         mu = boundary_measure(n, seed=10 + n)
         ref, D = direct_ball_masses(mu, self.R_TEST)
         assert np.count_nonzero(D == 2.0) >= 4  # both exact pairs, both orders
-        np.testing.assert_allclose(_ball_masses(mu, self.R_TEST), ref, rtol=0, atol=1e-12)
-        Q, arg = _profile(mu, self.R_TEST)
-        np.testing.assert_array_equal(arg, np.argmax(ref, axis=1))
-        np.testing.assert_allclose(Q, ref.max(axis=1), rtol=0, atol=1e-12)
+        masses = _ball_masses(mu, self.R_TEST)
+        np.testing.assert_allclose(masses, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(masses.argmax(axis=1), np.argmax(ref, axis=1))
+        np.testing.assert_allclose(masses.max(axis=1), ref.max(axis=1), rtol=0, atol=1e-12)
         for R, want in zip(self.R_TEST, ref.max(axis=1)):
             assert levy_concentration(mu, R) == pytest.approx(want, abs=1e-12)
 
@@ -198,7 +199,7 @@ class TestBallMassKernel:
         mu = translate_family(3, 0, n_atoms=2048)[-1]
         tracemalloc.start()
         try:
-            _profile(mu, R_GRID)
+            _ball_masses(mu, R_GRID)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,7 +209,7 @@ class TestBallMassKernel:
 def assert_equals_reference(mu, R_grid, d4=reference_d4):
     want = reference_ball_masses(mu, R_grid, d4)
     np.testing.assert_array_equal(_ball_masses(mu, R_grid), want)
-    np.testing.assert_array_equal(_profile(mu, R_grid)[1], np.argmax(want, axis=1))
+    np.testing.assert_array_equal(_ball_masses(mu, R_grid).argmax(axis=1), np.argmax(want, axis=1))
 
 
 def block_d4(mu, i, j):
@@ -219,7 +220,7 @@ def block_d4(mu, i, j):
 
 def count_blocks(monkeypatch):
     """A list that grows by one for each block _ball_masses forms (each call
-    of _d4 with more than one row; _inside calls it with one)."""
+    of _d4 with more than one row; dichotomy_split calls it with one)."""
     calls, d4 = [], concentration._d4
 
     def counting(A, B):
@@ -258,7 +259,7 @@ class TestRadiusWindow:
         assert block_d4(mu, 0, 2).min() > R_GRID[-1] ** 4
         calls = count_blocks(monkeypatch)
         assert_equals_reference(mu, R_GRID)
-        assert len(calls) == 2 * 10  # the masses and the profile's argmax
+        assert len(calls) == 2 * 10  # the masses and their argmax, one table each
 
     def test_tight_cluster_fills_every_radius(self):
         rng = np.random.default_rng(1)
@@ -371,7 +372,7 @@ class TestXSortedBlocks:
         assert_equals_reference(mu, R_GRID)
         # the clusters overlap in x, so each sorted block holds atoms of both,
         # pairs out of every ball among them, and every block is formed
-        # (twice: the masses and the profile's argmax)
+        # (twice: the masses and their argmax, one table each)
         assert block_d4(mu, 0, 1).max() > R_GRID[-1] ** 4
         assert len(calls) == 2 * 10
 
@@ -552,6 +553,19 @@ class TestClassifier:
         assert v.kind == "dichotomy"
         assert v.k == pytest.approx(0.7, abs=0.05)
 
+    @pytest.mark.parametrize("n, seed", [(1, 0), (1, 5), (2, 3)])
+    def test_dichotomy_k_read_from_the_profile_tables(self, n, seed):
+        # k is the tail mean of the mid-radius ball mass at each tail
+        # measure's densest atom (the argmax of the smallest radius's row),
+        # read from the same tables as the profile, bit for bit
+        fam = split_family(10, seed, k=0.3, n=n)
+        v = classify_trichotomy(fam)
+        assert v.kind == "dichotomy"
+        tables = [_ball_masses(mu, R_GRID) for mu in fam[v.diagnostics["tail_start"] :]]
+        mid = len(R_GRID) // 2
+        assert v.k == np.mean([table[mid, np.argmax(table[0])] for table in tables])
+        np.testing.assert_array_equal(v.profile_Q, np.mean([t.max(axis=1) for t in tables], axis=0))
+
 
 def atom_index(mu, c):
     """Index of the atom of mu at the group point c."""
@@ -601,7 +615,7 @@ class TestCompactnessCenters:
             R0 = v.diagnostics["R0"]
             for mu, c in zip(fam, v.centers):
                 assert _first_full_ball(mu, R0) is None
-                i = _profile(mu, np.array([R0]))[1][0]
+                i = _ball_masses(mu, [R0])[0].argmax()
                 np.testing.assert_array_equal(c.coords(), mu.points[i])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -636,7 +650,7 @@ class TestCompactnessCenters:
             classify_trichotomy(GENERATORS[name](10, 0, n_atoms=2048, **kw))
             formed[name] = pairs[0]
         assert formed["translate"] <= 7.0e6
-        assert (formed["spread"], formed["split"]) == (2_736_128, 3_547_136)
+        assert (formed["spread"], formed["split"]) == (2_736_128, 3_540_992)
 
 
 class TestGeneratorInputs:

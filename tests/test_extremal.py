@@ -305,6 +305,13 @@ class TestRenormalizeConcentration:
         with pytest.raises(ValueError, match="zero function"):
             renormalize_concentration(sample(lambda R, T: 0.0 * R, SMALL), PARAMS)
 
+    def test_grid_too_coarse_for_the_gauge(self):
+        # on the 8x8 default-bounds grid the dilate of the Gaussian queries
+        # its nearest t nodes beyond t_max: the error names d, not a zero f
+        f = gaussian_profile(GridSpec(n=1, n_rho=8, n_t=8))
+        with pytest.raises(ValueError, match=r"dilation by d = 0\.37\d* leaves no nonzero node"):
+            renormalize_concentration(f, PARAMS)
+
     def test_probe_whose_density_underflows(self):
         # the density is the gauge's one probe of f.  At 1e-300 times the
         # Gaussian the p-th powers underflow to 0 at p = 1.05 and would
