@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HlsParams, check_lambda, diagonal_params, gaussian, h_profile
-from .grids import CylGridFunction, GridSpec, _grid_arrays, lp_norm, normalized, peak_scaled, sample
+from .grids import (
+    TINY, CylGridFunction, GridSpec, _grid_arrays, lp_norm, normalized, peak_scaled, sample
+)
 from .group import homogeneous_dimension
 from .quadrature import far_field, fractional_integral_grid, quotient_and_integral
 
@@ -129,7 +131,7 @@ def euler_lagrange_step(
     I_lam f when the caller already has it (maximize keeps it from the
     quotient of the accepted trial); it is computed from f otherwise.
     """
-    if np.any(f.values < 0.0):
+    if (f.values < 0.0).any():
         raise ValueError("euler_lagrange_step requires a nonnegative profile")
     if abs(lp_norm(f, params.p) - 1.0) > 1e-10:
         raise ValueError("euler_lagrange_step requires unit L^p norm")
@@ -139,7 +141,7 @@ def euler_lagrange_step(
     g = fractional_integral_grid(If.with_values(If.values ** (q - 1.0)), params.lam)
     mass, c_out = far_field(f, params.lam * q)
     g.values += mass ** (q - 1.0) * c_out
-    new_vals = np.clip(g.values, 0.0, None) ** (1.0 / (params.p - 1.0))
+    new_vals = np.maximum(g.values, 0.0) ** (1.0 / (params.p - 1.0))
     out = f.with_values(new_vals)
     nrm = lp_norm(out, params.p)
     if nrm == 0.0:
@@ -217,9 +219,9 @@ def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
     query point, the weights (w0, w1) of nodes i and i + 1, clipped to hold
     the end values, and the unclipped w1, which leaves [0, 1] beyond the end
     nodes."""
-    i = np.clip(np.searchsorted(nodes, query) - 1, 0, nodes.size - 2)
+    i = np.minimum(np.maximum(nodes.searchsorted(query) - 1, 0), nodes.size - 2)
     w = (query - nodes[i]) / (nodes[i + 1] - nodes[i])
-    w1 = np.clip(w, 0.0, 1.0)
+    w1 = np.minimum(np.maximum(w, 0.0), 1.0)
     return i, 1.0 - w1, w1, w
 
 
@@ -244,7 +246,7 @@ def _resample(
     # at t = t_shift would be 0 / 0; floored, it stays 0.  Queries and
     # weights that overflow lie off the lattice and get zero weights below
     with np.errstate(over="ignore"):
-        tq = (t - t_shift) / max(d * d, np.finfo(float).tiny)
+        tq = (t - t_shift) / max(d * d, TINY)
         ti, c0, c1, _ = _axis_stencil(t, tq)
     off = (tq < t[0]) | (tq > t[-1])
     c0[off] = c1[off] = 0.0
@@ -273,7 +275,7 @@ def _density_moment(f: CylGridFunction, p: float) -> tuple[np.ndarray, float]:
     """The density |f|^p W of f at unit mass, formed from peak_scaled's
     values, and its t-mean <t>."""
     density = f.weights * np.abs(peak_scaled(f, p).values) ** p
-    density /= np.sum(density)
+    density /= density.sum()
     return density, float(density.sum(axis=0) @ f.t_nodes)
 
 
@@ -298,7 +300,7 @@ def renormalize_concentration(
     p, spec = params.p, f.spec
     density, c = _density_moment(f, p)
     radius4 = f.rho_nodes[:, None] ** 4 + (f.t_nodes - c) ** 2
-    d = math.exp(-0.25 * float(np.sum(density * np.log(radius4))))
+    d = math.exp(-0.25 * float((density * np.log(radius4)).sum()))
     a = spec.dt * round(d * d * c / spec.dt)
     values = _resample(f.values, spec, d, -a)
     if not values.any():
@@ -350,7 +352,7 @@ def _ascend(
     The start and each damped mixture go to renormalize_concentration as
     they are; it returns them at the unit L^p norm the ascent step needs.
     """
-    if np.any(init.values < 0.0):
+    if (init.values < 0.0).any():
         raise ValueError("initialization must be nonnegative")
 
     p = params.p

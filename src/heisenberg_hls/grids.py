@@ -26,6 +26,10 @@ import numpy as np
 from .group import check_n, homogeneous_dimension
 from .constants import unit_sphere_area
 
+# the smallest normal float, and its log, built once rather than per call
+TINY = np.finfo(float).tiny
+LOG_TINY = math.log(TINY)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -134,7 +138,7 @@ class CylGridFunction:
         shape = (self.spec.n_rho, self.spec.n_t)
         if self.values.shape != shape:
             raise ValueError(f"values must have shape {shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
 
     @property
@@ -180,7 +184,7 @@ def lp_norm(f: CylGridFunction, p: float) -> float:
     """Discrete L^p norm (sum of weights * |values|^p)^(1/p)."""
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    total = float(np.sum(f.weights * np.abs(f.values) ** p))
+    total = float((f.weights * np.abs(f.values) ** p).sum())
     return total ** (1.0 / p)
 
 
@@ -188,10 +192,10 @@ def peak_scaled(f: CylGridFunction, p: float) -> CylGridFunction:
     """f divided by its largest |value| when that value's p-th power
     underflows, which would leave sums of |f|^p with no digits; f itself
     otherwise."""
-    peak = float(np.max(np.abs(f.values)))
+    peak = float(np.abs(f.values).max())
     if peak == 0.0:
         raise ValueError("cannot normalize the zero function")
-    if p * math.log(peak) < math.log(np.finfo(float).tiny):
+    if p * math.log(peak) < LOG_TINY:
         return f.with_values(f.values / peak)
     return f
 

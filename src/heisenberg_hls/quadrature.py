@@ -92,7 +92,7 @@ import numpy as np
 from scipy.special import beta, betainc, ellipk, hyp2f1
 
 from .constants import HlsParams, check_lambda
-from .grids import CylGridFunction, GridSpec, lp_norm, rho_cell_edges
+from .grids import TINY, CylGridFunction, GridSpec, lp_norm, rho_cell_edges
 from .group import GroupPoint, homogeneous_dimension
 
 _TWO_PI = 2.0 * math.pi
@@ -207,7 +207,7 @@ def kbar_many(rho, delta, tau, lam):
             far = ~(s <= FIT_S_MAX)
             F[far] = _pfaff_exact(alpha, s[far])
             out = (D + bb) ** (-alpha) * F
-    return np.where(D < np.finfo(float).tiny, math.inf, out).ravel()
+    return np.where(D < TINY, math.inf, out).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,11 @@ def kernel_table(spec: GridSpec, lam: float) -> KernelTable:
     return build_kernel_table(spec, lam)
 
 
-clear_table_cache = kernel_table.cache_clear
+def clear_table_cache():
+    """Empty the kernel-table cache and the far-field constants cached per
+    (spec, A) next to it (_far_field_constant)."""
+    kernel_table.cache_clear()
+    _far_field_constant.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +537,18 @@ def far_field(f: CylGridFunction, A: float) -> tuple[float, float]:
     over H^1 outside the grid's cell hull, A > Q = 4.
 
     Where f decays fast, I_lam f(u) = M |u|^(-lam) (1 + O(|u|^-2)), so the
-    grid's |I_lam f|_q^q misses M^q C_out(lam q) beyond the hull.  With
-    x = rho^2 and (x, t) = S (cos phi, sin phi), du = pi dx dt and
+    grid's |I_lam f|_q^q misses M^q C_out(lam q) beyond the hull.  M is
+    formed on every call; C_out depends on the grid and A alone and comes
+    from _far_field_constant.
+    """
+    return float((f.weights * f.values).sum()), _far_field_constant(f.spec, A)
+
+
+@functools.lru_cache(maxsize=16)
+def _far_field_constant(spec: GridSpec, A: float) -> float:
+    """C_out(A) of far_field on the grid of spec, computed once per (spec, A).
+
+    With x = rho^2 and (x, t) = S (cos phi, sin phi), du = pi dx dt and
 
         C_out(A) = 2 pi int_0^(pi/2) S_b(phi)^(-m) / m dphi,   m = A/2 - 2,
 
@@ -547,18 +561,16 @@ def far_field(f: CylGridFunction, A: float) -> tuple[float, float]:
     in L^q and no finite term exists: C_out is 0 there, and only a tuple
     off the HLS line (lam q = Q at p = q = 2, lam = 2) reaches it.
     """
-    spec = f.spec
-    mass = float(np.sum(f.weights * f.values))
     m = 0.5 * A - 2.0
     if m <= 0.0:
-        return mass, 0.0
-    X = rho_cell_edges(f.rho_nodes)[-1] ** 2
+        return 0.0
+    X = rho_cell_edges(spec.rho_nodes())[-1] ** 2
     T = spec.t_max + 0.5 * spec.dt
     b = 0.5 * (m + 1.0)
     edges = np.array([X, T])
     share = edges[::-1] ** 2 / (X * X + T * T)  # sin^2 c, cos^2 c
     side, top = 0.5 * beta(0.5, b) * betainc(0.5, b, share) * edges ** -m
-    return mass, _TWO_PI * float(side + top) / m
+    return _TWO_PI * float(side + top) / m
 
 
 def quotient_and_integral(f: CylGridFunction, params: HlsParams) -> tuple[float, CylGridFunction]:
@@ -567,12 +579,12 @@ def quotient_and_integral(f: CylGridFunction, params: HlsParams) -> tuple[float,
     extremal.maximize, which hands I_lam f to its next ascent step.  The
     q-th power of |I_lam f|_q is the grid sum plus the far-field term
     |M|^q C_out(lam q) (far_field)."""
-    if not np.any(f.values != 0.0):
+    if not f.values.any():
         raise ValueError("the HLS quotient requires a nonzero function")
     q = params.q
     If = fractional_integral_grid(f, params.lam)
     mass, c_out = far_field(f, params.lam * q)
-    power = float(np.sum(If.weights * np.abs(If.values) ** q)) + abs(mass) ** q * c_out
+    power = float((If.weights * np.abs(If.values) ** q).sum()) + abs(mass) ** q * c_out
     return power ** (1.0 / q) / lp_norm(f, params.p), If
 
 

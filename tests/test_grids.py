@@ -132,17 +132,26 @@ class TestBallIndicator:
 
 class TestValidation:
     def test_rejects_bad_shapes(self):
-        spec = GridSpec(n_rho=8, n_t=8)
+        # in construction and in with_values, which the search calls on
+        # every trial
+        spec = GridSpec(n_rho=8, n_t=9)
         g = empty_grid_function(spec)
-        with pytest.raises(ValueError):
-            CylGridFunction(spec, np.zeros((3, 3)))
+        for shape in ((3, 3), (9, 8), (8, 10), (72,)):
+            with pytest.raises(ValueError, match="values must have shape"):
+                CylGridFunction(spec, np.zeros(shape))
+            with pytest.raises(ValueError, match="values must have shape"):
+                g.with_values(np.zeros(shape))
 
     def test_rejects_nonfinite_values(self):
-        g = empty_grid_function(GridSpec(n_rho=8, n_t=8))
-        vals = g.values.copy()
-        vals[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            g.with_values(vals)
+        spec = GridSpec(n_rho=8, n_t=8)
+        g = empty_grid_function(spec)
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = g.values.copy()
+            vals[5, 2] = bad
+            with pytest.raises(ValueError, match="values must be finite"):
+                CylGridFunction(spec, vals)
+            with pytest.raises(ValueError, match="values must be finite"):
+                g.with_values(vals)
 
     @pytest.mark.parametrize("field", ["rho_min", "rho_max", "t_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

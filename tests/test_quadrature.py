@@ -256,8 +256,9 @@ class TestHlsQuotient:
     def test_zero_rejected(self):
         params = diagonal_params(1, 2.0)
         f = sample(lambda R, T: 0.0 * R, SMALL)
-        with pytest.raises(ValueError):
-            hls_quotient(f, params)
+        for quotient in (hls_quotient, quadrature.quotient_and_integral):
+            with pytest.raises(ValueError, match="requires a nonzero function"):
+                quotient(f, params)
 
     def test_suboptimal_profile_below_sharp(self):
         params = diagonal_params(1, 2.0)
