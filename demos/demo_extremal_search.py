@@ -7,9 +7,10 @@ extremal up to the dilation/translation symmetry of the problem.  The
 concentration renormalization pins that symmetry at every step by two
 moments of |f|^p (mean t within half a t cell of 0, mean log Koranyi
 radius 0), which is what makes runs started from dilated initializations
-land on the same profile.  The Q(1) column is the Levy concentration at
-radius 1, the paper's normalization, which the gauge reports but does not
-pin.
+land on the same profile.  The log-radius column is the mean log Koranyi
+radius each accepted profile keeps after the gauge: on the grid the gauge
+is not idempotent, and a second renormalization would dilate by
+exp(-log-radius).
 """
 
 import time
@@ -27,9 +28,9 @@ print("== search from a perturbed extremal ==")
 t0 = time.time()
 f0 = perturbed_H(1, 2.0, spec)
 f_star, quotient, trace = maximize(params, f0, IterationControls(max_iter=80))
-print(f"{'iter':>5} {'quotient':>12} {'Q(1)':>8} {'dilation':>9} {'accepted':>9}")
-for it, q, q1, d, a, ok in trace.rows():
-    print(f"{it:5d} {q:12.8f} {q1:8.4f} {d:9.4f} {str(ok):>9}")
+print(f"{'iter':>5} {'quotient':>12} {'t-mean':>8} {'log-radius':>10} {'dilation':>9} {'accepted':>9}")
+for it, q, c, m, d, a, ok in trace.rows():
+    print(f"{it:5d} {q:12.8f} {c:+8.4f} {m:+10.4f} {d:9.4f} {str(ok):>9}")
 print(f"\nfinal quotient {quotient:.6f} vs sharp constant 4 "
       f"(rel {abs(quotient-4)/4:.2%}), {len(trace.iterations)-1} iterations, "
       f"{time.time()-t0:.0f}s")

@@ -413,17 +413,16 @@ def cmd_maximize(args) -> int:
         "stop_reason": trace.stop_reason,
         "converged": trace.stop_reason != "max_iter",
         "alignment": {"dilation": d_fit, "t_shift": a_fit, "rel_error": rel_err},
+        # the returned profile's gauge moments: a re-gauge dilates by exp(-log_radius)
+        "gauge_residual": {"t_mean": trace.t_means[-1], "log_radius": trace.log_radii[-1]},
     }
     if searched is not params:  # above the diagonal: the dual search
         summary["params"].update(searched_p=searched.p, searched_q=searched.q)
     if args.trace:
         _write_csv(
             args.trace,
-            ["iter", "quotient", "q1_concentration", "dilation", "t_shift", "accepted"],
-            (
-                (it, q, q1, d, a, int(ok))
-                for (it, q, q1, d, a, ok) in trace.rows()
-            ),
+            ["iter", "quotient", "t_mean", "log_radius", "dilation", "t_shift", "accepted"],
+            ((*row[:-1], int(row[-1])) for row in trace.rows()),
         )
         summary["trace_csv"] = args.trace
     _emit_json(summary, args.out)

@@ -13,10 +13,12 @@ invariant under both operations in the continuum, so the gauge fixing
 costs nothing while preventing mass from drifting off the grid.  A
 damped safeguard makes the ascent monotone by construction.  Its
 objective is the grid quotient of `quadrature.quotient_and_integral`,
-the one `hls_quotient` returns, far-field term included.  The trace's
-Q(1) column still reports the Levy concentration at radius 1, the
-normalization of the paper's existence proof, but the gauge no longer
-pins it (it reads about 0.44 at the 28x56 maxima).
+the one `hls_quotient` returns, far-field term included.  On the grid
+the gauge is not idempotent, so the trace records, for each accepted
+profile, the two moments a second renormalization would set to zero.
+`levy_concentration_grid` gives the Levy concentration Q(R), the
+normalization of the paper's existence proof, which the search no longer
+reads.
 
 The known diagonal maximizer (`constants.h_profile` at |z|^2 = rho^2)
 
@@ -29,7 +31,6 @@ sharp constant.  Above the diagonal the search runs at the dual exponent.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,32 +70,33 @@ def perturbed_H(n: int, lam: float, spec: GridSpec) -> CylGridFunction:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration diagnostics of the maximization run."""
+    """Per-iteration diagnostics of the maximization run.  t_means and
+    log_radii are the gauge moments (_gauge_moments) of each record's
+    accepted profile: the residual a second renormalization would remove,
+    which dilates by exactly exp(-log_radius)."""
 
     iterations: list = field(default_factory=list)
     quotients: list = field(default_factory=list)
-    q1_concentration: list = field(default_factory=list)
+    t_means: list = field(default_factory=list)
+    log_radii: list = field(default_factory=list)
     dilations: list = field(default_factory=list)
     t_shifts: list = field(default_factory=list)
     accepted: list = field(default_factory=list)
     stop_reason: str = ""  # "no_ascent", "stall" or "max_iter"
 
-    def record(self, it, quotient, q1, d, a, ok):
+    def record(self, it, quotient, moments, d, a, ok):
         self.iterations.append(int(it))
         self.quotients.append(float(quotient))
-        self.q1_concentration.append(float(q1))
+        self.t_means.append(moments[0])
+        self.log_radii.append(moments[1])
         self.dilations.append(float(d))
         self.t_shifts.append(float(a))
         self.accepted.append(bool(ok))
 
     def rows(self):
         return zip(
-            self.iterations,
-            self.quotients,
-            self.q1_concentration,
-            self.dilations,
-            self.t_shifts,
-            self.accepted,
+            self.iterations, self.quotients, self.t_means, self.log_radii,
+            self.dilations, self.t_shifts, self.accepted,
         )
 
 
@@ -154,64 +156,27 @@ def euler_lagrange_step(
 # concentration renormalization
 
 
-# One entry per (grid, R): the library asks for R = 1 only, on the grid of
-# the running search; a few more serve a concentration profile over R.
-BALL_BAND_CACHE = 4
-
-
-@functools.lru_cache(maxsize=BALL_BAND_CACHE)
-def _ball_band(spec: GridSpec, R: float):
-    """Overlap table of the balls {(z,t): |z|^4 + (t-a)^2 < R^4} centered
-    on the t axis at the grid-aligned heights a, for the nodes of spec.
+def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
+    """sup over grid-aligned t-axis centers of the |f|^p mass in B_R.
 
     Balls centered on the t axis are cylindrically symmetric, so a ball's
-    mass is a windowed sum over t per rho row.  Boundary t-cells enter with
-    their fractional overlap, which keeps Q(R) continuous in R on coarse
-    grids instead of jumping a whole cell at a time.  On the uniform
-    t grid the overlap of cell j with the window around t_a depends only on
-    the offset j - a, so one band of offsets per row gives every center.
-    A row's band is a few cells wide (about 2 R^2 / dt), so the table keeps
-    only the covered cells: (cells, shares), both of shape (n_t, L), where
-    row a lists the flat indices i n_t + j of the cells (i, j) the ball
-    centered at t[a] covers, rows with rho < R first to last and j
-    ascending in each, and the covered shares; a row covering fewer than L
-    cells is padded with share 0 at cell 0.  On 64x128 at R = 1 that is
-    128 x 121 entries (248 KB), where the dense (n_t, n_t) blocks of the 41
-    rows inside would take 5.4 MB.  Built once per (spec, R) and read-only.
+    mass is a windowed sum over t per rho row inside it; boundary t cells
+    enter with their covered share.  The share of cell j in the ball around
+    t[a] depends only on j - a, so one band of offsets per row, read as
+    sliding windows, gives every center.
     """
-    rho, t = spec.rho_nodes(), spec.t_nodes()
-    n_t = t.size
-    k = int(np.count_nonzero(rho ** 4 < R ** 4))  # rho ascends: rows 0 .. k - 1
-    h = np.sqrt(R ** 4 - rho[:k] ** 4)[:, None]
-    dt = spec.dt
-    # band[i, m] = |cell at offset m - (n_t - 1) cap [-h_i, h_i]| / dt
-    offset = np.arange(1 - n_t, n_t) * dt
-    lo = np.maximum(offset - 0.5 * dt, -h)
-    hi = np.minimum(offset + 0.5 * dt, h)
-    band = np.clip(hi - lo, 0.0, None) / dt
-    i, m = np.nonzero(band)  # row by row, offsets ascending
-    j = np.arange(n_t)[:, None] + (m - (n_t - 1))  # cell of each center and offset
-    on = (j >= 0) & (j < n_t)
-    cells = np.where(on, i * n_t + j, 0)
-    shares = np.where(on, band[i, m], 0.0)
-    cells.flags.writeable = shares.flags.writeable = False
-    return cells, shares
-
-
-def _band_masses(band, density: np.ndarray) -> np.ndarray:
-    """Ball mass of density around every grid-aligned center, from _ball_band:
-    the covered cells gathered per center and summed against their shares
-    by one einsum, without BLAS."""
-    cells, shares = band
-    return np.einsum("al,al->a", shares, density.ravel()[cells])
-
-
-def levy_concentration_grid(f: CylGridFunction, p: float, R: float = 1.0) -> float:
-    """sup over grid-aligned t-axis centers of the |f|^p mass in B_R."""
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError(f"R must be positive and finite, got {R}")
-    density = f.weights * np.abs(f.values) ** p
-    return float(_band_masses(_ball_band(f.spec, R), density).max())
+    rho, t, dt = f.rho_nodes, f.t_nodes, f.spec.dt
+    inside = rho ** 4 < R ** 4
+    h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
+    offset = np.arange(1 - t.size, t.size) * dt
+    lo = np.maximum(offset - 0.5 * dt, -h)
+    hi = np.minimum(offset + 0.5 * dt, h)
+    band = np.maximum(hi - lo, 0.0) / dt  # share of the cell at each offset
+    windows = np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
+    density = f.weights[inside] * np.abs(f.values[inside]) ** p
+    return float(np.einsum("isj,ij->s", windows, density).max())
 
 
 def _axis_stencil(nodes: np.ndarray, query: np.ndarray):
@@ -279,28 +244,41 @@ def _density_moment(f: CylGridFunction, p: float) -> tuple[np.ndarray, float]:
     return density, float(density.sum(axis=0) @ f.t_nodes)
 
 
+def _gauge_moments(f: CylGridFunction, p: float) -> tuple[float, float]:
+    """The two moments the gauge sets of f's density (_density_moment): its
+    t-mean c and its mean log Koranyi distance <log |u - c|> from the
+    center, |u - c| = (rho^4 + (t - c)^2)^(1/4)."""
+    density, c = _density_moment(f, p)
+    radius4 = f.rho_nodes[:, None] ** 4 + (f.t_nodes - c) ** 2
+    return c, 0.25 * float((density * np.log(radius4)).sum())
+
+
 def renormalize_concentration(
     f: CylGridFunction, params: HlsParams
 ) -> tuple[CylGridFunction, float, float]:
     """Gauge-fix f by the moments of its density |f|^p W: center it in t
     and dilate it to mean log-radius 0.
 
-    With c = <t> and |u - c| = (rho^4 + (t - c)^2)^(1/4), the Koranyi
-    distance from the center, the dilation is d = exp(-<log |u - c|>):
-    under the continuum dilation by d the mean log-radius shifts by exactly
-    log d, so the dilate's is 0.  Its t-mean is d^2 c, which a translation
-    by a whole number of t nodes, a = dt round(d^2 c / dt), brings within
-    dt/2 of 0; an already centered profile is not translated at all.  The
-    density is formed once (_density_moment).  Returns (profile, d, a), the
-    profile being f(z / d, (t + a) / d^2) by one _resample, divided by its
-    L^p norm (normalized): unit L^p norm whatever the norm of f.  A grid too
-    coarse for the gauge, one whose resample is all zeros, is a ValueError
-    that names d.
+    With the moments (c, m) of _gauge_moments, c = <t> and
+    m = <log |u - c|>, the dilation is d = exp(-m): under the continuum
+    dilation by d the mean log-radius shifts by exactly log d, so the
+    dilate's is 0.  Its t-mean is d^2 c, which a translation by a whole
+    number of t nodes, a = dt round(d^2 c / dt), brings within dt/2 of 0;
+    an already centered profile is not translated at all.  Returns
+    (profile, d, a), the profile being f(z / d, (t + a) / d^2) by one
+    _resample, divided by its L^p norm (normalized): unit L^p norm whatever
+    the norm of f.  A grid too coarse for the gauge, one whose resample is
+    all zeros, is a ValueError that names d.
+
+    On the grid the gauge is not idempotent: the resample moves the
+    moments, so the returned profile's m is not 0, and renormalizing it
+    again dilates by exp(-m) once more (0.984-0.992 at the ends of the
+    28x56 searches).  maximize's trace records that residual (c, m) of
+    every accepted profile, the log_radius column of the --trace CSV.
     """
     p, spec = params.p, f.spec
-    density, c = _density_moment(f, p)
-    radius4 = f.rho_nodes[:, None] ** 4 + (f.t_nodes - c) ** 2
-    d = math.exp(-0.25 * float((density * np.log(radius4)).sum()))
+    c, m = _gauge_moments(f, p)
+    d = math.exp(-m)
     a = spec.dt * round(d * d * c / spec.dt)
     values = _resample(f.values, spec, d, -a)
     if not values.any():
@@ -359,7 +337,7 @@ def _ascend(
     f, d_used, a_used = renormalize_concentration(init, params)
     quotient, If = quotient_and_integral(f, params)
     trace = ConvergenceTrace(stop_reason="max_iter")
-    trace.record(0, quotient, levy_concentration_grid(f, p), d_used, a_used, True)
+    trace.record(0, quotient, _gauge_moments(f, p), d_used, a_used, True)
 
     for it in range(1, opts.max_iter + 1):
         proposal = euler_lagrange_step(f, params, If)
@@ -373,9 +351,7 @@ def _ascend(
                 f, quotient, If, accepted = mix, mix_q, mix_If, True
                 break
             theta *= 0.5
-        trace.record(
-            it, quotient, levy_concentration_grid(f, p), d_used, a_used, accepted
-        )
+        trace.record(it, quotient, _gauge_moments(f, p), d_used, a_used, accepted)
         if not accepted:
             trace.stop_reason = "no_ascent"
             break

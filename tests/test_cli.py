@@ -351,7 +351,7 @@ class TestMaximizeCommand:
         # criterion is exercised at the default grid in the acceptance suite
         assert doc["alignment"]["rel_error"] < 0.2
         lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "iter,quotient,q1_concentration,dilation,t_shift,accepted"
+        assert lines[0] == "iter,quotient,t_mean,log_radius,dilation,t_shift,accepted"
         quotients = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b >= a for a, b in zip(quotients, quotients[1:]))
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from types import SimpleNamespace
 
@@ -19,8 +18,6 @@ from heisenberg_hls.extremal import (
     ConvergenceTrace,
     IterationControls,
     _ascend,
-    _ball_band,
-    _band_masses,
     align,
     dilate_grid_function,
     euler_lagrange_step,
@@ -153,7 +150,7 @@ def loop_ball_masses(density, g, R):
 
 @pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
 def test_levy_concentration_grid_rejects_bad_radius(R):
-    # only R^4 enters the ball table, so R = -1 would pass for R = 1
+    # only R^4 enters the balls, so R = -1 would pass for R = 1
     with pytest.raises(ValueError, match=f"R must be positive and finite, got {R}"):
         levy_concentration_grid(unit_H(), PARAMS.p, R)
 
@@ -166,38 +163,12 @@ def test_levy_concentration_grid_rejects_bad_radius(R):
 @pytest.mark.parametrize("R", [0.05, 1.0, 7.0, 40.0])
 def test_axis_ball_masses_match_overlap_loop(spec, R):
     # R = 7 and 40 give window half-widths beyond the t range
-    g = sample(lambda R_, T: 0.0 * R_, spec)
-    density = np.random.default_rng(spec.n_rho * spec.n_t).random(g.values.shape)
-    ref = loop_ball_masses(density, g, R)
-    assert np.any(ref > 0.0)
-    masses = _band_masses(_ball_band(spec, R), density)
-    np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [SMALL, GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=50.0, n_t=127, t_max=50.0)],
-    ids=["28x56", "64x127"],
-)
-@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
-def test_band_masses_match_window_einsum(spec, R):
-    # the einsum over the covered cells sums in another order than the
-    # einsum over the windows: the two agree to 4 ulp of the total mass
-    density = np.random.default_rng(spec.n_t + int(10 * R)).random((spec.n_rho, spec.n_t))
-    band = window_ball_band(spec, R)
-    ref = window_band_masses(band, density)
-    masses = _band_masses(_ball_band(spec, R), density)
-    tol = 4.0 * np.spacing(float(np.sum(density[band[0]])))
-    assert np.max(np.abs(masses - ref)) <= tol
-
-
-def test_ball_band_keeps_only_covered_cells():
-    # on 64x128 at R = 1 each center lists 121 cells, 15,408 of all 128 x 121
-    # covered, where the 41 rows inside hold 41 x 128 cells each
-    cells, shares = _ball_band(GridSpec(), 1.0)
-    assert cells.shape == shares.shape == (128, 121)
-    assert np.count_nonzero(shares) == 15408
-    assert np.all(cells[shares == 0.0] == 0)
+    rng = np.random.default_rng(spec.n_rho * spec.n_t)
+    g = CylGridFunction(spec, rng.random((spec.n_rho, spec.n_t)))
+    density = g.weights * g.values ** PARAMS.p
+    ref = np.max(loop_ball_masses(density, g, R))
+    assert ref > 0.0
+    assert levy_concentration_grid(g, PARAMS.p, R) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def gauge_moments(f, p):
@@ -513,6 +484,26 @@ def test_search_results_pinned(p, q_found, n_records, stop):
     assert trace.stop_reason == stop
 
 
+@pytest.mark.parametrize(
+    "p, d_regauge",
+    [(4.0 / 3.0, 0.983794), (1.15, 0.988243), (1.6, 0.988403), (1.85, 0.991823)],
+)
+def test_trace_records_the_regauge_residual(p, d_regauge):
+    # the gauge is not idempotent on the grid: the last trace row holds the
+    # final profile's own gauge moments, so renormalizing it again dilates
+    # it by exactly exp(-log_radius), and its t-mean is within dt/2 of 0
+    params = search_params(p)
+    f, _, trace = maximize(params, gaussian_profile(SMALL))
+    _, d, a = renormalize_concentration(f, searched_params(params))
+    assert math.exp(-trace.log_radii[-1]) == d
+    assert d == pytest.approx(d_regauge, abs=1e-6)
+    assert abs(trace.t_means[-1]) <= 0.5 * SMALL.dt
+    assert a == 0.0
+    c, log_radius = gauge_moments(f, searched_params(params).p)
+    assert trace.t_means[-1] == pytest.approx(c, rel=1e-12, abs=1e-12)
+    assert trace.log_radii[-1] == pytest.approx(log_radius, rel=1e-12)
+
+
 def search_bits(result):
     """A search result as comparable bits: profile bytes, quotient, trace
     rows and stop reason."""
@@ -571,26 +562,6 @@ def reference_resample(values, rho, t, d, t_shift=0.0):
     return rows[:, ti] * c0 + rows[:, ti + 1] * c1
 
 
-def window_ball_band(spec, R):
-    """The ball overlap table as sliding windows over one band per row:
-    (inside, windows), windows[i, s, j] the share of t-cell j in row
-    inside[i] covered by the ball centered at t[n_t - 1 - s]."""
-    rho, t, dt = spec.rho_nodes(), spec.t_nodes(), spec.dt
-    inside = rho ** 4 < R ** 4
-    h = np.sqrt(R ** 4 - rho[inside] ** 4)[:, None]
-    offset = np.arange(1 - t.size, t.size) * dt
-    lo = np.maximum(offset - 0.5 * dt, -h)
-    hi = np.minimum(offset + 0.5 * dt, h)
-    band = np.clip(hi - lo, 0.0, None) / dt
-    return inside, np.lib.stride_tricks.sliding_window_view(band, t.size, axis=1)
-
-
-def window_band_masses(band, density):
-    """Ball masses from window_ball_band: one einsum over the windows."""
-    inside, windows = band
-    return np.einsum("isj,ij->s", windows, density[inside])[::-1]
-
-
 def reference_renormalize(f, params):
     """renormalize_concentration written out from its rule: the density
     |f / peak|^p W, its t-mean c, the mean of log |u - c| =
@@ -627,9 +598,7 @@ SEARCH_P = [4.0 / 3.0, 1.15, 1.6, 1.85]
 class TestCachedProbes:
     """The gauge against reference_renormalize, its rule written out with
     the stencils rebuilt per call, on every renormalization of the searches
-    and on random profiles; and the trace's Q(1) column, which probes each
-    accepted profile through the cached ball table, against the window
-    einsum and the cache's history."""
+    and on random profiles."""
 
     @pytest.mark.parametrize("p", SEARCH_P)
     def test_search_renormalizations_match_reference(self, p, monkeypatch):
@@ -679,60 +648,6 @@ class TestCachedProbes:
             assert_same_renormalization(got, reference_renormalize(f, params))
             shifts += got[2] != 0.0
         assert 0 < shifts < 25
-
-    def test_search_bits_independent_of_cache_history(self):
-        # the p = 1.85 search, whose trace reads the ball table, from a cold
-        # cache, after the other three searches and after other radii have
-        # filled the cache
-        def search():
-            return search_bits(maximize(search_params(1.85), gaussian_profile(SMALL)))
-
-        extremal._ball_band.cache_clear()
-        cold = search()
-        for p in SEARCH_P[:3]:
-            maximize(search_params(p), gaussian_profile(SMALL))
-        assert search() == cold
-        for R in np.geomspace(0.5, 2.0, extremal.BALL_BAND_CACHE):
-            _ball_band(SMALL, float(R))
-        assert extremal._ball_band.cache_info().currsize == extremal.BALL_BAND_CACHE
-        assert search() == cold
-
-    @pytest.mark.parametrize("p", SEARCH_P)
-    def test_search_matches_window_einsum_masses(self, p):
-        self.check_against_window_masses(SMALL, search_params(p))
-
-    def test_64x127_search_matches_window_einsum_masses(self):
-        spec = GridSpec(n=1, n_rho=64, rho_min=1e-3, rho_max=50.0, n_t=127, t_max=50.0)
-        self.check_against_window_masses(spec, search_params(1.85))
-
-    @staticmethod
-    def check_against_window_masses(spec, params):
-        """A search with every ball mass from the einsum over the windows
-        (window_band_masses) reaches the same profile, quotients, gauges,
-        accept flags and stop as the covered-cell table, bit for bit (the
-        gauge reads no ball mass); its Q(1) trace agrees to 4 ulp."""
-        f, q, trace = maximize(params, gaussian_profile(spec))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                extremal,
-                "_ball_band",
-                functools.cache(window_ball_band),
-            )
-            mp.setattr(extremal, "_band_masses", window_band_masses)
-            f_ref, q_ref, ref = maximize(params, gaussian_profile(spec))
-        assert np.array_equal(f.values, f_ref.values)
-        assert q == q_ref == hls_quotient(f, searched_params(params))
-        for field in ("quotients", "dilations", "t_shifts", "accepted", "stop_reason"):
-            assert getattr(trace, field) == getattr(ref, field), field
-        q1, q1_ref = np.array(trace.q1_concentration), np.array(ref.q1_concentration)
-        assert np.all(np.abs(q1 - q1_ref) <= 4.0 * np.spacing(q1_ref))
-
-    def test_cached_arrays_are_read_only(self):
-        # both arrays of the cached ball table
-        for a in _ball_band(SMALL, 1.0):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[(0,) * a.ndim] = 0
 
 
 def two_beta_far_field_constant(spec, A):
@@ -908,8 +823,8 @@ class TestAlign:
 
 def test_trace_rows_roundtrip():
     tr = ConvergenceTrace()
-    tr.record(0, 1.0, 0.5, 1.0, 0.0, True)
-    tr.record(1, 1.5, 0.5, 1.1, 0.2, False)
+    tr.record(0, 1.0, (0.25, -0.5), 1.0, 0.0, True)
+    tr.record(1, 1.5, (0.0, 0.5), 1.1, 0.2, False)
     rows = list(tr.rows())
-    assert rows[0] == (0, 1.0, 0.5, 1.0, 0.0, True)
-    assert rows[1][5] is False
+    assert rows[0] == (0, 1.0, 0.25, -0.5, 1.0, 0.0, True)
+    assert rows[1][6] is False
