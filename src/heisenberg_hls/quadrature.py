@@ -71,15 +71,17 @@ where a pass's larger arrays come from fresh mmaps, 19 / 16 / 19 ms against
 of 5-7 processes).  A thread pool over the rows did not pay on the
 benchmark's 16x32 tables: one row at a time, two threads took 32 / 25 /
 30 ms against 29 / 23 / 28 ms on one.  A cold 64x128 build peaks at
-15.0 MiB at lam = 2 and 18.3 MiB at lam = 0.7, 3 and 3.9 (10.4 and
-11.5 MiB one row at a time), against its 8.06 MiB table; the transient,
-one pass's cell-rule arrays, grows with n_rho n_t and the table with
-n_rho^2 n_t (16 against 63 MiB on 127x255).
+10.6 MiB at lam = 2 and 11.7 MiB at lam = 0.7, 3 and 3.9, against its
+4.03 MiB table; the transient, one pass's cell-rule arrays and the kernel
+call's, grows with n_rho n_t and the table with n_rho^2 n_t (16 against
+32 MiB on 127x255).  kbar_many forms its fit-branch arrays in place, so a
+kernel call holds five arrays of its points at once.
 
-The sum over j' is a correlation along t, so the table is applied in
-Fourier space: the table keeps only the rfft of A along k, and an apply
-costs one rfft of the values, one batched matmul over the frequencies and
-one irfft instead of a loop over i.
+A is even in tau, so the sum over j' is a convolution along t, and the
+table is applied in Fourier space: the table keeps only the real DFT of
+each row's even extension along k (a DCT-I of its tau >= 0 half), and an
+apply costs one rfft of the values, one real batched matmul over the
+frequencies and one irfft instead of a loop over i.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ def kbar_many(rho, delta, tau, lam):
     alpha = 0.25 * lam
     D = (delta * (2.0 * rho + delta)) ** 2 + tau * tau
     b = 2.0 * rho * (rho + delta)
+    tiny = D < TINY
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if alpha == 0.5:
             # a - b = 0 is an integer: hyp2f1 loses accuracy as |z| grows
@@ -194,20 +197,29 @@ def kbar_many(rho, delta, tau, lam):
         else:
             bb = b * b
             s = np.log1p(bb / D)
+            far = ~(s <= FIT_S_MAX)
+            s_far = s[far]
             # nan and inf clip to the last panel; _pfaff_exact overwrites
-            # them below
-            u = np.fmin(s, FIT_S_MAX) * FIT_PANELS_PER_UNIT
+            # them below.  u takes s's memory, and once x is formed the
+            # gathers land in u's; mode="clip" (panel is in range) keeps
+            # take from buffering them
+            u = np.fmin(s, FIT_S_MAX, out=s)
+            u *= FIT_PANELS_PER_UNIT
             panel = np.minimum(u.astype(np.intp), FIT_PANELS - 1)
             x = 2.0 * (u - panel) - 1.0
             coef = _pfaff_fit(alpha)
             F = coef[FIT_DEGREE].take(panel)
             for c in coef[FIT_DEGREE - 1 :: -1]:
                 F *= x
-                F += c.take(panel)
-            far = ~(s <= FIT_S_MAX)
-            F[far] = _pfaff_exact(alpha, s[far])
-            out = (D + bb) ** (-alpha) * F
-    return np.where(D < TINY, math.inf, out).ravel()
+                F += c.take(panel, out=u, mode="clip")
+            F[far] = _pfaff_exact(alpha, s_far)
+            # (D + b^2)^(-alpha) F, formed in D's own memory
+            D += bb
+            D **= -alpha
+            D *= F
+            out = D
+    out[tiny] = math.inf
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +328,28 @@ class KernelTable:
     built from a GridSpec (build_kernel_table, which defines its weights A)
     and cached per (spec, lam) (kernel_table).
 
-    The sum over j' is a correlation along t, so apply multiplies in
-    Fourier space.  The table keeps only A_hat, the rfft of A along k at
-    the even length 2 n_t, frequency-major so that each frequency's
-    (i, i') block is contiguous.
+    A is even in tau, so the sum over j' is a convolution along t, and
+    apply multiplies in Fourier space.  The table keeps only A_hat, the real
+    DFT of each row's even circular extension of length 2 n_t (a DCT-I of
+    its tau >= 0 half), float64 of shape (n_t + 1, n_rho, n_rho):
+    frequency-major, so that each frequency's (i, i') block is contiguous.
     """
 
     A_hat: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """I_lam f at every node, for the values of f on the table's grid:
-        one rfft, one batched matmul over the frequencies, one irfft."""
-        n_t = values.shape[1]
-        nfft = 2 * (self.A_hat.shape[0] - 1)
-        # with v_rev[m] = values[n_t - 1 - m], out[:, j] is the convolution
-        # A * v_rev at lag K = 2 n_t - 2 - j; for those lags K - m stays in
-        # [0, 2 n_t - 2], so a circular convolution of any length >= the
-        # 2 n_t - 1 entries of A has no wrap-around there
-        v_hat = np.fft.rfft(values[:, ::-1], nfft)
-        conv = np.fft.irfft((self.A_hat @ v_hat.T[:, :, None])[:, :, 0].T, nfft)
-        return conv[:, n_t - 1 : 2 * n_t - 1][:, ::-1]
+        one rfft, one real batched matmul over the frequencies, one irfft.
+        The lags j - j' lie in (-n_t, n_t), so the circular convolution of
+        length 2 n_t has no wrap-around on the first n_t nodes."""
+        n_freq, n_rho = self.A_hat.shape[:2]
+        nfft = 2 * (n_freq - 1)
+        v_hat = np.ascontiguousarray(np.fft.rfft(values, nfft).T)
+        # the real table multiplies the (re, im) pairs as two real columns,
+        # so the table itself is never cast to complex
+        prod = self.A_hat @ v_hat.view(np.float64).reshape(n_freq, n_rho, 2)
+        out_hat = prod.view(np.complex128).reshape(n_freq, n_rho)
+        return np.fft.irfft(out_hat.T, nfft)[:, : values.shape[1]]
 
 
 def _exact_zone_mask(rho0, rho, drho, tau, dt):
@@ -461,19 +475,22 @@ def build_kernel_table(spec: GridSpec, lam: float) -> KernelTable:
     (rho[i], 0) on the tau lattice (k - (n_t - 1)) dt, which by translation
     invariance in t serves every evaluation height.  The kernel is even in
     tau and the lattice exactly antisymmetric, so each row is assembled on
-    tau >= 0 (the centre cell whole) and mirrored; the mirrored cells would
-    give the same bits.  The rows are assembled ROWS_PER_PASS at a time, in
-    row order, and each pass goes straight into its rfft, so A itself is
-    never held whole; a row whose weights are not finite raises its
-    ValueError before any later pass is built."""
+    tau >= 0 (the centre cell whole) alone; the mirrored cells would give
+    the same bits.  Its even circular extension of length 2 n_t (0 at the
+    lag n_t, which no node pair reaches) has a real DFT, the hfft of the
+    half, of which the table keeps the n_t + 1 distinct frequencies.  The
+    rows are assembled ROWS_PER_PASS at a time, in row order, and each pass
+    goes straight into its transform, so A itself is never held whole; a
+    row whose weights are not finite raises its ValueError before any later
+    pass is built."""
     _check_deterministic(spec.n, lam)
     rho, dt, n_t = spec.rho_nodes(), spec.dt, spec.n_t
     tau = np.arange(n_t) * dt
-    A_hat = np.empty((n_t + 1, rho.size, rho.size), dtype=complex)
+    A_hat = np.empty((n_t + 1, rho.size, rho.size))
     for i in range(0, rho.size, ROWS_PER_PASS):
-        half = _row_weights(lam, rho[i : i + ROWS_PER_PASS], tau, rho, dt)
-        rows = np.concatenate([half[..., :0:-1], half], axis=-1)
-        A_hat[:, i : i + ROWS_PER_PASS, :] = np.fft.rfft(rows, 2 * n_t).transpose(2, 0, 1)
+        rows = slice(i, i + ROWS_PER_PASS)
+        half = _row_weights(lam, rho[rows], tau, rho, dt)
+        A_hat[:, rows, :] = np.fft.hfft(half, 2 * n_t)[..., : n_t + 1].transpose(2, 0, 1)
     return KernelTable(A_hat)
 
 

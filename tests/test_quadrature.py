@@ -502,22 +502,43 @@ def test_kernel_table_cache():
 
 def test_table_keeps_one_copy():
     # the table is its Fourier transform alone: once built, nothing else of
-    # its size is held (the real-space weights are never held whole)
+    # its size is held (the real-space weights are never held whole).  The
+    # even kernel's spectrum is real: one float per frequency and (i, i')
     assert [f.name for f in dataclasses.fields(KernelTable)] == ["A_hat"]
+    spec = GridSpec()
     tracemalloc.start()
     try:
-        table = build_kernel_table(GridSpec(), 2.0)
+        table = build_kernel_table(spec, 2.0)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert table.A_hat.dtype == np.float64
+    assert table.A_hat.shape == (spec.n_t + 1, spec.n_rho, spec.n_rho)
     assert current <= 1.05 * table.A_hat.nbytes
+
+
+def test_apply_forms_no_table_sized_temporary():
+    # the real table multiplies the values' spectrum as (re, im) pairs; a
+    # matmul of the table with the complex spectrum would cast the whole
+    # table to complex, 2.06x its bytes per apply
+    spec = GridSpec()
+    table = kernel_table(spec, 2.0)
+    values = np.random.default_rng(0).random((spec.n_rho, spec.n_t))
+    table.apply(values)
+    tracemalloc.start()
+    try:
+        table.apply(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * table.A_hat.nbytes
 
 
 def test_table_build_peak_memory():
     # a pass assembles ROWS_PER_PASS rows at once, and its cell-rule arrays
-    # are the build's transient: 7-10 MiB on 64x128 next to the 8.06 MiB
+    # are the build's transient: 6.6-7.6 MiB on 64x128 next to the 4.03 MiB
     # table.  The transient grows with n_rho n_t and the table with
-    # n_rho^2 n_t (16 against 63 MiB on 127x255), so the bound holds on
+    # n_rho^2 n_t (16 against 32 MiB on 127x255), so the bound holds on
     # finer grids too
     tracemalloc.start()
     try:
@@ -537,9 +558,10 @@ def full_lattice_weights(spec, lam):
 
 
 class TestTableMirror:
-    # the table integrates tau >= 0 and mirrors; the kernel is even in tau and
-    # the lattice (k - (n_t - 1)) dt exactly antisymmetric, so every mirrored
-    # cell would be integrated from the same bits
+    # the table integrates tau >= 0 and transforms its even extension; the
+    # kernel is even in tau and the lattice (k - (n_t - 1)) dt exactly
+    # antisymmetric, so every mirrored cell would be integrated from the
+    # same bits
     @pytest.mark.parametrize("lam", [0.7, 2.0, 3.0, 3.9])
     @pytest.mark.parametrize(
         "spec",
@@ -553,10 +575,12 @@ class TestTableMirror:
         ids=["16x32", "28x56", "9x7", "16x33", "64x128"],
     )
     def test_table_equals_full_lattice_bitwise(self, spec, lam):
-        # the table keeps only the rfft of A, frequency-major; the mirrored
-        # rows must enter it bit for bit as the full lattice's rows would
+        # the table keeps only the real spectrum of A's even extension,
+        # frequency-major; the half rows must enter it bit for bit as the
+        # full lattice's tau >= 0 halves would
         A = full_lattice_weights(spec, lam)
-        A_hat = np.fft.rfft(A, 2 * spec.n_t).transpose(2, 0, 1)
+        n_t = spec.n_t
+        A_hat = np.fft.hfft(A[..., n_t - 1 :], 2 * n_t)[..., : n_t + 1].transpose(2, 0, 1)
         assert np.array_equal(A, A[:, :, ::-1])
         assert np.array_equal(build_kernel_table(spec, lam).A_hat, A_hat)
 
